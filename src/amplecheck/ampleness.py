@@ -81,10 +81,6 @@ GENERAL_MEMBER_NOTE = (
 )
 
 
-def _chi_of_twist(v: ChernCharacter, d: DivisorClass) -> int:
-    return v.twist(v.surface.canonical + d).euler_characteristic()
-
-
 @dataclass(frozen=True)
 class BadCurve:
     """An irreducible class with negative twisted chi, plus its dimension count."""
@@ -164,7 +160,7 @@ def _assert_effective_shortcut(v: ChernCharacter) -> None:
             continue
         if not all(c >= 0 for c in (k + d).coords):
             continue
-        chi = _chi_of_twist(v, d)
+        chi = v.twisted_chi(k + d)
         if chi < 0:
             raise PreconditionError(
                 f"chi(v(K+D)) = {chi} < 0 for D = {d} although K+D is effective: "
@@ -176,10 +172,11 @@ def _family_bad_members(
     v: ChernCharacter, member: Callable[[int], DivisorClass], b_start: int
 ) -> list[tuple[DivisorClass, int]]:
     """Bad members of one affine family b -> D(b), via the exact cutoff."""
-    chi0 = _chi_of_twist(v, member(b_start))
+    k = v.surface.canonical
+    chi0 = v.twisted_chi(k + member(b_start))
     if chi0 >= 0:
         return []
-    step = _chi_of_twist(v, member(b_start + 1)) - chi0
+    step = v.twisted_chi(k + member(b_start + 1)) - chi0
     if step <= 0:
         raise AmplecheckError(
             "twisted chi is not increasing along a curve family; slope hypotheses broken"
@@ -192,12 +189,13 @@ def _family_bad_members(
     out = []
     for t in range(count):
         d = member(b_start + t)
-        out.append((d, _chi_of_twist(v, d)))
+        out.append((d, v.twisted_chi(k + d)))
     return out
 
 
 def _bad_curve_candidates(v: ChernCharacter) -> list[tuple[DivisorClass, int]]:
     surface = v.surface
+    k = surface.canonical
     found: dict[tuple, tuple[DivisorClass, int]] = {}
 
     def record(d: DivisorClass, chi: int) -> None:
@@ -206,7 +204,7 @@ def _bad_curve_candidates(v: ChernCharacter) -> list[tuple[DivisorClass, int]]:
     if surface.is_plane:
         for n in (1, 2):
             d = surface.divisor(n)
-            chi = _chi_of_twist(v, d)
+            chi = v.twisted_chi(k + d)
             if chi < 0:
                 record(d, chi)
         return list(found.values())
@@ -225,7 +223,7 @@ def _bad_curve_candidates(v: ChernCharacter) -> list[tuple[DivisorClass, int]]:
         families.append((lambda b: surface.divisor(1, b), e))   # E + bF, b >= e
 
     for d in singletons:
-        chi = _chi_of_twist(v, d)
+        chi = v.twisted_chi(k + d)
         if chi < 0:
             record(d, chi)
     for member, b_start in families:
@@ -422,7 +420,7 @@ def asymptotic_ample_certificate(
     b = base.nu - h
     assert is_big_and_nef(b)
 
-    chi_dual_twist = base.dual().twist(h - ell).euler_characteristic()
+    chi_dual_twist = base.dual().twisted_chi(h - ell)
     if chi_dual_twist > 0:
         raise PreconditionError(
             f"chi(v*(H-L)) = {chi_dual_twist} > 0 for {base}: the quotient "

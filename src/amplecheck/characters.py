@@ -8,13 +8,18 @@ Chern class ``c2 = c1^2/2 - ch2``.  The logarithmic invariants
     delta = nu^2 / 2 - ch2 / rank
 
 are invariant under scaling the character, and ``delta`` is additionally
-invariant under twisting by any divisor class.  The Euler characteristic is
-computed by Riemann-Roch in the form
+invariant under twisting by any divisor class; each is computed once per
+character.  Riemann-Roch, ``chi = rank * (P(nu) - delta)`` with ``P`` the
+Hilbert polynomial of the structure sheaf, is evaluated in integers:
 
-    chi = rank * (P(nu) - delta)
+    chi(v) = rank + (c1^2 - c1.K)/2 - c2,
 
-with ``P`` the Hilbert polynomial of the structure sheaf; it is an integer
-for every valid character.
+and the Euler characteristic of a twist is the integer quadratic
+
+    chi(v(D)) = chi(v) + c1.D + rank * (D^2 - D.K)/2
+
+in the coordinates of ``D`` (``D^2 - D.K`` is even for integral ``D`` by
+the adjunction formula), so no twisted character needs to be built.
 
 The canonical textual form used by the CLI and reports is ``r:c1:ch2`` with
 ``c1`` rendered as ``a`` (plane) or ``a,b`` (meaning ``aE + bF``) and
@@ -25,10 +30,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidCharacterError, InvalidDivisorError
 from .rationals import Rational, format_rational, is_integer, parse_rational, rat
-from .surfaces import DivisorClass, Surface, hilbert_polynomial
+from .surfaces import DivisorClass, Surface
+
+
+def _integer_coords(d: DivisorClass) -> tuple[int, ...]:
+    """Coordinates of an integral class as Python ints."""
+    return tuple(c.numerator for c in d.coords)
+
+
+def _adjunction_form(surface: Surface, x: tuple[int, ...]) -> int:
+    """``x^2 - x.K`` of an integral class; even, equal to ``2*(P(x) - 1)``."""
+    return surface.pair(x, x) - surface.pair(x, surface.canonical_coords)
 
 
 @dataclass(frozen=True)
@@ -52,30 +68,31 @@ class ChernCharacter:
             raise InvalidCharacterError(f"rank must be a positive integer, got {self.rank}")
         if not self.c1.is_integral:
             raise InvalidCharacterError(f"c1 must be integral, got {self.c1}")
-        c2 = self.c1.self_intersection / 2 - self.ch2
-        if not is_integer(c2):
-            raise InvalidCharacterError(
-                f"c1^2/2 - ch2 = {c2} is not an integer (c2 must be integral)"
-            )
+        self.c2  # computing c2 checks that it is an integer
 
     @property
     def surface(self) -> Surface:
         return self.c1.surface
 
-    @property
+    @cached_property
     def c2(self) -> int:
-        return int(self.c1.self_intersection / 2 - self.ch2)
+        c2 = self.c1.self_intersection / 2 - self.ch2
+        if not is_integer(c2):
+            raise InvalidCharacterError(
+                f"c1^2/2 - ch2 = {c2} is not an integer (c2 must be integral)"
+            )
+        return int(c2)
 
-    @property
+    @cached_property
     def nu(self) -> DivisorClass:
         return self.c1 * Fraction(1, self.rank)
 
-    @property
+    @cached_property
     def mu(self) -> Fraction:
         h = self.surface.polarization
         return self.c1.dot(h) / (self.rank * h.self_intersection)
 
-    @property
+    @cached_property
     def delta(self) -> Fraction:
         nu = self.nu
         return nu.self_intersection / 2 - self.ch2 / self.rank
@@ -83,11 +100,36 @@ class ChernCharacter:
     def log_invariants(self) -> LogInvariants:
         return LogInvariants(self.mu, self.nu, self.delta)
 
+    @cached_property
+    def _c1_coords(self) -> tuple[int, ...]:
+        return _integer_coords(self.c1)
+
+    @cached_property
+    def _chi(self) -> int:
+        twice = (
+            2 * self.rank + _adjunction_form(self.surface, self._c1_coords) - 2 * self.c2
+        )
+        if twice % 2:
+            raise InvalidCharacterError(
+                f"non-integral Euler characteristic {Fraction(twice, 2)} for {self}"
+            )
+        return twice // 2
+
     def euler_characteristic(self) -> int:
-        chi = self.rank * (hilbert_polynomial(self.nu) - self.delta)
-        if not is_integer(chi):
-            raise InvalidCharacterError(f"non-integral Euler characteristic {chi} for {self}")
-        return int(chi)
+        return self._chi
+
+    def twisted_chi(self, d: DivisorClass) -> int:
+        """``chi(v(d))`` for integral d, without building the twisted character."""
+        if not d.is_integral:
+            raise InvalidDivisorError(f"twists are by integral classes, got {d}")
+        self.c1._check_same_surface(d)
+        surface = self.surface
+        x = _integer_coords(d)
+        return (
+            self._chi
+            + surface.pair(self._c1_coords, x)
+            + self.rank * _adjunction_form(surface, x) // 2
+        )
 
     def twist(self, d: DivisorClass) -> "ChernCharacter":
         """Tensor with the line bundle O(d), d integral."""

@@ -132,10 +132,6 @@ def slope_conditions(v: ChernCharacter, *, asymptotic: bool = False) -> tuple[Co
     return tuple(conditions)
 
 
-def slope_conditions_hold(v: ChernCharacter, *, asymptotic: bool = False) -> bool:
-    return all(c.holds for c in slope_conditions(v, asymptotic=asymptotic))
-
-
 def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     """Checklist of every known numerical obstruction to ampleness.
 
@@ -264,7 +260,7 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
             return GGClassification(
                 False, failed_condition="slope zero but not rank * ch O", chi=chi
             )
-        chi_twist = v.twist(-h).euler_characteristic()
+        chi_twist = v.twisted_chi(-h)
         if chi_twist >= 0:
             return GGClassification(
                 True, 2, "chi(v(-H)) >= 0", chi=chi, chi_twist=chi_twist
@@ -309,8 +305,8 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
                 failed_condition="degenerate slope but not a balanced sum along a ruling",
                 chi=chi,
             )
-        chi_e = v.twist(-section).euler_characteristic()
-        chi_f = v.twist(-fiber).euler_characteristic()
+        chi_e = v.twisted_chi(-section)
+        chi_f = v.twisted_chi(-fiber)
         if chi_e >= 0 or chi_f >= 0:
             return GGClassification(
                 True, 2, "chi(v(-E)) >= 0 or chi(v(-F)) >= 0",
@@ -338,7 +334,7 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
             failed_condition="fiber degree zero but not a balanced sum of fiber twists",
             chi=chi,
         )
-    chi_twist = v.twist(-fiber).euler_characteristic()
+    chi_twist = v.twisted_chi(-fiber)
     if chi_twist >= 0:
         return GGClassification(True, 2, "chi(v(-F)) >= 0", chi=chi, chi_twist=chi_twist)
     if chi >= r + 2:
@@ -372,4 +368,4 @@ def gg_quick_criterion(v: ChernCharacter) -> bool:
         raise PreconditionError(f"delta = {v.delta} < 0: no semistable bundle exists")
     if not is_big_and_nef(v.nu):
         raise PreconditionError(f"nu = {v.nu} is not big and nef")
-    return v.twist(-v.surface.fiber_class).euler_characteristic() >= 0
+    return v.twisted_chi(-v.surface.fiber_class) >= 0

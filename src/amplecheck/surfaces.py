@@ -95,12 +95,17 @@ class Surface:
         return self.divisor(0, 1)
 
     @property
-    def canonical(self) -> "DivisorClass":
+    def canonical_coords(self) -> tuple[int, ...]:
+        """Integer coordinates of the canonical class K."""
         if self.is_plane:
-            return self.divisor(-3)
-        return self.divisor(-2, -(self.e + 2))
+            return (-3,)
+        return (-2, -(self.e + 2))
 
-    def pair(self, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
+    @property
+    def canonical(self) -> "DivisorClass":
+        return self.divisor(*self.canonical_coords)
+
+    def pair(self, a: tuple[Rational, ...], b: tuple[Rational, ...]) -> Rational:
         if self.is_plane:
             return a[0] * b[0]
         # (a0 E + a1 F).(b0 E + b1 F) with E.E = -e, E.F = 1, F.F = 0
@@ -264,7 +269,8 @@ def h0_line_bundle(d: DivisorClass) -> int:
 
     Plane: ``(n+1)(n+2)/2`` for ``n >= 0``.  On ``F_e`` the pushforward to
     the base line splits off one summand of degree ``b - ie`` per
-    ``0 <= i <= a``, each contributing ``max(0, b - ie + 1)`` sections.
+    ``0 <= i <= a``, each contributing ``max(0, b - ie + 1)`` sections;
+    the sum is evaluated in closed form.
     """
     if not d.is_integral:
         raise InvalidDivisorError(f"section counts are asked of integral classes, got {d}")
@@ -272,7 +278,9 @@ def h0_line_bundle(d: DivisorClass) -> int:
         n = int(d.coords[0])
         return (n + 1) * (n + 2) // 2 if n >= 0 else 0
     a, b = int(d.coords[0]), int(d.coords[1])
-    if a < 0:
+    if a < 0 or b < 0:
         return 0
     e = d.surface.e
-    return sum(max(0, b - i * e + 1) for i in range(a + 1))
+    # the summands are positive exactly for i <= m: an arithmetic series
+    m = a if e == 0 else min(a, b // e)
+    return (m + 1) * (b + 1) - e * m * (m + 1) // 2

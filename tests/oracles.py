@@ -11,6 +11,7 @@ from __future__ import annotations
 from amplecheck import (
     ChernCharacter,
     Surface,
+    hilbert_polynomial,
     is_irreducible_curve_class,
     kernel_character,
 )
@@ -19,7 +20,16 @@ SCAN_CAP = 10_000
 
 
 def chi_of_twist(v: ChernCharacter, d) -> int:
-    return v.twist(v.surface.canonical + d).euler_characteristic()
+    """chi(v(K+d)) as ``rank * (P(nu) - delta)`` of the twisted character.
+
+    Evaluated from the Hilbert polynomial and the logarithmic invariants,
+    not through the library's integer Riemann-Roch.
+    """
+    w = v.twist(v.surface.canonical + d)
+    chi = w.rank * (hilbert_polynomial(w.nu) - w.delta)
+    if chi.denominator != 1:
+        raise AssertionError(f"non-integral Euler characteristic {chi} for {w}")
+    return chi.numerator
 
 
 def matches_bad_curve_shape(surface: Surface, coords: tuple) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from amplecheck import (
     InvalidCharacterError,
     InvalidDivisorError,
     Surface,
+    SurfaceMismatchError,
     from_log_invariants,
     h0_line_bundle,
+    hilbert_polynomial,
     line_bundle_character,
     make_character,
     parse_character,
@@ -103,6 +106,55 @@ class TestEulerCharacteristic:
             total.euler_characteristic()
             == v.euler_characteristic() + w.euler_characteristic()
         )
+
+
+BIG = 10**6
+WIDE_SURFACES = (Surface.projective_plane(),) + tuple(Surface.hirzebruch(e) for e in range(6))
+
+
+@st.composite
+def wide_character_and_divisor(draw):
+    """A character and an integral class on P2 or F0-F5, coordinates up to 10^6."""
+    surface = draw(st.sampled_from(WIDE_SURFACES))
+    coord = st.integers(-BIG, BIG)
+    c1 = surface.divisor(*[draw(coord) for _ in surface.basis])
+    v = ChernCharacter(draw(st.integers(1, BIG)), c1, c1.self_intersection / 2 - draw(coord))
+    return v, surface.divisor(*[draw(coord) for _ in surface.basis])
+
+
+class TestIntegerRiemannRoch:
+    @given(wide_character_and_divisor())
+    def test_twisted_chi_matches_the_twisted_character(self, pair):
+        v, d = pair
+        assert v.twisted_chi(d) == v.twist(d).euler_characteristic()
+
+    @given(wide_character_and_divisor())
+    def test_integer_chi_matches_hilbert_polynomial_form(self, pair):
+        v, _ = pair
+        assert v.euler_characteristic() == v.rank * (hilbert_polynomial(v.nu) - v.delta)
+
+    @given(wide_character_and_divisor())
+    def test_cached_invariants_leave_identity_alone(self, pair):
+        v, d = pair
+        fresh = ChernCharacter(v.rank, v.c1, v.ch2)
+        v.log_invariants(), v.c2, v.euler_characteristic(), v.twisted_chi(d)  # fill caches
+        assert v == fresh and hash(v) == hash(fresh)
+        assert dataclasses.replace(v) == fresh
+        shifted = dataclasses.replace(v, ch2=v.ch2 + 1)
+        assert shifted.c2 == v.c2 - 1
+        assert shifted.delta == v.delta - Fraction(1, v.rank)
+        assert shifted.euler_characteristic() == v.euler_characteristic() + 1
+
+    @given(wide_character_and_divisor(), st.integers(2, 7))
+    def test_non_integral_twist_rejected(self, pair, den):
+        v, d = pair
+        offset = [Fraction(1, den)] + [0] * (len(d.coords) - 1)
+        with pytest.raises(InvalidDivisorError):
+            v.twisted_chi(d + d.surface.divisor(*offset))
+
+    def test_twist_from_another_surface_rejected(self):
+        with pytest.raises(SurfaceMismatchError):
+            TANGENT.twisted_chi(F1.divisor(1, 0))
 
 
 class TestTwist:

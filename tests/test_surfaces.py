@@ -187,6 +187,14 @@ class TestSectionCounts:
                 assert is_nef(d)
                 assert h0_line_bundle(d) == hilbert_polynomial(d)
 
+    def test_closed_form_matches_the_summand_count(self):
+        for e in range(7):
+            surface = Surface.hirzebruch(e)
+            for a in range(-3, 25):
+                for b in range(-5, 60):
+                    summands = sum(max(0, b - i * e + 1) for i in range(a + 1))
+                    assert h0_line_bundle(surface.divisor(a, b)) == summands
+
     def test_h0_equals_chi_on_plane_nef(self):
         for n in range(0, 12):
             assert h0_line_bundle(P2.divisor(n)) == hilbert_polynomial(P2.divisor(n))
