@@ -13,7 +13,6 @@ from .ampleness import (
     AmpleGGCertificate,
     AsymptoticCertificate,
     BadCurve,
-    DimensionCount,
     ample_gg_verdict,
     asymptotic_ample_certificate,
     dimension_count,
@@ -54,7 +53,6 @@ from .positivity import (
     GGClassification,
     ObstructionReport,
     ObstructionVerdict,
-    bogomolov_check,
     classify_global_generation,
     fulton_lazarsfeld_check,
     fulton_lazarsfeld_margin,
@@ -67,10 +65,8 @@ from .surfaces import (
     DivisorClass,
     Surface,
     SurfaceKind,
-    canonical_class,
     h0_line_bundle,
     hilbert_polynomial,
-    intersect,
     is_big_and_nef,
     is_effective,
     is_irreducible_curve_class,
@@ -88,7 +84,6 @@ __all__ = [
     "ChernCharacter",
     "CohomologyTriple",
     "Condition",
-    "DimensionCount",
     "DivisorClass",
     "EnumerationLimitError",
     "GGClassification",
@@ -105,8 +100,6 @@ __all__ = [
     "WbnApplicability",
     "ample_gg_verdict",
     "asymptotic_ample_certificate",
-    "bogomolov_check",
-    "canonical_class",
     "classify_global_generation",
     "dimension_count",
     "effective_n_bound",
@@ -118,7 +111,6 @@ __all__ = [
     "gieseker_character",
     "h0_line_bundle",
     "hilbert_polynomial",
-    "intersect",
     "is_big_and_nef",
     "is_effective",
     "is_irreducible_curve_class",

@@ -21,7 +21,8 @@ bundles with a trivial quotient on a fixed curve of class D has codimension
 at least ``c = rank * nu.D - rank + 1`` (the k = 1 value of the splitting
 stratification ``k(rank*slope - rank + k)``), while the curves move in a
 linear system of dimension ``d = h^0(O(D)) - 1``; the verdict needs
-``d < c`` for every bad curve.
+``d < c`` for every bad curve; ``dimension_count`` builds the ``BadCurve``
+record that carries both numbers.
 
 *Asymptotic ampleness.*  When ``nu - H`` is big and nef, all large
 multiples ``n*v`` carry ample general bundles: a candidate quotient of
@@ -40,6 +41,11 @@ Brill-Noether bookkeeping for ``u*(H-L)``.  The default mode first
 normalizes ``v`` by a nef twist so that ``1 < nu.L <= 2``; the direct mode
 runs the same algebra on the character as given (the classical rank-two
 cokernel example is reproduced this way).
+
+Both procedures raise ``PreconditionError`` through the one gate in
+``positivity``, ``require_slope_hypotheses`` (``delta >= 0``, then the
+sharp slopes), so a failed hypothesis reads the same from every entry
+point; ``ample_gg_verdict`` records failures in its certificate instead.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .positivity import (
     GGClassification,
     classify_global_generation,
     gg_quick_criterion,
+    require_slope_hypotheses,
     slope_conditions,
     tangent_bundle_character,
 )
@@ -86,7 +93,7 @@ class BadCurve:
     """An irreducible class with negative twisted chi, plus its dimension count."""
 
     curve: DivisorClass
-    chi_twist: int          # chi(v(K+D)) < 0
+    chi_twist: int          # chi(v(K+D)), < 0 for a bad curve
     d: int                  # dim |D| = h^0(O(D)) - 1
     c: Fraction             # codimension lower bound rank*nu.D - rank + 1
 
@@ -95,20 +102,17 @@ class BadCurve:
         return self.d < self.c
 
 
-@dataclass(frozen=True)
-class DimensionCount:
-    d: int
-    c: Fraction
-    passes: bool
+def dimension_count(v: ChernCharacter, curve: DivisorClass) -> BadCurve:
+    """Compare dim |D| against the trivial-quotient codimension bound.
 
-
-def dimension_count(v: ChernCharacter, curve: DivisorClass) -> DimensionCount:
-    """Compare dim |D| against the trivial-quotient codimension bound."""
+    The result is the ``BadCurve`` record of ``curve``; the curve is bad
+    only when its ``chi_twist`` is negative.
+    """
     if not is_irreducible_curve_class(curve):
         raise PreconditionError(f"{curve} is not an irreducible curve class")
-    d = h0_line_bundle(curve) - 1
+    chi = v.twisted_chi(v.surface.canonical + curve)
     c = v.rank * v.nu.dot(curve) - v.rank + 1
-    return DimensionCount(d, Fraction(c), d < Fraction(c))
+    return BadCurve(curve, chi, h0_line_bundle(curve) - 1, c)
 
 
 def splitting_codim(k: int, rank: int, degree: int) -> int:
@@ -126,16 +130,6 @@ def splitting_codim(k: int, rank: int, degree: int) -> int:
             f"the codimension formula needs slope >= 1, got degree {degree} < rank {rank}"
         )
     return k * (degree - rank + k)
-
-
-def _require_slope_hypotheses(v: ChernCharacter, *, asymptotic: bool) -> tuple[Condition, ...]:
-    if v.delta < 0:
-        raise PreconditionError(f"delta = {v.delta} < 0: no semistable bundle exists")
-    conditions = slope_conditions(v, asymptotic=asymptotic)
-    failed = [c.id for c in conditions if not c.holds]
-    if failed:
-        raise PreconditionError(f"slope hypotheses fail for {v}: {', '.join(failed)}")
-    return conditions
 
 
 def _assert_effective_shortcut(v: ChernCharacter) -> None:
@@ -170,7 +164,7 @@ def _assert_effective_shortcut(v: ChernCharacter) -> None:
 
 def _family_bad_members(
     v: ChernCharacter, member: Callable[[int], DivisorClass], b_start: int
-) -> list[tuple[DivisorClass, int]]:
+) -> list[DivisorClass]:
     """Bad members of one affine family b -> D(b), via the exact cutoff."""
     k = v.surface.canonical
     chi0 = v.twisted_chi(k + member(b_start))
@@ -186,50 +180,32 @@ def _family_bad_members(
         raise EnumerationLimitError(
             f"{count} bad members in one family exceeds the cap {BAD_CURVE_CAP}"
         )
-    out = []
-    for t in range(count):
-        d = member(b_start + t)
-        out.append((d, v.twisted_chi(k + d)))
-    return out
+    return [member(b_start + t) for t in range(count)]
 
 
-def _bad_curve_candidates(v: ChernCharacter) -> list[tuple[DivisorClass, int]]:
+def _bad_classes(v: ChernCharacter) -> list[DivisorClass]:
+    """The bad classes in the shape list, families cut at the exact cutoff."""
     surface = v.surface
-    k = surface.canonical
-    found: dict[tuple, tuple[DivisorClass, int]] = {}
-
-    def record(d: DivisorClass, chi: int) -> None:
-        found.setdefault(d.coords, (d, chi))
-
-    if surface.is_plane:
-        for n in (1, 2):
-            d = surface.divisor(n)
-            chi = v.twisted_chi(k + d)
-            if chi < 0:
-                record(d, chi)
-        return list(found.values())
-
     e = surface.e
-    singletons: list[DivisorClass] = []
+    candidates: list[DivisorClass] = []
     families: list[tuple] = []
-    if e == 0:
+    if surface.is_plane:
+        candidates = [surface.divisor(1), surface.divisor(2)]    # H, 2H
+    elif e == 0:
         families.append((lambda b: surface.divisor(1, b), 0))   # E + bF (b=0 is E)
         families.append((lambda b: surface.divisor(b, 1), 0))   # bE + F (b=0 is F)
     elif e == 1:
-        singletons = [surface.divisor(0, 1), surface.divisor(2, 2)]  # F, 2E+2F
+        candidates = [surface.divisor(0, 1), surface.divisor(2, 2)]  # F, 2E+2F
         families.append((lambda b: surface.divisor(1, b), 0))   # E + bF (b=0 is E)
     else:
-        singletons = [surface.divisor(0, 1), surface.divisor(1, 0)]  # F, E
+        candidates = [surface.divisor(0, 1), surface.divisor(1, 0)]  # F, E
         families.append((lambda b: surface.divisor(1, b), e))   # E + bF, b >= e
 
-    for d in singletons:
-        chi = v.twisted_chi(k + d)
-        if chi < 0:
-            record(d, chi)
+    k = surface.canonical
+    bad = [d for d in candidates if v.twisted_chi(k + d) < 0]
     for member, b_start in families:
-        for d, chi in _family_bad_members(v, member, b_start):
-            record(d, chi)
-    return list(found.values())
+        bad.extend(_family_bad_members(v, member, b_start))
+    return bad
 
 
 def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
@@ -239,7 +215,7 @@ def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
     general bundle (checked through the classification).  The result is
     finite and every class matches the per-surface shape list.
     """
-    _require_slope_hypotheses(v, asymptotic=False)
+    require_slope_hypotheses(v)
     gg = classify_global_generation(v)
     if not gg.globally_generated:
         raise PreconditionError(
@@ -250,13 +226,8 @@ def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
 
 def _enumerate_bad_curves_unchecked(v: ChernCharacter) -> tuple[BadCurve, ...]:
     _assert_effective_shortcut(v)
-    out = []
-    for d, chi in _bad_curve_candidates(v):
-        assert is_irreducible_curve_class(d)
-        count = dimension_count(v, d)
-        out.append(BadCurve(d, chi, count.d, count.c))
-    out.sort(key=lambda bad: bad.curve.coords)
-    return tuple(out)
+    classes = {d.coords: d for d in _bad_classes(v)}
+    return tuple(dimension_count(v, classes[coords]) for coords in sorted(classes))
 
 
 @dataclass(frozen=True)
@@ -409,7 +380,7 @@ def asymptotic_ample_certificate(
     """
     if s < 2:
         raise PreconditionError(f"the kernel construction needs s >= 2, got {s}")
-    conditions = _require_slope_hypotheses(v, asymptotic=True)
+    conditions = require_slope_hypotheses(v, asymptotic=True)
     surface = v.surface
     if direct:
         base, twist_used = v, surface.zero

@@ -94,34 +94,17 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[Surface, ChernCharacter]:
     return surface, from_log_invariants(rank, surface.divisor(*coords), parse_rational(pieces[2]))
 
 
-def _single_section_report(command: str, surface: Surface, v: ChernCharacter, section_key: str, section: dict, verdict: str) -> dict:
-    return {
-        "schema_version": rpt.SCHEMA_VERSION,
-        "command": command,
-        "surface": surface.name,
-        "character": rpt.character_to_json(v),
-        section_key: section,
-        "verdict": verdict,
-    }
-
-
-def _build_report(args: argparse.Namespace) -> dict:
-    if args.command == "gieseker":
-        return rpt.gieseker_report(args.d)
-    surface, v = _parse_inputs(args)
+def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
+    """The sections and the verdict of a one-procedure command."""
     if args.command == "invariants":
-        section = rpt.invariants_section(v)
-        section_cohomology = rpt.cohomology_section(v)
-        out = _single_section_report("invariants", surface, v, "invariants", section, "computed")
-        out["general_cohomology"] = section_cohomology
-        # keep the verdict last for readability of the structured form
-        out["verdict"] = out.pop("verdict")
-        return out
+        sections = {
+            "invariants": rpt.invariants_section(v),
+            "general_cohomology": rpt.cohomology_section(v),
+        }
+        return sections, "computed"
     if args.command == "obstructions":
         section = rpt.obstructions_section(necessary_obstructions(v))
-        return _single_section_report(
-            "obstructions", surface, v, "obstructions", section, section["verdict"]
-        )
+        return {"obstructions": section}, section["verdict"]
     if args.command == "gg":
         section = rpt.gg_section(v)
         if "skipped" in section:
@@ -131,22 +114,27 @@ def _build_report(args: argparse.Namespace) -> dict:
             if section["globally_generated"]
             else f"not-globally-generated: {section['failed_condition']}"
         )
-        return _single_section_report("gg", surface, v, "global_generation", section, verdict)
+        return {"global_generation": section}, verdict
     if args.command == "ample-gg":
         cert = ample_gg_verdict(v)
-        section = rpt.ample_gg_to_json(cert)
-        return _single_section_report("ample-gg", surface, v, "ample_gg", section, cert.verdict)
+        return {"ample_gg": rpt.ample_gg_to_json(cert)}, cert.verdict
     if args.command == "asymptotic":
         cert = asymptotic_ample_certificate(v, args.s, direct=args.direct)
         section = rpt.asymptotic_to_json(cert)
-        return _single_section_report(
-            "asymptotic", surface, v, "asymptotic", section, section["verdict"]
-        )
+        return {"asymptotic": section}, section["verdict"]
+    raise AssertionError(f"unhandled command {args.command}")
+
+
+def _build_report(args: argparse.Namespace) -> dict:
+    if args.command == "gieseker":
+        return rpt.gieseker_report(args.d)
+    surface, v = _parse_inputs(args)
     if args.command == "bad-curves":
         return rpt.bad_curves_report(surface, v)
     if args.command == "report":
         return rpt.run_report(surface, v, s=args.s, direct=args.direct)
-    raise AssertionError(f"unhandled command {args.command}")
+    sections, verdict = _sections(args, v)
+    return rpt.build_report(args.command, surface, v, sections, verdict)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .characters import ChernCharacter
 from .errors import PreconditionError
-from .positivity import slope_conditions
+from .positivity import require_slope_hypotheses
 from .surfaces import Surface
 
 
@@ -138,14 +138,7 @@ def nonspecial_all_twists(v: ChernCharacter) -> NonspecialTrace:
     general member (a single bundle good for all D simultaneously) rests on
     the finiteness of the curve classes with negative twisted chi.
     """
-    if v.delta < 0:
-        raise PreconditionError(f"delta = {v.delta} < 0: no semistable bundle exists")
-    conditions = slope_conditions(v)
-    failed = [c.id for c in conditions if not c.holds]
-    if failed:
-        raise PreconditionError(
-            f"slope hypotheses fail for {v}: {', '.join(failed)}"
-        )
+    require_slope_hypotheses(v)
     if v.surface.is_plane:
         return NonspecialTrace(
             v.surface,

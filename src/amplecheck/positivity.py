@@ -70,11 +70,6 @@ class ObstructionReport:
         return tuple(c for c in self.conditions if not c.holds)
 
 
-def bogomolov_check(v: ChernCharacter) -> bool:
-    """Semistability forces delta >= 0."""
-    return v.delta >= 0
-
-
 def fulton_lazarsfeld_margin(rank: int, nu: DivisorClass, delta: Rational) -> Fraction:
     """Exact margin ``nu^2/2 - delta/(rank+1)`` of the ampleness bound.
 
@@ -130,6 +125,24 @@ def slope_conditions(v: ChernCharacter, *, asymptotic: bool = False) -> tuple[Co
             Condition("section-slope-at-least-one", "nu.E >= 1", section >= 1, section - 1)
         )
     return tuple(conditions)
+
+
+def require_nonnegative_delta(v: ChernCharacter) -> None:
+    """The Bogomolov gate: semistability forces ``delta >= 0``."""
+    if v.delta < 0:
+        raise PreconditionError(f"delta = {v.delta} < 0: no semistable bundle exists")
+
+
+def require_slope_hypotheses(
+    v: ChernCharacter, *, asymptotic: bool = False
+) -> tuple[Condition, ...]:
+    """The gate of the certificates: ``delta >= 0``, then the sharp slopes."""
+    require_nonnegative_delta(v)
+    conditions = slope_conditions(v, asymptotic=asymptotic)
+    failed = [c.id for c in conditions if not c.holds]
+    if failed:
+        raise PreconditionError(f"slope hypotheses fail for {v}: {', '.join(failed)}")
+    return conditions
 
 
 def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
@@ -208,8 +221,7 @@ class GGClassification:
 def _require_gg_hypotheses(v: ChernCharacter) -> None:
     if v.rank < 2:
         raise PreconditionError(f"global generation is classified for rank >= 2, got {v.rank}")
-    if v.delta < 0:
-        raise PreconditionError(f"delta = {v.delta} < 0: no semistable bundle exists")
+    require_nonnegative_delta(v)
     if not v.surface.is_plane and not is_nef(v.nu):
         raise PreconditionError(f"nu = {v.nu} is not nef on {v.surface}")
 
@@ -364,8 +376,7 @@ def gg_quick_criterion(v: ChernCharacter) -> bool:
     """
     if v.rank < 2:
         raise PreconditionError(f"the criterion needs rank >= 2, got {v.rank}")
-    if v.delta < 0:
-        raise PreconditionError(f"delta = {v.delta} < 0: no semistable bundle exists")
+    require_nonnegative_delta(v)
     if not is_big_and_nef(v.nu):
         raise PreconditionError(f"nu = {v.nu} is not big and nef")
     return v.twisted_chi(-v.surface.fiber_class) >= 0

@@ -6,8 +6,11 @@ through ``json.loads``.  Every rational is rendered as ``{"num", "den"}``;
 no floating point value ever appears.  Each section carries a ``tag``
 naming the criterion that backs its verdict, drawn from ``VERDICT_TAGS``.
 
-Sections are omitted only when their preconditions fail, and then the
-failing precondition is named in a ``skipped`` entry.
+Every report, of the full pipeline or of one command, is wrapped by
+``build_report``: ``schema_version``, ``command``, ``surface`` and
+``character`` first, then the sections, then ``verdict`` last.  A section
+whose preconditions fail is not omitted: it carries a ``skipped`` entry
+naming the failing precondition.
 """
 
 from __future__ import annotations
@@ -242,67 +245,63 @@ def asymptotic_to_json(cert: AsymptoticCertificate) -> dict:
     return out
 
 
-def _skipped(tag: str, exc: Exception) -> dict:
-    return {"tag": tag, "skipped": str(exc)}
+def asymptotic_section(v: ChernCharacter, s: int = 2, direct: bool = False) -> dict:
+    try:
+        cert = asymptotic_ample_certificate(v, s, direct=direct)
+    except PreconditionError as exc:
+        return {"tag": "asymptotic-ampleness", "skipped": str(exc)}
+    return asymptotic_to_json(cert)
+
+
+def build_report(
+    command: str,
+    surface: Surface,
+    v: ChernCharacter,
+    sections: dict,
+    verdict: str,
+    *,
+    d: int | None = None,
+) -> dict:
+    """The envelope every command's report shares, with the verdict last."""
+    report: dict = {"schema_version": SCHEMA_VERSION, "command": command}
+    if d is not None:
+        report["d"] = d
+    report["surface"] = surface.name
+    report["character"] = character_to_json(v)
+    report.update(sections)
+    report["verdict"] = verdict
+    return report
 
 
 def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool = False) -> dict:
     """The full pipeline: invariants, obstructions, gg, ampleness, asymptotics."""
-    report: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "report",
-        "surface": surface.name,
-        "character": character_to_json(v),
+    sections = {
         "invariants": invariants_section(v),
         "general_cohomology": cohomology_section(v),
         "obstructions": obstructions_section(necessary_obstructions(v)),
         "global_generation": gg_section(v),
+        "ample_gg": ample_gg_to_json(ample_gg_verdict(v)),
+        "asymptotic": asymptotic_section(v, s, direct),
+        "warnings": ["stability of the input character is assumed, not verified"],
     }
-    ample = ample_gg_verdict(v)
-    report["ample_gg"] = ample_gg_to_json(ample)
-    try:
-        cert = asymptotic_ample_certificate(v, s, direct=direct)
-        report["asymptotic"] = asymptotic_to_json(cert)
-    except PreconditionError as exc:
-        report["asymptotic"] = _skipped("asymptotic-ampleness", exc)
-    report["warnings"] = [
-        "stability of the input character is assumed, not verified",
-    ]
-    report["verdict"] = report["ample_gg"]["verdict"]
-    return report
+    return build_report("report", surface, v, sections, sections["ample_gg"]["verdict"])
 
 
 def bad_curves_report(surface: Surface, v: ChernCharacter) -> dict:
     bad = enumerate_bad_curves(v)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bad-curves",
-        "surface": surface.name,
-        "character": character_to_json(v),
-        "bad_curves": {
-            "tag": "bad-curves",
-            "classes": [bad_curve_to_json(b) for b in bad],
-        },
-        "verdict": (
-            f"{len(bad)} bad curve class(es); "
-            + ("all dimension counts pass" if all(b.passes for b in bad) else "some dimension count fails")
-        ),
-    }
+    section = {"tag": "bad-curves", "classes": [bad_curve_to_json(b) for b in bad]}
+    verdict = f"{len(bad)} bad curve class(es); " + (
+        "all dimension counts pass" if all(b.passes for b in bad) else "some dimension count fails"
+    )
+    return build_report("bad-curves", surface, v, {"bad_curves": section}, verdict)
 
 
 def gieseker_report(d: int, s: int = 2) -> dict:
     v = gieseker_character(d)
     cert = asymptotic_ample_certificate(v, s, direct=True)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gieseker",
-        "d": d,
-        "surface": v.surface.name,
-        "character": character_to_json(v),
-        "invariants": invariants_section(v),
-        "asymptotic": asymptotic_to_json(cert),
-        "verdict": f"asymptotically-ample(n_min={cert.n_min})",
-    }
+    sections = {"invariants": invariants_section(v), "asymptotic": asymptotic_to_json(cert)}
+    verdict = f"asymptotically-ample(n_min={cert.n_min})"
+    return build_report("gieseker", v.surface, v, sections, verdict, d=d)
 
 
 def render_structured(report: dict) -> bytes:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidDivisorError, SurfaceMismatchError
 from .rationals import Rational, is_integer, rat
@@ -101,7 +102,7 @@ class Surface:
             return (-3,)
         return (-2, -(self.e + 2))
 
-    @property
+    @cached_property
     def canonical(self) -> "DivisorClass":
         return self.divisor(*self.canonical_coords)
 
@@ -198,15 +199,6 @@ class DivisorClass:
         for term in parts[1:]:
             out += f" + {term}" if not term.startswith("-") else f" - {term[1:]}"
         return out
-
-
-def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
-    """Intersection pairing; symmetric and bilinear, exact."""
-    return d1.dot(d2)
-
-
-def canonical_class(surface: Surface) -> DivisorClass:
-    return surface.canonical
 
 
 def is_nef(d: DivisorClass) -> bool:

@@ -1,0 +1,140 @@
+"""Golden corpus: the CLI's stdout bytes, stderr text and exit code, frozen.
+
+Every case in ``CASES`` runs ``amplecheck.cli.main`` in-process and is
+compared byte for byte with ``tests/golden/<name>.stdout`` and with the
+exit code and stderr recorded in ``tests/golden/cases.json``.  The corpus
+covers the 20-case acceptance corpus and ``gieseker --d 4..50`` in both
+formats, inputs rejected with exit 2 or 3 (one at least for every
+precondition the procedures check), and full reports whose sections come
+out ``skipped``.
+
+The files record behaviour, so they are regenerated only when an output
+change is intended, from the root of a checkout::
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+which rewrites ``tests/golden/`` from the current sources; review the
+diff before committing it.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from amplecheck.cli import main
+from test_acceptance import CORPUS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = GOLDEN / "cases.json"
+
+FORMATS = ("text", "structured")
+
+REJECTED = [
+    # delta = -1/2 < 0
+    ["gg", "--surface", "P2", "--ch", "2:0:1"],
+    ["asymptotic", "--surface", "P2", "--ch", "2:0:1"],
+    ["bad-curves", "--surface", "P2", "--ch", "2:0:1"],
+    # rank 1
+    ["gg", "--surface", "P2", "--ch", "1:1:1/2"],
+    ["bad-curves", "--surface", "F1", "--ch", "1:3,5:5/2"],
+    # nu not nef
+    ["gg", "--surface", "F2", "--ch", "2:-1,0:-1"],
+    # slope hypotheses, with the s check firing first when both fail
+    ["asymptotic", "--surface", "P2", "--ch", "2:2:0"],
+    ["asymptotic", "--surface", "P2", "--ch", "2:2:0", "--s", "1"],
+    ["asymptotic", "--surface", "F0", "--ch", "2:2,2:0"],
+    ["bad-curves", "--surface", "P2", "--ch", "2:3:1/2"],
+    # not globally generated
+    ["bad-curves", "--surface", "P2", "--ch", "2:5:-27/2"],
+    ["gieseker", "--d", "3"],
+    # malformed input
+    ["invariants", "--surface", "F2", "--ch", "2:3,5:1/3"],
+    ["invariants", "--surface", "Q3", "--ch", "2:3:1"],
+    ["invariants", "--surface", "P2", "--ch", "2:x:1"],
+    ["gg", "--surface", "F1", "--ch", "2:2,4"],
+    ["ample-gg", "--surface", "P2", "--ch", "0:1:0"],
+    ["obstructions", "--surface", "P2", "--log-ch", "2:1/3:0"],
+]
+
+SKIPPED_SECTIONS = [
+    ["report", "--surface", "P2", "--ch", "2:0:1", "--format", "structured"],
+    ["report", "--surface", "P2", "--ch", "1:1:1/2", "--format", "structured"],
+    ["report", "--surface", "F2", "--ch", "2:-1,0:-1", "--format", "structured"],
+]
+
+
+def _cases() -> list[list[str]]:
+    cases = []
+    for command, surface, ch in CORPUS:
+        for fmt in FORMATS:
+            cases.append([command, "--surface", surface, "--ch", ch, "--format", fmt])
+    for d in range(4, 51):
+        for fmt in FORMATS:
+            cases.append(["gieseker", "--d", str(d), "--format", fmt])
+    return cases + REJECTED + SKIPPED_SECTIONS
+
+
+def case_name(argv: list[str]) -> str:
+    return re.sub(r"[^A-Za-z0-9-]+", "_", " ".join(arg.lstrip("-") for arg in argv))
+
+
+CASES = {case_name(argv): argv for argv in _cases()}
+assert len(CASES) == len(_cases()), "two cases share a file name"
+
+
+def run_cli(argv: list[str]) -> tuple[int, bytes, str]:
+    """Run ``main(argv)`` with stdout and stderr captured as in a process."""
+    out, err = io.BytesIO(), io.BytesIO()
+    saved = sys.stdout, sys.stderr
+    sys.stdout = io.TextIOWrapper(out, encoding="utf-8")
+    sys.stderr = io.TextIOWrapper(err, encoding="utf-8")
+    try:
+        code = main(list(argv))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        return code, out.getvalue(), err.getvalue().decode("utf-8")
+    finally:
+        sys.stdout, sys.stderr = saved
+
+
+def _manifest() -> dict:
+    return {entry["name"]: entry for entry in json.loads(MANIFEST.read_text())}
+
+
+def test_corpus_files_match_case_list():
+    assert list(_manifest()) == list(CASES)
+    assert {p.stem for p in GOLDEN.glob("*.stdout")} == set(CASES)
+    assert sum(_manifest()[name]["exit"] != 0 for name in CASES) >= 12
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden(name):
+    expected = _manifest()[name]
+    argv = CASES[name]
+    assert expected["argv"] == argv
+    code, out, err = run_cli(argv)
+    assert code == expected["exit"]
+    assert err == expected["stderr"]
+    assert out == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.stdout"):
+        stale.unlink()
+    manifest = []
+    for name, argv in CASES.items():
+        code, out, err = run_cli(argv)
+        (GOLDEN / f"{name}.stdout").write_bytes(out)
+        manifest.append({"name": name, "argv": argv, "exit": code, "stderr": err})
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -9,14 +9,16 @@ from amplecheck import (
     ObstructionVerdict,
     PreconditionError,
     Surface,
-    bogomolov_check,
+    asymptotic_ample_certificate,
     classify_global_generation,
+    enumerate_bad_curves,
     fulton_lazarsfeld_check,
     fulton_lazarsfeld_margin,
     gg_quick_criterion,
     is_big_and_nef,
     make_character,
     necessary_obstructions,
+    nonspecial_all_twists,
     tangent_bundle_character,
 )
 from conftest import ALL_SURFACES, characters, random_valid_character
@@ -32,9 +34,40 @@ INTRO = make_character(2, P2.divisor(3), Fraction(1, 2))  # (r, nu, delta) = (2,
 
 class TestBogomolov:
     def test_examples(self):
-        assert bogomolov_check(TANGENT)
-        assert bogomolov_check(make_character(1, P2.zero, 0))
-        assert not bogomolov_check(make_character(2, P2.zero, 1))  # delta = -1/2
+        assert TANGENT.delta >= 0
+        assert make_character(1, P2.zero, 0).delta >= 0
+        assert make_character(2, P2.zero, 1).delta < 0  # delta = -1/2
+
+
+NEGATIVE_DELTA = make_character(2, P2.zero, 1)  # delta = -1/2
+SLOPES_FAIL = make_character(2, F0.divisor(2, 2), 0)  # nu.F = nu.E = 1, delta = 1
+DELTA_TEXT = "delta = -1/2 < 0: no semistable bundle exists"
+SLOPE_TEXT = (
+    "slope hypotheses fail for 2:2,2:0: fiber-slope-exceeds-one, section-slope-exceeds-one"
+)
+
+
+@pytest.mark.parametrize(
+    "procedure, v, message",
+    [
+        pytest.param(f, NEGATIVE_DELTA, DELTA_TEXT, id=f"{f.__name__}-delta")
+        for f in (
+            classify_global_generation,
+            gg_quick_criterion,
+            nonspecial_all_twists,
+            enumerate_bad_curves,
+            asymptotic_ample_certificate,
+        )
+    ]
+    + [
+        pytest.param(f, SLOPES_FAIL, SLOPE_TEXT, id=f"{f.__name__}-slopes")
+        for f in (nonspecial_all_twists, enumerate_bad_curves, asymptotic_ample_certificate)
+    ],
+)
+def test_precondition_gate_messages(procedure, v, message):
+    with pytest.raises(PreconditionError) as exc:
+        procedure(v)
+    assert str(exc.value) == message
 
 
 class TestFultonLazarsfeld:

@@ -8,10 +8,8 @@ from amplecheck import (
     InvalidDivisorError,
     Surface,
     SurfaceMismatchError,
-    canonical_class,
     h0_line_bundle,
     hilbert_polynomial,
-    intersect,
     is_big_and_nef,
     is_effective,
     is_irreducible_curve_class,
@@ -29,22 +27,22 @@ F3 = Surface.hirzebruch(3)
 
 class TestIntersection:
     def test_section_self_intersection(self):
-        assert intersect(F2.divisor(1, 0), F2.divisor(1, 0)) == -2
+        assert F2.divisor(1, 0).dot(F2.divisor(1, 0)) == -2
 
     @pytest.mark.parametrize("surface", [F0, F1, F2, F3])
     def test_fiber_squares_to_zero(self, surface):
-        assert intersect(surface.divisor(0, 1), surface.divisor(0, 1)) == 0
+        assert surface.divisor(0, 1).dot(surface.divisor(0, 1)) == 0
 
     def test_bilinear_expansion(self):
         d = F2.divisor(1, 3)
-        assert intersect(d, d) == 4  # -2 + 2*3
+        assert d.dot(d) == 4  # -2 + 2*3
 
     def test_plane_line(self):
-        assert intersect(P2.divisor(1), P2.divisor(1)) == 1
+        assert P2.divisor(1).dot(P2.divisor(1)) == 1
 
     def test_surface_mismatch(self):
         with pytest.raises(SurfaceMismatchError):
-            intersect(P2.divisor(1), F1.divisor(1, 0))
+            P2.divisor(1).dot(F1.divisor(1, 0))
 
     @given(st.data())
     def test_symmetry(self, data):
@@ -65,13 +63,13 @@ class TestIntersection:
 
 class TestCanonicalClass:
     def test_plane(self):
-        assert canonical_class(P2) == P2.divisor(-3)
+        assert P2.canonical == P2.divisor(-3)
 
     def test_f0(self):
-        assert canonical_class(F0) == F0.divisor(-2, -2)
+        assert F0.canonical == F0.divisor(-2, -2)
 
     def test_f3(self):
-        assert canonical_class(F3) == F3.divisor(-2, -5)
+        assert F3.canonical == F3.divisor(-2, -5)
 
 
 class TestCones:
