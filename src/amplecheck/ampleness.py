@@ -95,7 +95,7 @@ class BadCurve:
     curve: DivisorClass
     chi_twist: int          # chi(v(K+D)), < 0 for a bad curve
     d: int                  # dim |D| = h^0(O(D)) - 1
-    c: Fraction             # codimension lower bound rank*nu.D - rank + 1
+    c: int                  # codimension lower bound c1.D - rank + 1 = rank*nu.D - rank + 1
 
     @property
     def passes(self) -> bool:
@@ -111,7 +111,7 @@ def dimension_count(v: ChernCharacter, curve: DivisorClass) -> BadCurve:
     if not is_irreducible_curve_class(curve):
         raise PreconditionError(f"{curve} is not an irreducible curve class")
     chi = v.twisted_chi(v.surface.canonical + curve)
-    c = v.rank * v.nu.dot(curve) - v.rank + 1
+    c = v.surface.pair(v.c1.coords, curve.coords) - v.rank + 1
     return BadCurve(curve, chi, h0_line_bundle(curve) - 1, c)
 
 
@@ -319,7 +319,7 @@ def kernel_character(v: ChernCharacter, n: int, s: int = 2) -> ChernCharacter:
     return ChernCharacter(
         s,
         copies * h - n * v.c1,
-        copies * h.self_intersection / 2 - n * v.ch2,
+        Fraction(copies * h.self_intersection, 2) - n * v.ch2,
     )
 
 

@@ -2,7 +2,11 @@
 
 A character is a triple ``(rank, c1, ch2)`` with positive rank, integral
 ``c1`` and exact rational ``ch2`` subject to the integrality of the second
-Chern class ``c2 = c1^2/2 - ch2``.  The logarithmic invariants
+Chern class ``c2 = c1^2/2 - ch2``.  Integral ``c1`` has ``int``
+coordinates (see ``surfaces``), so ``c1^2``, ``c2`` and chi are ``int``s;
+``Fraction``s appear only where a quotient may leave the integers: ``ch2``,
+the integrality test of ``c2``, ``mu``, ``nu`` and ``delta``.  The
+logarithmic invariants
 
     mu = (c1.H) / (rank * H^2),   nu = c1 / rank,
     delta = nu^2 / 2 - ch2 / rank
@@ -33,13 +37,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidCharacterError, InvalidDivisorError
-from .rationals import Rational, format_rational, is_integer, parse_rational, rat
+from .rationals import Rational, format_rational, parse_rational, rat
 from .surfaces import DivisorClass, Surface
-
-
-def _integer_coords(d: DivisorClass) -> tuple[int, ...]:
-    """Coordinates of an integral class as Python ints."""
-    return tuple(c.numerator for c in d.coords)
 
 
 def _adjunction_form(surface: Surface, x: tuple[int, ...]) -> int:
@@ -75,39 +74,42 @@ class ChernCharacter:
         return self.c1.surface
 
     @cached_property
+    def _c1_squared(self) -> int:
+        return self.surface.pair(self.c1.coords, self.c1.coords)
+
+    @cached_property
     def c2(self) -> int:
-        c2 = self.c1.self_intersection / 2 - self.ch2
-        if not is_integer(c2):
+        c2 = Fraction(self._c1_squared, 2) - self.ch2
+        if c2.denominator != 1:
             raise InvalidCharacterError(
                 f"c1^2/2 - ch2 = {c2} is not an integer (c2 must be integral)"
             )
-        return int(c2)
+        return c2.numerator
 
     @cached_property
     def nu(self) -> DivisorClass:
-        return self.c1 * Fraction(1, self.rank)
+        rank = self.rank
+        return DivisorClass(self.surface, tuple(Fraction(c, rank) for c in self.c1.coords))
 
     @cached_property
     def mu(self) -> Fraction:
-        h = self.surface.polarization
-        return self.c1.dot(h) / (self.rank * h.self_intersection)
+        h = self.surface.polarization.coords
+        pair = self.surface.pair
+        return Fraction(pair(self.c1.coords, h), self.rank * pair(h, h))
 
     @cached_property
     def delta(self) -> Fraction:
-        nu = self.nu
-        return nu.self_intersection / 2 - self.ch2 / self.rank
+        # nu^2/2 - ch2/rank with ch2 = c1^2/2 - c2, over the common denominator
+        r = self.rank
+        return Fraction((1 - r) * self._c1_squared + 2 * r * self.c2, 2 * r * r)
 
     def log_invariants(self) -> LogInvariants:
         return LogInvariants(self.mu, self.nu, self.delta)
 
     @cached_property
-    def _c1_coords(self) -> tuple[int, ...]:
-        return _integer_coords(self.c1)
-
-    @cached_property
     def _chi(self) -> int:
         twice = (
-            2 * self.rank + _adjunction_form(self.surface, self._c1_coords) - 2 * self.c2
+            2 * self.rank + _adjunction_form(self.surface, self.c1.coords) - 2 * self.c2
         )
         if twice % 2:
             raise InvalidCharacterError(
@@ -124,10 +126,10 @@ class ChernCharacter:
             raise InvalidDivisorError(f"twists are by integral classes, got {d}")
         self.c1._check_same_surface(d)
         surface = self.surface
-        x = _integer_coords(d)
+        x = d.coords
         return (
             self._chi
-            + surface.pair(self._c1_coords, x)
+            + surface.pair(self.c1.coords, x)
             + self.rank * _adjunction_form(surface, x) // 2
         )
 
@@ -138,7 +140,7 @@ class ChernCharacter:
         return ChernCharacter(
             self.rank,
             self.c1 + self.rank * d,
-            self.ch2 + self.c1.dot(d) + self.rank * d.self_intersection / 2,
+            self.ch2 + self.c1.dot(d) + Fraction(self.rank * d.self_intersection, 2),
         )
 
     def dual(self) -> "ChernCharacter":
@@ -180,7 +182,7 @@ def from_log_invariants(rank: int, nu: DivisorClass, delta: Rational) -> ChernCh
         raise InvalidCharacterError(
             f"rank {rank} does not clear the denominators of nu = {nu}"
         )
-    ch2 = rank * (nu.self_intersection / 2 - rat(delta))
+    ch2 = rank * (Fraction(nu.self_intersection, 2) - rat(delta))
     return ChernCharacter(rank, c1, ch2)
 
 
@@ -188,7 +190,7 @@ def line_bundle_character(d: DivisorClass) -> ChernCharacter:
     """Character ``(1, d, d^2/2)`` of the line bundle O(d)."""
     if not d.is_integral:
         raise InvalidDivisorError(f"line bundles need integral classes, got {d}")
-    return ChernCharacter(1, d, d.self_intersection / 2)
+    return ChernCharacter(1, d, Fraction(d.self_intersection, 2))
 
 
 def parse_character(text: str, surface: Surface) -> ChernCharacter:

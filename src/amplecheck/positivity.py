@@ -77,7 +77,7 @@ def fulton_lazarsfeld_margin(rank: int, nu: DivisorClass, delta: Rational) -> Fr
     logarithmic invariants so thresholds can be probed at rationals that do
     not lift to an integral character at this rank.
     """
-    return nu.self_intersection / 2 - rat(delta) / (rank + 1)
+    return Fraction(nu.self_intersection, 2) - rat(delta) / (rank + 1)
 
 
 def fulton_lazarsfeld_check(v: ChernCharacter) -> tuple[bool, Fraction]:

@@ -1,7 +1,9 @@
 """Small helpers around ``fractions.Fraction``.
 
 Every quantity in this package is an exact rational; floats are never
-accepted, produced, or serialized.
+accepted, produced, or serialized.  An exact rational is held either as a
+``Fraction`` or as a plain ``int``; ``exact`` picks the ``int`` whenever
+the value is integral.
 """
 
 from __future__ import annotations
@@ -20,13 +22,24 @@ def rat(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def is_integer(value: Rational) -> bool:
-    return rat(value).denominator == 1
+def exact(value: Rational) -> Rational:
+    """A plain ``int`` when ``value`` is integral, else a ``Fraction``; rejects floats.
+
+    ``int`` subclasses such as ``bool`` become plain ``int``s, so a type test
+    for ``int`` decides integrality of the result.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def ceil_frac(value: Rational) -> int:
     """Smallest integer >= value, exactly."""
-    q = rat(value)
+    q = exact(value)
     return -((-q.numerator) // q.denominator)
 
 
@@ -42,12 +55,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def rational_to_json(value: Rational) -> dict[str, int]:
-    q = rat(value)
+    q = exact(value)
     return {"num": q.numerator, "den": q.denominator}
 
 
 def format_rational(value: Rational) -> str:
-    q = rat(value)
+    q = exact(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -16,6 +16,7 @@ naming the failing precondition.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .ampleness import (
     AmpleGGCertificate,
@@ -141,6 +142,11 @@ def gg_section(v: ChernCharacter) -> dict:
         gg = classify_global_generation(v)
     except PreconditionError as exc:
         return {"tag": "gg-classification", "skipped": str(exc)}
+    return _classified_gg_section(v, gg)
+
+
+def _classified_gg_section(v: ChernCharacter, gg: GGClassification) -> dict:
+    """``gg_section`` of ``v`` from its classification ``gg``."""
     out = gg_to_json(gg)
     try:
         out["quick_criterion"] = {
@@ -274,13 +280,20 @@ def build_report(
 
 
 def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool = False) -> dict:
-    """The full pipeline: invariants, obstructions, gg, ampleness, asymptotics."""
+    """The full pipeline: invariants, obstructions, gg, ampleness, asymptotics.
+
+    The ampleness certificate carries the global-generation classification
+    whenever it got that far, and the ``global_generation`` section reuses it.
+    """
+    ample = ample_gg_verdict(v)
     sections = {
         "invariants": invariants_section(v),
         "general_cohomology": cohomology_section(v),
         "obstructions": obstructions_section(necessary_obstructions(v)),
-        "global_generation": gg_section(v),
-        "ample_gg": ample_gg_to_json(ample_gg_verdict(v)),
+        "global_generation": (
+            gg_section(v) if ample.gg is None else _classified_gg_section(v, ample.gg)
+        ),
+        "ample_gg": ample_gg_to_json(ample),
         "asymptotic": asymptotic_section(v, s, direct),
         "warnings": ["stability of the input character is assumed, not verified"],
     }
@@ -304,9 +317,61 @@ def gieseker_report(d: int, s: int = 2) -> dict:
     return build_report("gieseker", v.surface, v, sections, verdict, d=d)
 
 
+def _write_json(node, pad: str, out: list[str]) -> None:
+    """Append the pieces of ``json.dumps(node, indent=2, ensure_ascii=True)``.
+
+    ``pad`` is the indentation of the line ``node`` starts on.  Only the
+    JSON-native values reports are built from are accepted: dicts with
+    string keys, lists (and tuples, written as lists), strings, ints, bools
+    and None.
+    """
+    if isinstance(node, str):
+        out.append(encode_basestring_ascii(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in node.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in node:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
 def render_structured(report: dict) -> bytes:
-    """Stable machine-readable rendering; deterministic field order."""
-    return (json.dumps(report, indent=2, ensure_ascii=True) + "\n").encode("ascii")
+    """Stable machine-readable rendering; deterministic field order.
+
+    The bytes are those of ``json.dumps(report, indent=2, ensure_ascii=True)``
+    plus a newline, written in one pass: ``indent`` turns off the C encoder
+    of ``json.dumps``.
+    """
+    out: list[str] = []
+    _write_json(report, "", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
 
 
 def parse_structured(payload: bytes) -> dict:

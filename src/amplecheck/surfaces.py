@@ -15,8 +15,12 @@ by ``E + eF`` and ``F``.  We write ``H`` for the minimal ample polarization
 distinguished "small" class used throughout the decision procedures: the
 line on the plane, the fiber on ``F_e``.
 
-Divisor classes are vectors of exact rationals over the distinguished basis;
-all operations are pure and exact.  Sections of line bundles are counted
+Divisor classes are vectors of exact rationals over the distinguished basis,
+each coordinate held as a plain ``int`` when integral and as a ``Fraction``
+only otherwise (``rationals.exact``); all operations are pure and exact.
+Intersection numbers ``dot`` and ``self_intersection`` are ``Fraction``s;
+``Surface.pair`` gives the same pairing on raw coordinates, in ``int``s for
+integral classes.  Sections of line bundles are counted
 through the pushforward to the base line: on ``F_e``,
 
     h^0(aE + bF) = sum_{i=0..a} max(0, b - i*e + 1),
@@ -33,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidDivisorError, SurfaceMismatchError
-from .rationals import Rational, is_integer, rat
+from .rationals import Rational, exact
 
 
 class SurfaceKind(Enum):
@@ -75,20 +79,20 @@ class Surface:
         return ("H",) if self.is_plane else ("E", "F")
 
     def divisor(self, *coords: Rational) -> "DivisorClass":
-        return DivisorClass(self, tuple(rat(c) for c in coords))
+        return DivisorClass(self, coords)
 
-    @property
+    @cached_property
     def zero(self) -> "DivisorClass":
         return self.divisor(*([0] * len(self.basis)))
 
-    @property
+    @cached_property
     def polarization(self) -> "DivisorClass":
         """The minimal ample class H: the line, or ``E + (e+1)F``."""
         if self.is_plane:
             return self.divisor(1)
         return self.divisor(1, self.e + 1)
 
-    @property
+    @cached_property
     def fiber_class(self) -> "DivisorClass":
         """The class L: the line on the plane, the fiber F on ``F_e``."""
         if self.is_plane:
@@ -133,7 +137,7 @@ class DivisorClass:
     """An element of the rational Picard group, in the distinguished basis."""
 
     surface: Surface
-    coords: tuple[Fraction, ...]
+    coords: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         expected = len(self.surface.basis)
@@ -141,7 +145,7 @@ class DivisorClass:
             raise InvalidDivisorError(
                 f"{self.surface} divisor needs {expected} coordinates, got {len(self.coords)}"
             )
-        object.__setattr__(self, "coords", tuple(rat(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
 
     def _check_same_surface(self, other: "DivisorClass") -> None:
         if self.surface != other.surface:
@@ -151,7 +155,7 @@ class DivisorClass:
 
     @property
     def is_integral(self) -> bool:
-        return all(is_integer(c) for c in self.coords)
+        return all(type(c) is int for c in self.coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_same_surface(other)
@@ -166,14 +170,14 @@ class DivisorClass:
         return DivisorClass(self.surface, tuple(-c for c in self.coords))
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
-        q = rat(scalar)
+        q = exact(scalar)
         return DivisorClass(self.surface, tuple(q * c for c in self.coords))
 
     __rmul__ = __mul__
 
     def dot(self, other: "DivisorClass") -> Fraction:
         self._check_same_surface(other)
-        return self.surface.pair(self.coords, other.coords)
+        return Fraction(self.surface.pair(self.coords, other.coords))
 
     @property
     def self_intersection(self) -> Fraction:
@@ -232,7 +236,7 @@ def is_irreducible_curve_class(d: DivisorClass) -> bool:
         raise InvalidDivisorError(f"irreducibility is asked of integral classes, got {d}")
     if d.surface.is_plane:
         return d.coords[0] >= 1
-    a, b = int(d.coords[0]), int(d.coords[1])
+    a, b = d.coords
     e = d.surface.e
     if (a, b) in ((1, 0), (0, 1)):  # E and F
         return True
@@ -267,9 +271,9 @@ def h0_line_bundle(d: DivisorClass) -> int:
     if not d.is_integral:
         raise InvalidDivisorError(f"section counts are asked of integral classes, got {d}")
     if d.surface.is_plane:
-        n = int(d.coords[0])
+        (n,) = d.coords
         return (n + 1) * (n + 2) // 2 if n >= 0 else 0
-    a, b = int(d.coords[0]), int(d.coords[1])
+    a, b = d.coords
     if a < 0 or b < 0:
         return 0
     e = d.surface.e

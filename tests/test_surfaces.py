@@ -61,6 +61,63 @@ class TestIntersection:
         assert (a * d1 + d2).dot(d3) == a * d1.dot(d3) + d2.dot(d3)
 
 
+class TestCoordinates:
+    """Coordinates are plain ints when integral and Fractions only otherwise."""
+
+    def test_integral_fraction_is_the_int_class(self):
+        for reduced, plain in (
+            (F2.divisor(Fraction(4, 2), 3), F2.divisor(2, 3)),
+            (P2.divisor(Fraction(-6, 3)), P2.divisor(-2)),
+        ):
+            assert reduced == plain
+            assert hash(reduced) == hash(plain)
+            assert reduced.coords == plain.coords
+
+    def test_integral_coordinates_are_int(self):
+        assert [type(c) for c in F1.divisor(Fraction(6, 3), -1).coords] == [int, int]
+        half = F1.divisor(Fraction(1, 2), 1)
+        assert [type(c) for c in half.coords] == [Fraction, int]
+        assert not half.is_integral
+        for whole in (half + half, 2 * half, half * Fraction(4)):
+            assert all(type(c) is int for c in whole.coords)
+            assert whole.is_integral
+
+    @given(st.fractions(min_value=-50, max_value=50, max_denominator=12))
+    def test_type_decides_integrality(self, q):
+        d = F0.divisor(q, 0)
+        assert (type(d.coords[0]) is int) == (q.denominator == 1)
+        assert d.is_integral == (q.denominator == 1)
+        assert d.coords[0] == q
+
+    def test_int_subclasses_become_int(self):
+        d = P2.divisor(True)
+        assert type(d.coords[0]) is int
+        assert d == P2.divisor(1) and hash(d) == hash(P2.divisor(1))
+        assert d.is_integral
+        assert h0_line_bundle(d) == 3
+        assert all(type(c) is int for c in (F0.divisor(1, 1) * True).coords)
+
+    def test_intersections_are_fractions(self):
+        for d in (F2.divisor(1, 3), F2.divisor(Fraction(1, 2), 3), P2.divisor(2)):
+            assert type(d.dot(d)) is Fraction
+            assert type(d.self_intersection) is Fraction
+        assert P2.divisor(1).self_intersection / 2 == Fraction(1, 2)
+
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(TypeError):
+            F0.divisor(1.0, 2)
+        with pytest.raises(TypeError):
+            P2.divisor(0.5)
+        with pytest.raises(TypeError):
+            F0.divisor(1, 2) * 0.5
+
+    @pytest.mark.parametrize("surface", ALL_SURFACES)
+    def test_distinguished_classes_are_cached(self, surface):
+        for name in ("zero", "polarization", "fiber_class", "canonical"):
+            assert getattr(surface, name) is getattr(surface, name)
+            assert getattr(surface, name).is_integral
+
+
 class TestCanonicalClass:
     def test_plane(self):
         assert P2.canonical == P2.divisor(-3)
