@@ -26,7 +26,6 @@ from .ampleness import (
 )
 from .characters import (
     ChernCharacter,
-    LogInvariants,
     from_log_invariants,
     line_bundle_character,
     make_character,
@@ -54,7 +53,6 @@ from .positivity import (
     ObstructionReport,
     ObstructionVerdict,
     classify_global_generation,
-    fulton_lazarsfeld_check,
     fulton_lazarsfeld_margin,
     gg_quick_criterion,
     necessary_obstructions,
@@ -89,7 +87,6 @@ __all__ = [
     "GGClassification",
     "InvalidCharacterError",
     "InvalidDivisorError",
-    "LogInvariants",
     "NonspecialTrace",
     "ObstructionReport",
     "ObstructionVerdict",
@@ -105,7 +102,6 @@ __all__ = [
     "effective_n_bound",
     "enumerate_bad_curves",
     "from_log_invariants",
-    "fulton_lazarsfeld_check",
     "fulton_lazarsfeld_margin",
     "gg_quick_criterion",
     "gieseker_character",

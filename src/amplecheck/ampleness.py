@@ -13,16 +13,18 @@ general globally generated bundle are the finitely many irreducible D with
     F_e, e >= 2:  F, E, or E + bF             (b >= e)
 
 since an irreducible D with ``K + D`` effective always has
-``chi(v(K+D)) >= 0`` for globally generated characters.  Along each family
-the twisted chi is an affine, strictly increasing function of b (the fiber
-slope exceeds 1), so the enumeration below is exact and finite.  For each
-bad curve the obstruction is ruled out by a dimension count: the locus of
-bundles with a trivial quotient on a fixed curve of class D has codimension
-at least ``c = rank * nu.D - rank + 1`` (the k = 1 value of the splitting
-stratification ``k(rank*slope - rank + k)``), while the curves move in a
-linear system of dimension ``d = h^0(O(D)) - 1``; the verdict needs
-``d < c`` for every bad curve; ``dimension_count`` builds the ``BadCurve``
-record that carries both numbers.
+``chi(v(K+D)) >= 0`` for globally generated characters.  That fact is not
+re-checked at runtime; the test oracle ``effective_shortcut_violations``
+in ``tests/oracles.py`` scans a box of such D for counterexamples.  Along
+each family the twisted chi is an affine, strictly increasing function of
+b (the fiber slope exceeds 1), so the enumeration below is exact and
+finite.  For each bad curve the obstruction is ruled out by a dimension
+count: the locus of bundles with a trivial quotient on a fixed curve of
+class D has codimension at least ``c = rank * nu.D - rank + 1`` (the k = 1
+value of the splitting stratification ``k(rank*slope - rank + k)``), while
+the curves move in a linear system of dimension ``d = h^0(O(D)) - 1``; the
+verdict needs ``d < c`` for every bad curve; ``dimension_count`` builds
+the ``BadCurve`` record that carries both numbers.
 
 *Asymptotic ampleness.*  When ``nu - H`` is big and nef, all large
 multiples ``n*v`` carry ample general bundles: a candidate quotient of
@@ -132,36 +134,6 @@ def splitting_codim(k: int, rank: int, degree: int) -> int:
     return k * (degree - rank + k)
 
 
-def _assert_effective_shortcut(v: ChernCharacter) -> None:
-    """Spot-check: irreducible D with K+D effective must have chi(v(K+D)) >= 0.
-
-    True for every character whose general bundle is globally generated; a
-    violation means the caller asserted the hypothesis wrongly.
-    """
-    surface = v.surface
-    k = surface.canonical
-    if surface.is_plane:
-        candidates = [surface.divisor(n) for n in range(3, 9)]
-    else:
-        e = surface.e
-        candidates = [
-            surface.divisor(a, b)
-            for a in range(2, 5)
-            for b in range(max(a * e, e + 2), e + 9)
-        ]
-    for d in candidates:
-        if not is_irreducible_curve_class(d):
-            continue
-        if not all(c >= 0 for c in (k + d).coords):
-            continue
-        chi = v.twisted_chi(k + d)
-        if chi < 0:
-            raise PreconditionError(
-                f"chi(v(K+D)) = {chi} < 0 for D = {d} although K+D is effective: "
-                f"the globally-generated hypothesis fails for {v}"
-            )
-
-
 def _family_bad_members(
     v: ChernCharacter, member: Callable[[int], DivisorClass], b_start: int
 ) -> list[DivisorClass]:
@@ -183,8 +155,12 @@ def _family_bad_members(
     return [member(b_start + t) for t in range(count)]
 
 
-def _bad_classes(v: ChernCharacter) -> list[DivisorClass]:
-    """The bad classes in the shape list, families cut at the exact cutoff."""
+def _bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
+    """The bad curves in the shape list, families cut at the exact cutoff.
+
+    Sorted by coordinates, each with its dimension count; the caller has
+    checked the hypotheses.
+    """
     surface = v.surface
     e = surface.e
     candidates: list[DivisorClass] = []
@@ -205,7 +181,8 @@ def _bad_classes(v: ChernCharacter) -> list[DivisorClass]:
     bad = [d for d in candidates if v.twisted_chi(k + d) < 0]
     for member, b_start in families:
         bad.extend(_family_bad_members(v, member, b_start))
-    return bad
+    classes = {d.coords: d for d in bad}
+    return tuple(dimension_count(v, classes[coords]) for coords in sorted(classes))
 
 
 def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
@@ -221,13 +198,7 @@ def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
         raise PreconditionError(
             f"the general bundle of {v} is not globally generated: {gg.failed_condition}"
         )
-    return _enumerate_bad_curves_unchecked(v)
-
-
-def _enumerate_bad_curves_unchecked(v: ChernCharacter) -> tuple[BadCurve, ...]:
-    _assert_effective_shortcut(v)
-    classes = {d.coords: d for d in _bad_classes(v)}
-    return tuple(dimension_count(v, classes[coords]) for coords in sorted(classes))
+    return _bad_curves(v)
 
 
 @dataclass(frozen=True)
@@ -278,7 +249,7 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
     if not gg.globally_generated:
         return fail(f"global-generation: {gg.failed_condition}", gg=gg)
     trace = nonspecial_all_twists(v)
-    bad = _enumerate_bad_curves_unchecked(v)
+    bad = _bad_curves(v)
     all_pass = all(b.passes for b in bad)
     reason = None if all_pass else "dimension-count: some bad curve has d >= c"
     return AmpleGGCertificate(
@@ -389,7 +360,6 @@ def asymptotic_ample_certificate(
     h = surface.polarization
     ell = surface.fiber_class
     b = base.nu - h
-    assert is_big_and_nef(b)
 
     chi_dual_twist = base.dual().twisted_chi(h - ell)
     if chi_dual_twist > 0:

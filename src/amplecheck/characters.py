@@ -47,15 +47,6 @@ def _adjunction_form(surface: Surface, x: tuple[int, ...]) -> int:
 
 
 @dataclass(frozen=True)
-class LogInvariants:
-    """Slope, total slope and discriminant of a character."""
-
-    mu: Fraction
-    nu: DivisorClass
-    delta: Fraction
-
-
-@dataclass(frozen=True)
 class ChernCharacter:
     rank: int
     c1: DivisorClass
@@ -102,9 +93,6 @@ class ChernCharacter:
         # nu^2/2 - ch2/rank with ch2 = c1^2/2 - c2, over the common denominator
         r = self.rank
         return Fraction((1 - r) * self._c1_squared + 2 * r * self.c2, 2 * r * r)
-
-    def log_invariants(self) -> LogInvariants:
-        return LogInvariants(self.mu, self.nu, self.delta)
 
     @cached_property
     def _chi(self) -> int:

@@ -30,7 +30,7 @@ from . import report as rpt
 from .ampleness import ample_gg_verdict, asymptotic_ample_certificate
 from .characters import ChernCharacter, from_log_invariants, parse_character
 from .errors import AmplecheckError, EnumerationLimitError, PreconditionError
-from .positivity import necessary_obstructions
+from .positivity import classify_global_generation, necessary_obstructions
 from .rationals import parse_rational
 from .surfaces import Surface, parse_surface
 
@@ -106,15 +106,13 @@ def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
         section = rpt.obstructions_section(necessary_obstructions(v))
         return {"obstructions": section}, section["verdict"]
     if args.command == "gg":
-        section = rpt.gg_section(v)
-        if "skipped" in section:
-            raise PreconditionError(section["skipped"])
+        gg = classify_global_generation(v)
         verdict = (
-            f"globally-generated(case {section['case']})"
-            if section["globally_generated"]
-            else f"not-globally-generated: {section['failed_condition']}"
+            f"globally-generated(case {gg.case})"
+            if gg.globally_generated
+            else f"not-globally-generated: {gg.failed_condition}"
         )
-        return {"global_generation": section}, verdict
+        return {"global_generation": rpt.classified_gg_section(v, gg)}, verdict
     if args.command == "ample-gg":
         cert = ample_gg_verdict(v)
         return {"ample_gg": rpt.ample_gg_to_json(cert)}, cert.verdict

@@ -80,11 +80,6 @@ def fulton_lazarsfeld_margin(rank: int, nu: DivisorClass, delta: Rational) -> Fr
     return Fraction(nu.self_intersection, 2) - rat(delta) / (rank + 1)
 
 
-def fulton_lazarsfeld_check(v: ChernCharacter) -> tuple[bool, Fraction]:
-    margin = fulton_lazarsfeld_margin(v.rank, v.nu, v.delta)
-    return margin > 0, margin
-
-
 def slope_conditions(v: ChernCharacter, *, asymptotic: bool = False) -> tuple[Condition, ...]:
     """The sharp per-surface slope inequalities for ampleness verdicts.
 
@@ -155,11 +150,11 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     nu = v.nu
     surface = v.surface
     delta = v.delta
-    fl_holds, fl_margin = fulton_lazarsfeld_check(v)
+    fl_margin = fulton_lazarsfeld_margin(v.rank, nu, delta)
     conditions: list[Condition] = [
         Condition("bogomolov", "delta >= 0", delta >= 0, delta),
         Condition(
-            "fulton-lazarsfeld", "nu^2/2 > delta/(rank+1)", fl_holds, fl_margin
+            "fulton-lazarsfeld", "nu^2/2 > delta/(rank+1)", fl_margin > 0, fl_margin
         ),
     ]
     if surface.is_plane:
@@ -180,7 +175,6 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     if v.rank >= 2:
         conditions.extend(slope_conditions(v))
         if not surface.is_plane:
-            fiber = nu.dot(surface.fiber_class)
             conditions.append(
                 Condition(
                     "line-bundle-forcing",

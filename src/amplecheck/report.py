@@ -98,12 +98,11 @@ def _wbn_to_json(w: WbnApplicability) -> dict:
 
 
 def invariants_section(v: ChernCharacter) -> dict:
-    inv = v.log_invariants()
     return {
         "tag": "riemann-roch",
-        "mu": rational_to_json(inv.mu),
-        "nu": divisor_to_json(inv.nu),
-        "delta": rational_to_json(inv.delta),
+        "mu": rational_to_json(v.mu),
+        "nu": divisor_to_json(v.nu),
+        "delta": rational_to_json(v.delta),
         "euler_characteristic": v.euler_characteristic(),
     }
 
@@ -142,10 +141,10 @@ def gg_section(v: ChernCharacter) -> dict:
         gg = classify_global_generation(v)
     except PreconditionError as exc:
         return {"tag": "gg-classification", "skipped": str(exc)}
-    return _classified_gg_section(v, gg)
+    return classified_gg_section(v, gg)
 
 
-def _classified_gg_section(v: ChernCharacter, gg: GGClassification) -> dict:
+def classified_gg_section(v: ChernCharacter, gg: GGClassification) -> dict:
     """``gg_section`` of ``v`` from its classification ``gg``."""
     out = gg_to_json(gg)
     try:
@@ -291,7 +290,7 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
         "general_cohomology": cohomology_section(v),
         "obstructions": obstructions_section(necessary_obstructions(v)),
         "global_generation": (
-            gg_section(v) if ample.gg is None else _classified_gg_section(v, ample.gg)
+            gg_section(v) if ample.gg is None else classified_gg_section(v, ample.gg)
         ),
         "ample_gg": ample_gg_to_json(ample),
         "asymptotic": asymptotic_section(v, s, direct),

@@ -89,6 +89,37 @@ def brute_force_bad_curves(v: ChernCharacter, box: int) -> set[tuple]:
     return out
 
 
+def effective_shortcut_violations(v: ChernCharacter, box: int) -> list[tuple]:
+    """Irreducible D in a box with ``K + D`` effective and ``chi(v(K+D)) < 0``.
+
+    The bad-curve enumeration searches only the per-surface shape list.
+    That is complete because a globally generated character has
+    ``chi(v(K+D)) >= 0`` for every irreducible D with ``K + D`` effective,
+    so a globally generated ``v`` must give no violation here.  The box is
+    ``D = nH`` with ``1 <= n <= box`` on the plane and ``D = aE + bF`` with
+    ``0 <= a <= box``, ``0 <= b <= a*e + box`` on ``F_e``; effectivity of
+    ``K + D`` is read off the cone generators (H, resp. E and F).
+    """
+    surface = v.surface
+    if surface.is_plane:
+        candidates = [surface.divisor(n) for n in range(1, box + 1)]
+    else:
+        e = surface.e
+        candidates = [
+            surface.divisor(a, b)
+            for a in range(0, box + 1)
+            for b in range(0, a * e + box + 1)
+        ]
+    k = surface.canonical
+    return [
+        d.coords
+        for d in candidates
+        if is_irreducible_curve_class(d)
+        and all(c >= 0 for c in (k + d).coords)
+        and chi_of_twist(v, d) < 0
+    ]
+
+
 def brute_min_multiplier(base: ChernCharacter, s: int, cap: int = 5000) -> int:
     """Least n >= 1 with nonnegative kernel discriminant, by direct search."""
     n = 1

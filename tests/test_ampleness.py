@@ -8,6 +8,7 @@ from amplecheck import (
     Surface,
     ample_gg_verdict,
     asymptotic_ample_certificate,
+    classify_global_generation,
     dimension_count,
     effective_n_bound,
     enumerate_bad_curves,
@@ -16,12 +17,16 @@ from amplecheck import (
     make_character,
     multiplier_lower_bound,
     normalize_character,
+    parse_character,
+    slope_conditions,
     splitting_codim,
 )
+from amplecheck.positivity import require_nonnegative_delta, require_slope_hypotheses
 from conftest import ALL_SURFACES, random_gg_slope_character, random_slope_character
 from oracles import (
     brute_force_bad_curves,
     brute_min_multiplier,
+    effective_shortcut_violations,
     matches_bad_curve_shape,
     naive_family_cutoff,
 )
@@ -29,6 +34,7 @@ from oracles import (
 P2 = Surface.projective_plane()
 F1 = Surface.hirzebruch(1)
 F2 = Surface.hirzebruch(2)
+P2_AND_F0_TO_F5 = (P2, *(Surface.hirzebruch(e) for e in range(6)))
 
 INTRO = make_character(2, P2.divisor(3), Fraction(1, 2))
 TANGENT = make_character(2, P2.divisor(3), Fraction(3, 2))
@@ -83,6 +89,39 @@ class TestBadCurves:
         v = make_character(2, P2.divisor(5), Fraction(-27, 2))
         with pytest.raises(PreconditionError):
             enumerate_bad_curves(v)
+
+
+class TestEffectiveShortcut:
+    """Irreducible D with K+D effective are never bad for a gg character.
+
+    This is why the enumeration searches only the shape list; nothing
+    checks it at runtime.  The box is n <= 12 on P2 and a <= 12,
+    b <= a*e + 12 on F_e.
+    """
+
+    BOX = 12
+
+    def test_globally_generated_characters_have_no_violation(self):
+        rng = random.Random(5)
+        for surface in P2_AND_F0_TO_F5:
+            for _ in range(8):
+                v = random_gg_slope_character(rng, surface)
+                assert effective_shortcut_violations(v, self.BOX) == [], v
+
+    @pytest.mark.parametrize(
+        "surface, ch, violation",
+        [
+            (P2, "2:4:-9", (3,)),
+            (Surface.hirzebruch(0), "2:3,3:-9", (2, 2)),
+            (F1, "2:3,5:-19/2", (2, 3)),
+            (F2, "2:3,8:-11", (2, 4)),
+            (Surface.hirzebruch(3), "2:3,11:-35/2", (2, 6)),
+        ],
+    )
+    def test_non_gg_controls_violate(self, surface, ch, violation):
+        v = parse_character(ch, surface)
+        assert not classify_global_generation(v).globally_generated
+        assert violation in effective_shortcut_violations(v, self.BOX)
 
 
 class TestDimensionCount:
@@ -164,6 +203,32 @@ class TestAmpleGGVerdict:
         v = make_character(2, F2.divisor(3, 8), 2)
         assert ample_gg_verdict(v) == ample_gg_verdict(v)
 
+    def test_failure_reasons_follow_the_positivity_gates(self):
+        """The verdict's own rank, delta, slope and gg checks match the gates."""
+        seen = set()
+        for surface in P2_AND_F0_TO_F5:
+            for v in _character_box(surface):
+                cert = ample_gg_verdict(v)
+                reason = cert.failure_reason or ""
+                seen.add(reason.split(":")[0])
+                assert cert.slope_conditions == slope_conditions(v)
+                assert reason.startswith("rank:") == (v.rank < 2), v
+                if v.rank < 2:
+                    continue
+                delta_fails = _raises(require_nonnegative_delta, v)
+                assert reason.startswith("bogomolov:") == delta_fails, v
+                if delta_fails:
+                    continue
+                try:
+                    require_slope_hypotheses(v)
+                except PreconditionError as exc:
+                    assert reason == "slope: " + str(exc).rsplit(": ", 1)[1], v
+                    continue
+                assert not reason.startswith("slope:"), v
+                gg = classify_global_generation(v)
+                assert reason.startswith("global-generation:") == (not gg.globally_generated), v
+        assert seen >= {"", "rank", "bogomolov", "slope", "global-generation"}
+
     def test_random_suite_always_passes_dimension_counts(self):
         rng = random.Random(41)
         for surface in ALL_SURFACES:
@@ -172,6 +237,35 @@ class TestAmpleGGVerdict:
                 cert = ample_gg_verdict(v)
                 assert cert.ample_general
                 assert all(b.passes for b in cert.bad_curves)
+
+
+def _raises(check, v) -> bool:
+    try:
+        check(v)
+    except PreconditionError:
+        return True
+    return False
+
+
+def _character_box(surface: Surface):
+    """Ranks 1-4, small c1, and c2 from below the Bogomolov bound to far past it.
+
+    Only well past the bound does the gg classification start to fail.
+    """
+    if surface.is_plane:
+        c1s = [surface.divisor(n) for n in range(-1, 9)]
+    else:
+        c1s = [
+            surface.divisor(a, b)
+            for a in range(-1, 4)
+            for b in range(-1, max(a, 0) * surface.e + 6)
+        ]
+    for rank in range(1, 5):
+        for c1 in c1s:
+            c1_squared = int(c1.self_intersection)
+            c2_min = -((1 - rank) * c1_squared // (2 * rank))
+            for c2 in (c2_min - 1, c2_min, c2_min + 1, c2_min + 4, c2_min + 9, c2_min + 15):
+                yield make_character(rank, c1, Fraction(c1_squared, 2) - c2)
 
 
 class TestNormalization:

@@ -1,4 +1,9 @@
+import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from amplecheck.cli import main
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
@@ -86,6 +91,16 @@ class TestExitContract:
             capsysbinary, "bad-curves", "--surface", "P2", "--ch", "2:3:3/2"
         )
         assert code == 3
+
+    def test_bad_curve_cap_is_three(self, capsysbinary):
+        # one family of this F0 character has 100004 bad members
+        code, out, err = run_cli(
+            capsysbinary, "bad-curves", "--surface", "F0", "--ch", "2:600000,3:-300009"
+        )
+        assert (code, out) == (3, b"")
+        assert err == (
+            b"precondition error: 100004 bad members in one family exceeds the cap 100000\n"
+        )
 
 
 CORPUS = [
@@ -227,3 +242,53 @@ def test_run_report_is_pure():
     v = make_character(2, surface.divisor(4), 0)
     assert run_report(surface, v) == run_report(surface, v)
     assert render_structured(run_report(surface, v)) == render_structured(run_report(surface, v))
+
+
+TESTS = Path(__file__).resolve().parent
+
+# Replays every golden case in one ``python -O`` process (``assert`` stripped)
+# and prints each outcome as JSON, stdout base64-encoded.  Output is captured
+# as ``test_golden.run_cli`` does; importing that module would pull in pytest
+# and hypothesis, which take longer to import than the replay takes to run.
+OPTIMIZED_REPLAY = """
+import base64, io, json, sys
+from pathlib import Path
+from amplecheck.cli import main
+cases = {}
+real = sys.stdout, sys.stderr
+for entry in json.loads(Path("golden/cases.json").read_text()):
+    out, err = io.BytesIO(), io.BytesIO()
+    sys.stdout = io.TextIOWrapper(out, encoding="utf-8")
+    sys.stderr = io.TextIOWrapper(err, encoding="utf-8")
+    try:
+        code = main(list(entry["argv"]))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        cases[entry["name"]] = [
+            code, base64.b64encode(out.getvalue()).decode("ascii"), err.getvalue().decode("utf-8")
+        ]
+    finally:
+        sys.stdout, sys.stderr = real
+json.dump({"debug": __debug__, "cases": cases}, sys.stdout)
+"""
+
+
+def test_golden_corpus_under_optimize():
+    """The golden corpus holds byte for byte with ``assert`` statements stripped."""
+    src = str(TESTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_REPLAY],
+        capture_output=True, env=env, cwd=TESTS, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    replay = json.loads(proc.stdout)
+    assert replay["debug"] is False
+    manifest = json.loads((TESTS / "golden" / "cases.json").read_text())
+    assert len(replay["cases"]) == len(manifest) > 0
+    for entry in manifest:
+        code, out, err = replay["cases"][entry["name"]]
+        assert code == entry["exit"], entry["name"]
+        assert err == entry["stderr"], entry["name"]
+        expected = (TESTS / "golden" / f"{entry['name']}.stdout").read_bytes()
+        assert base64.b64decode(out) == expected, entry["name"]

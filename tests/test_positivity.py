@@ -12,7 +12,6 @@ from amplecheck import (
     asymptotic_ample_certificate,
     classify_global_generation,
     enumerate_bad_curves,
-    fulton_lazarsfeld_check,
     fulton_lazarsfeld_margin,
     gg_quick_criterion,
     is_big_and_nef,
@@ -78,20 +77,22 @@ class TestFultonLazarsfeld:
         assert not fulton_lazarsfeld_margin(2, nu, Fraction(27, 8)) > 0
 
     def test_intro_character_passes(self):
-        ok, margin = fulton_lazarsfeld_check(INTRO)
-        assert ok and margin == Fraction(5, 6)
+        margin = fulton_lazarsfeld_margin(INTRO.rank, INTRO.nu, INTRO.delta)
+        assert margin > 0 and margin == Fraction(5, 6)
 
     def test_discriminant_seven_halves_fails(self):
         assert fulton_lazarsfeld_margin(2, P2.divisor(Fraction(3, 2)), Fraction(7, 2)) < 0
 
     def test_tangent_bundle_passes(self):
-        ok, margin = fulton_lazarsfeld_check(TANGENT)
-        assert ok and margin == 1
+        margin = fulton_lazarsfeld_margin(TANGENT.rank, TANGENT.nu, TANGENT.delta)
+        assert margin > 0 and margin == 1
 
     @given(characters())
     def test_margin_formula(self, v):
-        _, margin = fulton_lazarsfeld_check(v)
+        margin = fulton_lazarsfeld_margin(v.rank, v.nu, v.delta)
         assert margin == v.nu.self_intersection / 2 - v.delta / (v.rank + 1)
+        (fl,) = [c for c in necessary_obstructions(v).conditions if c.id == "fulton-lazarsfeld"]
+        assert fl.holds == (margin > 0) and fl.margin == margin
 
 
 class TestObstructions:
