@@ -41,6 +41,7 @@ from .cohomology import (
 )
 from .errors import (
     AmplecheckError,
+    CertificateError,
     EnumerationLimitError,
     InvalidCharacterError,
     InvalidDivisorError,
@@ -79,6 +80,7 @@ __all__ = [
     "AmplecheckError",
     "AsymptoticCertificate",
     "BadCurve",
+    "CertificateError",
     "ChernCharacter",
     "CohomologyTriple",
     "Condition",

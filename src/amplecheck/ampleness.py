@@ -48,6 +48,10 @@ Both procedures raise ``PreconditionError`` through the one gate in
 ``positivity``, ``require_slope_hypotheses`` (``delta >= 0``, then the
 sharp slopes), so a failed hypothesis reads the same from every entry
 point; ``ample_gg_verdict`` records failures in its certificate instead.
+The asymptotic certificate checks each proof obligation on the characters
+it builds (the kernel at ``n_min`` and ``n_min - 1``, its dual twists) and
+raises ``CertificateError`` naming the one that fails; the checks are
+explicit raises, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from fractions import Fraction
 
 from .characters import ChernCharacter
 from .cohomology import NonspecialTrace, WbnApplicability, nonspecial_all_twists, wbn_applicable
-from .errors import AmplecheckError, EnumerationLimitError, PreconditionError
+from .errors import AmplecheckError, CertificateError, EnumerationLimitError, PreconditionError
 from .positivity import (
     Condition,
     GGClassification,
@@ -257,24 +261,33 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
     )
 
 
+def _obligation(holds: bool, obligation: str, v: ChernCharacter) -> None:
+    """Raise ``CertificateError`` naming ``obligation`` unless it holds for ``v``."""
+    if not holds:
+        raise CertificateError(f"certificate obligation fails for {v}: {obligation}")
+
+
 def normalize_character(v: ChernCharacter) -> tuple[ChernCharacter, DivisorClass]:
     """Twist down by a nef class N so that ``1 < nu.L <= 2``.
 
     N is ``m*H`` on the plane and ``m*(E + eF)`` on ``F_e`` with
-    ``m = ceil(nu.L) - 2``; the latter pairs to zero with E, so ``nu.E``
-    and ``delta`` are unchanged.  Requires ``nu.L > 1``.
+    ``m = ceil(c1.L / rank) - 2``; the latter pairs to zero with E, so
+    ``nu.E`` and ``delta`` are unchanged.  Requires ``nu.L > 1``.  Raises
+    ``CertificateError`` unless the twist lands at ``rank < c1.L <= 2*rank``.
     """
     surface = v.surface
-    slope = v.nu.dot(surface.fiber_class)
-    if slope <= 1:
-        raise PreconditionError(f"normalization needs nu.L > 1, got {slope}")
-    m = ceil_frac(slope) - 2
+    r = v.rank
+    slope = v.c1.coords[0]  # c1.L: the H coordinate, resp. the E coordinate
+    if slope <= r:
+        raise PreconditionError(f"normalization needs nu.L > 1, got {Fraction(slope, r)}")
+    m = -(-slope // r) - 2
     if surface.is_plane:
         n = m * surface.polarization
     else:
         n = m * surface.divisor(1, surface.e)
     normalized = v.twist(-n)
-    assert 1 < normalized.nu.dot(surface.fiber_class) <= 2
+    landed = r < normalized.c1.coords[0] <= 2 * r
+    _obligation(landed, "normalization lands at rank < c1.L <= 2*rank", v)
     return normalized, n
 
 
@@ -290,7 +303,7 @@ def kernel_character(v: ChernCharacter, n: int, s: int = 2) -> ChernCharacter:
     return ChernCharacter(
         s,
         copies * h - n * v.c1,
-        Fraction(copies * h.self_intersection, 2) - n * v.ch2,
+        Fraction(copies * surface.pair(h.coords, h.coords), 2) - n * v.ch2,
     )
 
 
@@ -299,14 +312,18 @@ def multiplier_lower_bound(v: ChernCharacter, s: int = 2) -> Fraction:
 
     Equals ``s*(2*delta - B^2) / (rank*B^2)`` with ``B = nu - H``; for
     s = 2 this is ``4*delta/(rank*B^2) - 2/rank``.  Requires B big and nef.
+    Computed as ``s*(2 rank^2 delta - Q) / (rank*Q)`` from the integers
+    ``Q = (c1 - rank*H)^2`` and ``2 rank^2 delta = (1-rank) c1^2 + 2 rank c2``.
     """
     if s < 2:
         raise PreconditionError(f"the kernel construction needs s >= 2, got {s}")
-    b = v.nu - v.surface.polarization
-    if not is_big_and_nef(b):
-        raise PreconditionError(f"nu - H = {b} is not big and nef")
-    b2 = b.self_intersection
-    return Fraction(s) * (2 * v.delta - b2) / (v.rank * b2)
+    r, h, pair = v.rank, v.surface.polarization, v.surface.pair
+    c = v.c1 - r * h
+    if not is_big_and_nef(c):
+        raise PreconditionError(f"nu - H = {v.nu - h} is not big and nef")
+    q = pair(c.coords, c.coords)
+    twice_delta = (1 - r) * pair(v.c1.coords, v.c1.coords) + 2 * r * v.c2  # 2 rank^2 delta
+    return Fraction(s * (twice_delta - q), r * q)
 
 
 def effective_n_bound(v: ChernCharacter, s: int = 2) -> int:
@@ -372,21 +389,25 @@ def asymptotic_ample_certificate(
     n_min = max(1, ceil_frac(bound))
     kernel = kernel_character(base, n_min, s)
     delta_kernel = kernel.delta
-    assert delta_kernel >= 0
+    _obligation(delta_kernel >= 0, "kernel delta >= 0 at n_min", base)
     delta_prev = None
     if n_min > 1:
         delta_prev = kernel_character(base, n_min - 1, s).delta
-        assert delta_prev < 0
+        _obligation(delta_prev < 0, "kernel delta < 0 at n_min - 1", base)
 
-    kernel_dual_polarized = kernel.dual().twist(h)
-    kernel_twist_nu = kernel_dual_polarized.nu
-    assert kernel_twist_nu == Fraction(n_min * base.rank, s) * b
+    kernel_dual = kernel.dual()
+    kernel_dual_polarized = kernel_dual.twist(h)
+    # nu(u*(H)) = (n_min*rank/s)*B, multiplied through by s
+    same_nu = kernel_dual_polarized.c1 == n_min * (base.c1 - base.rank * h)
+    _obligation(same_nu, "nu(u*(H)) = (n_min*rank/s)*B", base)
     kernel_twist_gg = gg_quick_criterion(kernel_dual_polarized)
-    kernel_dual_twist = kernel.dual().twist(h - ell)
+    kernel_dual_twist = kernel_dual.twist(h - ell)
     wbn_kernel = wbn_applicable(kernel_dual_twist)
     chi_kernel_dual_twist = kernel_dual_twist.euler_characteristic()
-    assert chi_kernel_dual_twist == -n_min * chi_dual_twist
-    assert chi_kernel_dual_twist >= 0 and wbn_kernel.applicable and kernel_twist_gg
+    same_chi = chi_kernel_dual_twist == -n_min * chi_dual_twist
+    _obligation(same_chi, "chi(u*(H-L)) = -n_min*chi(v*(H-L))", base)
+    flags = chi_kernel_dual_twist >= 0 and wbn_kernel.applicable and kernel_twist_gg
+    _obligation(flags, "chi(u*(H-L)) >= 0 with the weak Brill-Noether and gg flags", base)
 
     notes = [
         STABILITY_NOTE,
@@ -411,7 +432,7 @@ def asymptotic_ample_certificate(
         delta_prev,
         chi_dual_twist,
         chi_kernel_dual_twist,
-        kernel_twist_nu,
+        kernel_dual_polarized.nu,
         kernel_twist_gg,
         wbn_kernel,
         conditions,

@@ -5,7 +5,9 @@ A character is a triple ``(rank, c1, ch2)`` with positive rank, integral
 Chern class ``c2 = c1^2/2 - ch2``.  Integral ``c1`` has ``int``
 coordinates (see ``surfaces``), so ``c1^2``, ``c2`` and chi are ``int``s;
 ``Fraction``s appear only where a quotient may leave the integers: ``ch2``,
-the integrality test of ``c2``, ``mu``, ``nu`` and ``delta``.  The
+``mu``, ``nu`` and ``delta``.  No verdict is decided on ``nu``: a slope
+test ``nu.C > t`` is the integer comparison ``c1.C > t*rank``, and its
+reported margin is built once, as ``Fraction(c1.C - t*rank, rank)``.  The
 logarithmic invariants
 
     mu = (c1.H) / (rank * H^2),   nu = c1 / rank,
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidCharacterError, InvalidDivisorError
-from .rationals import Rational, format_rational, parse_rational, rat
+from .rationals import Rational, check_digits, format_rational, parse_rational, rat
 from .surfaces import DivisorClass, Surface
 
 
@@ -70,12 +72,14 @@ class ChernCharacter:
 
     @cached_property
     def c2(self) -> int:
-        c2 = Fraction(self._c1_squared, 2) - self.ch2
-        if c2.denominator != 1:
+        p, q = self.ch2.numerator, self.ch2.denominator
+        c2, rest = divmod(self._c1_squared * q - 2 * p, 2 * q)  # c1^2/2 - ch2, ch2 = p/q
+        if rest:
+            c2 = Fraction(self._c1_squared, 2) - self.ch2
             raise InvalidCharacterError(
                 f"c1^2/2 - ch2 = {c2} is not an integer (c2 must be integral)"
             )
-        return c2.numerator
+        return c2
 
     @cached_property
     def nu(self) -> DivisorClass:
@@ -125,10 +129,12 @@ class ChernCharacter:
         """Tensor with the line bundle O(d), d integral."""
         if not d.is_integral:
             raise InvalidDivisorError(f"twists are by integral classes, got {d}")
+        pair = self.surface.pair
+        x = d.coords
         return ChernCharacter(
             self.rank,
             self.c1 + self.rank * d,
-            self.ch2 + self.c1.dot(d) + Fraction(self.rank * d.self_intersection, 2),
+            self.ch2 + pair(self.c1.coords, x) + Fraction(self.rank * pair(x, x), 2),
         )
 
     def dual(self) -> "ChernCharacter":
@@ -187,6 +193,7 @@ def parse_character(text: str, surface: Surface) -> ChernCharacter:
     if len(pieces) != 3:
         raise ValueError(f"malformed character {text!r}: expected 'r:c1:ch2'")
     rank_text, c1_text, ch2_text = pieces
+    check_digits(rank_text, "rank")
     try:
         rank = int(rank_text)
     except ValueError as exc:
@@ -196,5 +203,5 @@ def parse_character(text: str, surface: Surface) -> ChernCharacter:
         raise ValueError(
             f"c1 on {surface} needs {len(surface.basis)} coordinates, got {c1_text!r}"
         )
-    coords = [parse_rational(t) for t in coord_texts]
-    return make_character(rank, surface.divisor(*coords), parse_rational(ch2_text))
+    coords = [parse_rational(t, "c1 coordinate") for t in coord_texts]
+    return make_character(rank, surface.divisor(*coords), parse_rational(ch2_text, "ch2"))

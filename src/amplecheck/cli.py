@@ -17,7 +17,8 @@ Characters are written ``r:c1:ch2`` with ``c1 = a`` on the plane or
 clears denominators.  ``--format structured`` emits the stable JSON tree
 with every rational as ``{"num": ..., "den": ...}``.
 
-Exit status: 0 for any completed report, 2 for malformed input, 3 when the
+Exit status: 0 for any completed report, 2 for malformed input (an input
+field of more than ``DIGIT_BUDGET`` digits among them), 3 when the
 hypotheses of the requested procedure fail for the given character.
 """
 
@@ -31,12 +32,21 @@ from .ampleness import ample_gg_verdict, asymptotic_ample_certificate
 from .characters import ChernCharacter, from_log_invariants, parse_character
 from .errors import AmplecheckError, EnumerationLimitError, PreconditionError
 from .positivity import classify_global_generation, necessary_obstructions
-from .rationals import parse_rational
+from .rationals import DIGIT_BUDGET, check_digits, parse_rational
 from .surfaces import Surface, parse_surface
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+
+
+def integer(text: str) -> int:
+    """Type of ``--s`` and ``--d``: an integer of at most ``DIGIT_BUDGET`` digits."""
+    try:
+        check_digits(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
 
 
 def _add_character_args(parser: argparse.ArgumentParser) -> None:
@@ -66,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_character_args(p)
         _add_format_arg(p)
         if name in ("asymptotic", "report"):
-            p.add_argument("--s", type=int, default=2, help="kernel rank parameter (>= 2)")
+            p.add_argument("--s", type=integer, default=2, help="kernel rank parameter (>= 2)")
             p.add_argument(
                 "--direct",
                 action="store_true",
                 help="run the multiplier bound on the character as given, without normalizing",
             )
     p = sub.add_parser("gieseker")
-    p.add_argument("--d", type=int, required=True, help="cokernel parameter (>= 4)")
+    p.add_argument("--d", type=integer, required=True, help="cokernel parameter (>= 4)")
     _add_format_arg(p)
     return parser
 
@@ -85,13 +95,14 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[Surface, ChernCharacter]:
     pieces = args.log_ch.strip().split(":")
     if len(pieces) != 3:
         raise ValueError(f"malformed logarithmic character {args.log_ch!r}: expected 'r:nu:delta'")
-    rank = int(pieces[0])
-    coords = [parse_rational(t) for t in pieces[1].split(",")]
+    rank = int(check_digits(pieces[0], "rank"))
+    coords = [parse_rational(t, "nu coordinate") for t in pieces[1].split(",")]
     if len(coords) != len(surface.basis):
         raise ValueError(
             f"nu on {surface} needs {len(surface.basis)} coordinates, got {pieces[1]!r}"
         )
-    return surface, from_log_invariants(rank, surface.divisor(*coords), parse_rational(pieces[2]))
+    delta = parse_rational(pieces[2], "delta")
+    return surface, from_log_invariants(rank, surface.divisor(*coords), delta)
 
 
 def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
@@ -143,17 +154,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         report = _build_report(args)
+        # rendered inside the try: a derived integer may still exceed the
+        # interpreter's limit on integer-to-string conversion
+        structured = args.format == "structured"
+        out = rpt.render_structured(report) if structured else rpt.render_text(report)
     except (PreconditionError, EnumerationLimitError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ValueError, AmplecheckError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.format == "structured":
-        sys.stdout.buffer.write(rpt.render_structured(report))
+    if structured:
+        sys.stdout.buffer.write(out)
         sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(rpt.render_text(report))
+        sys.stdout.write(out)
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .characters import ChernCharacter
 from .errors import PreconditionError
 from .positivity import require_slope_hypotheses
-from .surfaces import Surface
+from .surfaces import Surface, ruling_degrees
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ def wbn_applicable(v: ChernCharacter) -> WbnApplicability:
     delta_ok = v.delta >= 0
     if v.surface.is_plane:
         return WbnApplicability(delta_ok, delta_ok)
-    nu = v.nu
-    fiber_ok = nu.dot(v.surface.fiber_class) >= -1
-    section_ok = nu.dot(v.surface.divisor(1, 0)) >= -1
+    fiber, section = ruling_degrees(v.c1)
+    fiber_ok = fiber >= -v.rank
+    section_ok = section >= -v.rank
     note = None
     if not section_ok and v.euler_characteristic() >= 0:
         # The converse direction: with chi >= 0, cohomology of the general
@@ -145,14 +145,13 @@ def nonspecial_all_twists(v: ChernCharacter) -> NonspecialTrace:
             v.delta,
             note="plane case: delta >= 0 is twist-invariant, nothing else is needed",
         )
-    nu = v.nu
-    fiber_margin = nu.dot(v.surface.fiber_class) - 1
-    section_margin = nu.dot(v.surface.divisor(1, 0)) - 1
+    r = v.rank
+    fiber, section = ruling_degrees(v.c1)
     return NonspecialTrace(
         v.surface,
         v.delta,
-        fiber_margin=fiber_margin,
-        section_margin=section_margin,
+        fiber_margin=Fraction(fiber - r, r),
+        section_margin=Fraction(section - r, r),
         note=(
             "worst case over irreducible D: D.F >= 0 and D.E >= -e, so the "
             "twisted slopes stay above the -1 thresholds by the recorded margins"

@@ -30,3 +30,7 @@ class PreconditionError(AmplecheckError):
 
 class EnumerationLimitError(AmplecheckError):
     """An exact enumeration would exceed the safety cap; nothing was truncated."""
+
+
+class CertificateError(AmplecheckError):
+    """A certificate's proof obligation fails on the objects it was built from."""

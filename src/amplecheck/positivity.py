@@ -21,6 +21,14 @@ case list per surface; the dispatch below mirrors those lists exactly,
 comparing the character-identity cases by exact equality.  A uniform
 sufficient criterion: if ``nu`` is big and nef and ``chi(v(-L)) >= 0``, the
 general bundle is globally generated.
+
+*Arithmetic.*  Every slope inequality is decided on integer pairings of
+``c1`` against the rank: ``nu.H > 1 + 1/rank`` as ``c1.H > rank + 1``,
+``nu.F > 1`` as ``c1.F > rank`` and ``nu.E >= 1`` as ``c1.E >= rank``,
+with ``(c1.F, c1.E) = (a, b - e*a)`` for ``c1 = aE + bF``.  Nef and big
+are scale-invariant, so they are tested on ``c1`` in place of ``nu``.  A
+margin is built once, as ``Fraction(pairing - threshold, rank)``, and
+equals the slope's distance from its threshold.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from .characters import ChernCharacter
 from .errors import PreconditionError
 from .rationals import Rational, rat
-from .surfaces import DivisorClass, is_big_and_nef, is_nef
+from .surfaces import DivisorClass, is_big_and_nef, is_nef, ruling_degrees
 
 
 def tangent_bundle_character(surface) -> ChernCharacter | None:
@@ -80,6 +88,15 @@ def fulton_lazarsfeld_margin(rank: int, nu: DivisorClass, delta: Rational) -> Fr
     return Fraction(nu.self_intersection, 2) - rat(delta) / (rank + 1)
 
 
+def _slope_condition(
+    id: str, text: str, pairing: int, threshold: int, rank: int, strict: bool = True
+) -> Condition:
+    """``c1.C > threshold`` (``>=`` unless strict) for ``pairing = c1.C``: ``nu.C`` against
+    ``threshold/rank``, with margin ``(pairing - threshold)/rank``."""
+    holds = pairing > threshold if strict else pairing >= threshold
+    return Condition(id, text, holds, Fraction(pairing - threshold, rank))
+
+
 def slope_conditions(v: ChernCharacter, *, asymptotic: bool = False) -> tuple[Condition, ...]:
     """The sharp per-surface slope inequalities for ampleness verdicts.
 
@@ -87,39 +104,25 @@ def slope_conditions(v: ChernCharacter, *, asymptotic: bool = False) -> tuple[Co
     the character may be scaled; the default is the fixed-rank threshold
     ``nu.H > 1 + 1/rank``.  The Hirzebruch conditions do not depend on the
     mode: ``nu.F > 1`` and ``nu.E > 1`` on ``F_0``, ``nu.E >= 1`` for
-    ``e >= 1``.
+    ``e >= 1``.  Each is tested as ``c1.H``, ``c1.F`` or ``c1.E`` against a
+    multiple of the rank.
     """
-    nu = v.nu
-    surface = v.surface
-    if surface.is_plane:
-        slope = nu.dot(surface.polarization)
+    r = v.rank
+    if v.surface.is_plane:
+        slope = v.c1.coords[0]
         if asymptotic:
-            return (
-                Condition("slope-exceeds-one", "nu.H > 1", slope > 1, slope - 1),
-            )
-        threshold = 1 + Fraction(1, v.rank)
-        return (
-            Condition(
-                "slope-exceeds-one-plus-inverse-rank",
-                "nu.H > 1 + 1/rank",
-                slope > threshold,
-                slope - threshold,
-            ),
+            return (_slope_condition("slope-exceeds-one", "nu.H > 1", slope, r, r),)
+        text = "nu.H > 1 + 1/rank"
+        return (_slope_condition("slope-exceeds-one-plus-inverse-rank", text, slope, r + 1, r),)
+    fiber, section = ruling_degrees(v.c1)
+    fiber_condition = _slope_condition("fiber-slope-exceeds-one", "nu.F > 1", fiber, r, r)
+    if v.surface.e == 0:
+        return fiber_condition, _slope_condition(
+            "section-slope-exceeds-one", "nu.E > 1", section, r, r
         )
-    fiber = nu.dot(surface.fiber_class)
-    section = nu.dot(surface.divisor(1, 0))
-    conditions = [
-        Condition("fiber-slope-exceeds-one", "nu.F > 1", fiber > 1, fiber - 1)
-    ]
-    if surface.e == 0:
-        conditions.append(
-            Condition("section-slope-exceeds-one", "nu.E > 1", section > 1, section - 1)
-        )
-    else:
-        conditions.append(
-            Condition("section-slope-at-least-one", "nu.E >= 1", section >= 1, section - 1)
-        )
-    return tuple(conditions)
+    return fiber_condition, _slope_condition(
+        "section-slope-at-least-one", "nu.E >= 1", section, r, r, strict=False
+    )
 
 
 def require_nonnegative_delta(v: ChernCharacter) -> None:
@@ -147,10 +150,10 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     bundle of this character exists.  The one exception on the plane is the
     tangent bundle, flagged separately.
     """
-    nu = v.nu
     surface = v.surface
+    r = v.rank
     delta = v.delta
-    fl_margin = fulton_lazarsfeld_margin(v.rank, nu, delta)
+    fl_margin = fulton_lazarsfeld_margin(r, v.nu, delta)
     conditions: list[Condition] = [
         Condition("bogomolov", "delta >= 0", delta >= 0, delta),
         Condition(
@@ -158,29 +161,29 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
         ),
     ]
     if surface.is_plane:
+        slope = v.c1.coords[0]
         conditions.append(
-            Condition("slope-at-least-one", "mu >= 1", v.mu >= 1, v.mu - 1)
+            _slope_condition("slope-at-least-one", "mu >= 1", slope, r, r, strict=False)
         )
     else:
-        fiber = nu.dot(surface.fiber_class)
-        section = nu.dot(surface.divisor(1, 0))
+        fiber, section = ruling_degrees(v.c1)
         conditions.append(
-            Condition("fiber-slope-at-least-one", "nu.F >= 1", fiber >= 1, fiber - 1)
+            _slope_condition("fiber-slope-at-least-one", "nu.F >= 1", fiber, r, r, strict=False)
         )
         conditions.append(
-            Condition(
-                "section-slope-at-least-one", "nu.E >= 1", section >= 1, section - 1
+            _slope_condition(
+                "section-slope-at-least-one", "nu.E >= 1", section, r, r, strict=False
             )
         )
-    if v.rank >= 2:
+    if r >= 2:
         conditions.extend(slope_conditions(v))
         if not surface.is_plane:
             conditions.append(
                 Condition(
                     "line-bundle-forcing",
                     "nu.F != 1 (a stable bundle with nu.F = 1 is a line bundle)",
-                    fiber != 1,
-                    fiber - 1,
+                    fiber != r,
+                    Fraction(fiber - r, r),
                 )
             )
 
@@ -216,7 +219,7 @@ def _require_gg_hypotheses(v: ChernCharacter) -> None:
     if v.rank < 2:
         raise PreconditionError(f"global generation is classified for rank >= 2, got {v.rank}")
     require_nonnegative_delta(v)
-    if not v.surface.is_plane and not is_nef(v.nu):
+    if not v.surface.is_plane and not is_nef(v.c1):
         raise PreconditionError(f"nu = {v.nu} is not nef on {v.surface}")
 
 
@@ -254,10 +257,10 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
     chi = v.euler_characteristic()
     if surface.is_plane:
         h = surface.polarization
-        mu = v.mu
-        if mu < 0:
+        slope = v.c1.coords[0]
+        if slope < 0:
             return GGClassification(False, failed_condition="negative slope", chi=chi)
-        if mu == 0:
+        if slope == 0:
             if v.c1 == surface.zero and v.ch2 == 0:
                 return GGClassification(
                     True, 1, "trivial character: rank * ch O", chi=chi,
@@ -294,12 +297,11 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
     e = surface.e
     fiber = surface.fiber_class
     section = surface.divisor(1, 0)
-    nu_f = v.nu.dot(fiber)
-    nu_e = v.nu.dot(section)
+    c1_f, c1_e = ruling_degrees(v.c1)
     if e == 0:
-        if nu_e == 0 or nu_f == 0:
-            # nu.E = 0 forces c1 along E; nu.F = 0 forces c1 along F
-            direction = section if nu_e == 0 else fiber
+        if c1_e == 0 or c1_f == 0:
+            # c1.E = 0 forces c1 along E; c1.F = 0 forces c1 along F
+            direction = section if c1_e == 0 else fiber
             split = _balanced_fiber_split(v, direction)
             if split is not None:
                 return GGClassification(
@@ -328,7 +330,7 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
             chi=chi, chi_twist=chi_f, chi_twist_second=chi_e,
         )
 
-    if nu_f == 0:
+    if c1_f == 0:
         split = _balanced_fiber_split(v, fiber)
         if split is not None:
             return GGClassification(
@@ -371,6 +373,6 @@ def gg_quick_criterion(v: ChernCharacter) -> bool:
     if v.rank < 2:
         raise PreconditionError(f"the criterion needs rank >= 2, got {v.rank}")
     require_nonnegative_delta(v)
-    if not is_big_and_nef(v.nu):
+    if not is_big_and_nef(v.c1):
         raise PreconditionError(f"nu = {v.nu} is not big and nef")
     return v.twisted_chi(-v.surface.fiber_class) >= 0

@@ -12,6 +12,17 @@ from fractions import Fraction
 
 Rational = int | Fraction
 
+# Most digits one input field (rank, coordinate, ch2, e, s, d) may hold;
+# larger inputs are rejected where they are parsed.
+DIGIT_BUDGET = 2000
+
+
+def check_digits(text: str, field: str) -> str:
+    """``text`` itself, or ``ValueError`` naming ``field`` if it has too many digits."""
+    if len(text) > DIGIT_BUDGET and sum(c.isdigit() for c in text) > DIGIT_BUDGET:
+        raise ValueError(f"{field} has more than {DIGIT_BUDGET} digits, the input limit")
+    return text
+
 
 def rat(value: Rational) -> Fraction:
     """Coerce an int or Fraction to Fraction, rejecting floats."""
@@ -43,9 +54,9 @@ def ceil_frac(value: Rational) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, field: str = "rational") -> Fraction:
     """Parse ``p`` or ``p/q`` with optional sign; no decimals allowed."""
-    text = text.strip()
+    text = check_digits(text.strip(), field)
     if "." in text:
         raise ValueError(f"decimal notation not accepted (use p/q): {text!r}")
     try:

@@ -18,10 +18,15 @@ line on the plane, the fiber on ``F_e``.
 Divisor classes are vectors of exact rationals over the distinguished basis,
 each coordinate held as a plain ``int`` when integral and as a ``Fraction``
 only otherwise (``rationals.exact``); all operations are pure and exact.
-Intersection numbers ``dot`` and ``self_intersection`` are ``Fraction``s;
-``Surface.pair`` gives the same pairing on raw coordinates, in ``int``s for
-integral classes.  Sections of line bundles are counted
-through the pushforward to the base line: on ``F_e``,
+Intersection numbers ``dot`` and ``self_intersection`` stay ``Fraction``s,
+so callers may divide them; ``Surface.pair`` gives the same pairing on raw
+coordinates, in ``int``s for integral classes, and ``ruling_degrees`` the
+pairings ``(d.F, d.E) = (a, b - e*a)`` of ``d = aE + bF``.  The cone tests
+``is_nef`` and ``is_big_and_nef`` compute on coordinates through these and
+are scale-invariant, so the library asks them of the integral ``c1`` (or
+``c1 - rank*H``) instead of the slope ``nu`` (or ``nu - H``).  Sections of
+line bundles are counted through the pushforward to the base line: on
+``F_e``,
 
     h^0(aE + bF) = sum_{i=0..a} max(0, b - i*e + 1),
 
@@ -37,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidDivisorError, SurfaceMismatchError
-from .rationals import Rational, exact
+from .rationals import Rational, check_digits, exact
 
 
 class SurfaceKind(Enum):
@@ -128,7 +133,7 @@ def parse_surface(text: str) -> Surface:
     if token and token[0].upper() == "F":
         tail = token[1:]
         if tail.isdigit():
-            return Surface.hirzebruch(int(tail))
+            return Surface.hirzebruch(int(check_digits(tail, "surface parameter e")))
     raise ValueError(f"malformed surface {text!r}: expected 'P2' or 'F<e>'")
 
 
@@ -205,13 +210,18 @@ class DivisorClass:
         return out
 
 
+def ruling_degrees(d: DivisorClass) -> tuple[Rational, Rational]:
+    """``(d.F, d.E)`` on ``F_e``: ``(a, b - e*a)`` for ``d = aE + bF``."""
+    a, b = d.coords
+    return a, b - d.surface.e * a
+
+
 def is_nef(d: DivisorClass) -> bool:
-    """Nef cone membership: pairs >= 0 with every curve class."""
+    """Nef cone membership: pairs >= 0 with every curve class (F and E on F_e)."""
     if d.surface.is_plane:
         return d.coords[0] >= 0
-    fiber = d.surface.fiber_class
-    section = d.surface.divisor(1, 0)
-    return d.dot(fiber) >= 0 and d.dot(section) >= 0
+    fiber, section = ruling_degrees(d)
+    return fiber >= 0 and section >= 0
 
 
 def is_effective(d: DivisorClass) -> bool:
@@ -221,7 +231,7 @@ def is_effective(d: DivisorClass) -> bool:
 
 def is_big_and_nef(d: DivisorClass) -> bool:
     """Nef with positive self-intersection (bigness for nef surface classes)."""
-    return is_nef(d) and d.self_intersection > 0
+    return is_nef(d) and d.surface.pair(d.coords, d.coords) > 0
 
 
 def is_irreducible_curve_class(d: DivisorClass) -> bool:

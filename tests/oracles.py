@@ -8,6 +8,8 @@ stepping n upward until the kernel discriminant turns nonnegative.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from amplecheck import (
     ChernCharacter,
     Surface,
@@ -30,6 +32,34 @@ def chi_of_twist(v: ChernCharacter, d) -> int:
     if chi.denominator != 1:
         raise AssertionError(f"non-integral Euler characteristic {chi} for {w}")
     return chi.numerator
+
+
+def slope_conditions_oracle(
+    v: ChernCharacter, asymptotic: bool
+) -> tuple[tuple[str, bool, Fraction], ...]:
+    """``(id, holds, margin)`` of each sharp slope condition, from ``nu``.
+
+    Pairs the ``Fraction``-valued class ``nu = c1/rank`` with H, F and E
+    through ``dot`` and compares with the thresholds as stated, instead of
+    comparing integer pairings of ``c1`` with multiples of the rank.
+    """
+    nu = v.nu
+    surface = v.surface
+    if surface.is_plane:
+        slope = nu.dot(surface.polarization)
+        if asymptotic:
+            return (("slope-exceeds-one", slope > 1, slope - 1),)
+        threshold = 1 + Fraction(1, v.rank)
+        return (
+            ("slope-exceeds-one-plus-inverse-rank", slope > threshold, slope - threshold),
+        )
+    fiber = nu.dot(surface.fiber_class)
+    section = nu.dot(surface.divisor(1, 0))
+    if surface.e == 0:
+        section_condition = ("section-slope-exceeds-one", section > 1, section - 1)
+    else:
+        section_condition = ("section-slope-at-least-one", section >= 1, section - 1)
+    return ("fiber-slope-exceeds-one", fiber > 1, fiber - 1), section_condition
 
 
 def matches_bad_curve_shape(surface: Surface, coords: tuple) -> bool:

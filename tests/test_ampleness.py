@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from amplecheck import (
+    CertificateError,
     PreconditionError,
     Surface,
     ample_gg_verdict,
@@ -21,6 +22,7 @@ from amplecheck import (
     slope_conditions,
     splitting_codim,
 )
+from amplecheck import ampleness
 from amplecheck.positivity import require_nonnegative_delta, require_slope_hypotheses
 from conftest import ALL_SURFACES, random_gg_slope_character, random_slope_character
 from oracles import (
@@ -424,6 +426,18 @@ class TestAsymptoticCertificate:
     def test_deterministic(self):
         v = make_character(2, F2.divisor(3, 8), 2)
         assert asymptotic_ample_certificate(v) == asymptotic_ample_certificate(v)
+
+    def test_bound_one_unit_low_breaks_the_kernel_delta_obligation(self, monkeypatch):
+        bound = ampleness.multiplier_lower_bound
+        monkeypatch.setattr(ampleness, "multiplier_lower_bound", lambda v, s=2: bound(v, s) - 1)
+        with pytest.raises(CertificateError, match=r"kernel delta >= 0 at n_min$"):
+            asymptotic_ample_certificate(INTRO)  # n_min 6 -> 5, where delta(u) = -5/8
+
+    def test_bound_one_unit_high_breaks_the_minimality_obligation(self, monkeypatch):
+        bound = ampleness.multiplier_lower_bound
+        monkeypatch.setattr(ampleness, "multiplier_lower_bound", lambda v, s=2: bound(v, s) + 1)
+        with pytest.raises(CertificateError, match=r"kernel delta < 0 at n_min - 1$"):
+            asymptotic_ample_certificate(INTRO)
 
 
 class TestGiesekerCharacter:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from amplecheck.cli import main
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
 from amplecheck import Surface, make_character
@@ -101,6 +103,74 @@ class TestExitContract:
         assert err == (
             b"precondition error: 100004 bad members in one family exceeds the cap 100000\n"
         )
+
+
+ONE_AND_2200_ZEROS = "1" + "0" * 2200
+ONE_AND_3000_ZEROS = "1" + "0" * 3000
+
+
+class TestInputDigitBudget:
+    """Inputs over ``DIGIT_BUDGET`` digits exit 2 with the field and the limit named."""
+
+    def test_coordinate_of_2201_digits(self, capsysbinary):
+        # used to end in a traceback: c2 has about 4400 digits, past the
+        # interpreter's integer-to-string limit, and was rendered outside the try
+        for fmt in ("text", "structured"):
+            code, out, err = run_cli(
+                capsysbinary, "invariants", "--surface", "P2",
+                "--ch", f"2:{ONE_AND_2200_ZEROS}:0", "--format", fmt,
+            )
+            assert (code, out) == (2, b"")
+            assert err == b"input error: c1 coordinate has more than 2000 digits, the input limit\n"
+
+    def test_s_of_3001_digits(self, capsysbinary):
+        # used to end in a traceback when the kernel character was rendered
+        code, out, err = run_cli(
+            capsysbinary, "asymptotic", "--surface", "P2", "--ch", "2:20:-142",
+            "--s", ONE_AND_3000_ZEROS,
+        )
+        assert (code, out) == (2, b"")
+        assert err.endswith(b"argument --s: the value has more than 2000 digits, the input limit\n")
+
+    def test_every_field_is_budgeted(self, capsysbinary):
+        big = ONE_AND_2200_ZEROS
+        cases = [
+            (["invariants", "--surface", "P2", "--ch", f"{big}:0:0"], "rank"),
+            (["invariants", "--surface", "P2", "--ch", f"2:0:{big}"], "ch2"),
+            (["invariants", "--surface", f"F{big}", "--ch", "2:0,0:0"], "surface parameter e"),
+            (["invariants", "--surface", "P2", "--log-ch", f"{big}:1:0"], "rank"),
+            (["invariants", "--surface", "P2", "--log-ch", f"2:{big}:0"], "nu coordinate"),
+            (["invariants", "--surface", "P2", "--log-ch", f"2:1:1/{big}"], "delta"),
+            (["gieseker", "--d", big], "argument --d: the value"),
+        ]
+        for argv, field in cases:
+            code, out, err = run_cli(capsysbinary, *argv)
+            assert (code, out) == (2, b""), argv[:3]
+            assert f"{field} has more than 2000 digits, the input limit".encode() in err
+
+    def test_budget_is_inclusive(self, capsysbinary):
+        code, out, _ = run_cli(
+            capsysbinary, "invariants", "--surface", "P2", "--ch", "2:" + "1" * 1999 + "0:0"
+        )
+        assert code == 0 and b"verdict: computed" in out
+
+    def test_oversized_derived_value_is_an_input_error(self, capsysbinary):
+        # every field is within the budget, but the kernel's c2 outgrows the
+        # interpreter's integer-to-string limit while the report is rendered
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no integer-to-string limit")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            nines = "9" * 1999
+            code, out, err = run_cli(
+                capsysbinary, "report", "--surface", "P2", "--ch", f"2:{nines}8:-{nines}",
+                "--s", nines,
+            )
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"input error: Exceeds the limit")
 
 
 CORPUS = [

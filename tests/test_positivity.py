@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from amplecheck import (
     ChernCharacter,
@@ -15,12 +16,16 @@ from amplecheck import (
     fulton_lazarsfeld_margin,
     gg_quick_criterion,
     is_big_and_nef,
+    is_nef,
     make_character,
     necessary_obstructions,
     nonspecial_all_twists,
+    slope_conditions,
     tangent_bundle_character,
+    wbn_applicable,
 )
 from conftest import ALL_SURFACES, characters, random_valid_character
+from oracles import slope_conditions_oracle
 
 P2 = Surface.projective_plane()
 F0 = Surface.hirzebruch(0)
@@ -67,6 +72,44 @@ def test_precondition_gate_messages(procedure, v, message):
     with pytest.raises(PreconditionError) as exc:
         procedure(v)
     assert str(exc.value) == message
+
+
+SLOPE_SURFACES = (Surface.projective_plane(),) + tuple(Surface.hirzebruch(e) for e in range(6))
+
+
+@st.composite
+def wide_characters(draw):
+    """P2 and F0-F5, ranks 1-6, c1 coordinates within 50 of zero."""
+    surface = draw(st.sampled_from(SLOPE_SURFACES))
+    rank = draw(st.integers(1, 6))
+    c1 = surface.divisor(*[draw(st.integers(-50, 50)) for _ in surface.basis])
+    c2 = draw(st.integers(-20, 20))
+    return ChernCharacter(rank, c1, Fraction(c1.self_intersection, 2) - c2)
+
+
+class TestIntegerSlopes:
+    """Integer pairings of ``c1`` against the rank agree with the slope class ``nu``."""
+
+    @given(wide_characters(), st.booleans())
+    def test_slope_conditions_match_the_oracle(self, v, asymptotic):
+        got = tuple(
+            (c.id, c.holds, c.margin) for c in slope_conditions(v, asymptotic=asymptotic)
+        )
+        assert got == slope_conditions_oracle(v, asymptotic)
+        assert all(type(c.margin) is Fraction for c in slope_conditions(v, asymptotic=asymptotic))
+
+    @given(wide_characters())
+    def test_cone_tests_are_scale_invariant(self, v):
+        h = v.surface.polarization
+        assert is_nef(v.c1) == is_nef(v.nu)
+        assert is_big_and_nef(v.c1 - v.rank * h) == is_big_and_nef(v.nu - h)
+
+    @given(wide_characters())
+    def test_weak_brill_noether_flags_match_nu(self, v):
+        w = wbn_applicable(v)
+        if not v.surface.is_plane:
+            assert w.fiber_ok == (v.nu.dot(v.surface.fiber_class) >= -1)
+            assert w.section_ok == (v.nu.dot(v.surface.divisor(1, 0)) >= -1)
 
 
 class TestFultonLazarsfeld:
