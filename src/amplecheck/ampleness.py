@@ -16,15 +16,18 @@ since an irreducible D with ``K + D`` effective always has
 ``chi(v(K+D)) >= 0`` for globally generated characters.  That fact is not
 re-checked at runtime; the test oracle ``effective_shortcut_violations``
 in ``tests/oracles.py`` scans a box of such D for counterexamples.  Along
-each family the twisted chi is an affine, strictly increasing function of
-b (the fiber slope exceeds 1), so the enumeration below is exact and
-finite.  For each bad curve the obstruction is ruled out by a dimension
-count: the locus of bundles with a trivial quotient on a fixed curve of
-class D has codimension at least ``c = rank * nu.D - rank + 1`` (the k = 1
-value of the splitting stratification ``k(rank*slope - rank + k)``), while
-the curves move in a linear system of dimension ``d = h^0(O(D)) - 1``; the
-verdict needs ``d < c`` for every bad curve; ``dimension_count`` builds
-the ``BadCurve`` record that carries both numbers.
+each family ``D0 + bF`` (``F^2 = 0``; on F_0 also ``bE + F``) the twisted
+chi and the ``d`` and ``c`` below are affine in b, and chi strictly
+increases (the fiber slope exceeds 1), so the enumeration is exact and
+finite: two members go through ``dimension_count``, the rest are extended
+by differences, and the last of a longer family is re-derived and checked.
+For each bad curve the obstruction is ruled out by a dimension count:
+the locus of bundles with a trivial quotient on a fixed curve of class D
+has codimension at least ``c = rank * nu.D - rank + 1`` (the k = 1 value
+of the splitting stratification ``k(rank*slope - rank + k)``), while the
+curves move in a linear system of dimension ``d = h^0(O(D)) - 1``; the
+verdict needs ``d < c`` for every bad curve; ``dimension_count`` builds the
+``BadCurve`` record that carries both numbers.
 
 *Asymptotic ampleness.*  When ``nu - H`` is big and nef, all large
 multiples ``n*v`` carry ample general bundles: a candidate quotient of
@@ -139,14 +142,20 @@ def splitting_codim(k: int, rank: int, degree: int) -> int:
 
 
 def _family_bad_members(
-    v: ChernCharacter, member: Callable[[int], DivisorClass], b_start: int
-) -> list[DivisorClass]:
-    """Bad members of one affine family b -> D(b), via the exact cutoff."""
-    k = v.surface.canonical
-    chi0 = v.twisted_chi(k + member(b_start))
-    if chi0 >= 0:
+    v: ChernCharacter, member: Callable[[int], DivisorClass], b_start: int, name: str
+) -> list[BadCurve]:
+    """Bad members of one family b -> D(b), extended by differences.
+
+    ``chi_twist``, ``d`` and ``c`` are affine in b, so the first two members
+    go through ``dimension_count``, the cutoff is exact, and member t is
+    first + t * (second - first); the last of three or more is re-checked.
+    """
+    first = dimension_count(v, member(b_start))
+    if first.chi_twist >= 0:
         return []
-    step = v.twisted_chi(k + member(b_start + 1)) - chi0
+    second = dimension_count(v, member(b_start + 1))
+    chi0, d0, c0 = first.chi_twist, first.d, first.c
+    step, dd, dc = second.chi_twist - chi0, second.d - d0, second.c - c0
     if step <= 0:
         raise AmplecheckError(
             "twisted chi is not increasing along a curve family; slope hypotheses broken"
@@ -156,7 +165,14 @@ def _family_bad_members(
         raise EnumerationLimitError(
             f"{count} bad members in one family exceeds the cap {BAD_CURVE_CAP}"
         )
-    return [member(b_start + t) for t in range(count)]
+    bad = [
+        BadCurve(member(b_start + t), chi0 + t * step, d0 + t * dd, c0 + t * dc)
+        for t in range(count)
+    ]
+    if count >= 3:
+        last = bad[-1] == dimension_count(v, bad[-1].curve)
+        _obligation(last, f"family {name} is affine up to its last bad member", v)
+    return bad
 
 
 def _bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
@@ -172,21 +188,20 @@ def _bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
     if surface.is_plane:
         candidates = [surface.divisor(1), surface.divisor(2)]    # H, 2H
     elif e == 0:
-        families.append((lambda b: surface.divisor(1, b), 0))   # E + bF (b=0 is E)
-        families.append((lambda b: surface.divisor(b, 1), 0))   # bE + F (b=0 is F)
+        families.append((lambda b: surface.divisor(1, b), 0, "E + bF"))  # b=0 is E
+        families.append((lambda b: surface.divisor(b, 1), 0, "bE + F"))  # b=0 is F
     elif e == 1:
         candidates = [surface.divisor(0, 1), surface.divisor(2, 2)]  # F, 2E+2F
-        families.append((lambda b: surface.divisor(1, b), 0))   # E + bF (b=0 is E)
+        families.append((lambda b: surface.divisor(1, b), 0, "E + bF"))  # b=0 is E
     else:
         candidates = [surface.divisor(0, 1), surface.divisor(1, 0)]  # F, E
-        families.append((lambda b: surface.divisor(1, b), e))   # E + bF, b >= e
+        families.append((lambda b: surface.divisor(1, b), e, "E + bF"))  # b >= e
 
-    k = surface.canonical
-    bad = [d for d in candidates if v.twisted_chi(k + d) < 0]
-    for member, b_start in families:
-        bad.extend(_family_bad_members(v, member, b_start))
-    classes = {d.coords: d for d in bad}
-    return tuple(dimension_count(v, classes[coords]) for coords in sorted(classes))
+    bad = [b for b in (dimension_count(v, d) for d in candidates) if b.chi_twist < 0]
+    for member, b_start, name in families:
+        bad.extend(_family_bad_members(v, member, b_start, name))
+    classes = {b.curve.coords: b for b in bad}  # E + F lies in both F_0 families
+    return tuple(classes[coords] for coords in sorted(classes))
 
 
 def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:

@@ -71,7 +71,7 @@ class Surface:
     def hirzebruch(cls, e: int) -> "Surface":
         return cls(SurfaceKind.HIRZEBRUCH, e)
 
-    @property
+    @cached_property
     def is_plane(self) -> bool:
         return self.kind is SurfaceKind.PROJECTIVE_PLANE
 
@@ -79,7 +79,7 @@ class Surface:
     def name(self) -> str:
         return "P2" if self.is_plane else f"F{self.e}"
 
-    @property
+    @cached_property
     def basis(self) -> tuple[str, ...]:
         return ("H",) if self.is_plane else ("E", "F")
 

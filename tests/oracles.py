@@ -34,6 +34,21 @@ def chi_of_twist(v: ChernCharacter, d) -> int:
     return chi.numerator
 
 
+def h0_by_sum(d) -> int:
+    """h^0(O(d)) by summing the sections of each summand, term by term.
+
+    On ``F_e`` the pushforward of ``O(aE + bF)`` to the base line has one
+    summand of degree ``b - i*e`` for each ``0 <= i <= a``; on the plane
+    ``h^0(O(n))`` counts the monomials of degree n, ``n - i + 1`` of them
+    with x-degree i.  No closed form of the series is used.
+    """
+    if d.surface.is_plane:
+        (n,) = d.coords
+        return sum(n - i + 1 for i in range(n + 1))
+    a, b = d.coords
+    return sum(max(0, b - i * d.surface.e + 1) for i in range(a + 1))
+
+
 def slope_conditions_oracle(
     v: ChernCharacter, asymptotic: bool
 ) -> tuple[tuple[str, bool, Fraction], ...]:

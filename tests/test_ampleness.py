@@ -28,12 +28,15 @@ from conftest import ALL_SURFACES, random_gg_slope_character, random_slope_chara
 from oracles import (
     brute_force_bad_curves,
     brute_min_multiplier,
+    chi_of_twist,
     effective_shortcut_violations,
+    h0_by_sum,
     matches_bad_curve_shape,
     naive_family_cutoff,
 )
 
 P2 = Surface.projective_plane()
+F0 = Surface.hirzebruch(0)
 F1 = Surface.hirzebruch(1)
 F2 = Surface.hirzebruch(2)
 P2_AND_F0_TO_F5 = (P2, *(Surface.hirzebruch(e) for e in range(6)))
@@ -91,6 +94,53 @@ class TestBadCurves:
         v = make_character(2, P2.divisor(5), Fraction(-27, 2))
         with pytest.raises(PreconditionError):
             enumerate_bad_curves(v)
+
+
+class TestFamilyProgression:
+    """Members extended by differences agree with the long way, member by member."""
+
+    @staticmethod
+    def check_members(v):
+        bad = enumerate_bad_curves(v)
+        for b in bad:
+            assert b == dimension_count(v, b.curve)
+            assert b.chi_twist == chi_of_twist(v, b.curve)
+            assert b.d + 1 == h0_by_sum(b.curve)
+        return bad
+
+    def test_random_gg_characters(self):
+        rng = random.Random(17)
+        for surface in P2_AND_F0_TO_F5:
+            for _ in range(8):
+                self.check_members(random_gg_slope_character(rng, surface))
+
+    @pytest.mark.parametrize("x, members", [(200, 72), (1000, 339), (4000, 1339)])
+    def test_f0_series(self, x, members):
+        bad = self.check_members(parse_character(f"2:{2 * x},3:-{x + 9}", F0))
+        assert len(bad) == members
+
+    @pytest.mark.parametrize(
+        "e, ch", [(1, "2:3,60:-111/2"), (2, "2:3,63:-58"), (3, "2:3,66:-121/2")]
+    )
+    def test_long_section_families(self, e, ch):
+        bad = self.check_members(parse_character(ch, Surface.hirzebruch(e)))
+        assert sum(b.curve.coords[0] == 1 and b.curve.coords[1] >= e for b in bad) >= 19
+
+    def test_dimension_count_runs_at_most_three_times_per_family(self, monkeypatch):
+        calls = []
+        count = ampleness.dimension_count
+        monkeypatch.setattr(
+            ampleness, "dimension_count", lambda v, d: calls.append(d) or count(v, d)
+        )
+        bad = enumerate_bad_curves(parse_character("2:4000,3:-2009", F0))
+        assert len(bad) == 672  # 671 of the form bE + F
+        assert len(calls) <= 3 * 2  # two families on F_0, no singleton candidates
+
+    def test_non_affine_section_count_breaks_the_family_obligation(self, monkeypatch):
+        h0 = ampleness.h0_line_bundle
+        monkeypatch.setattr(ampleness, "h0_line_bundle", lambda d: h0(d) + d.coords[0] ** 2)
+        with pytest.raises(CertificateError, match=r"family bE \+ F is affine"):
+            enumerate_bad_curves(parse_character("2:4000,3:-2009", F0))
 
 
 class TestEffectiveShortcut:
