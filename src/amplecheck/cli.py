@@ -134,10 +134,9 @@ def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _build_report(args: argparse.Namespace) -> dict:
+def _build_report(args: argparse.Namespace, surface: Surface, v: ChernCharacter) -> dict:
     if args.command == "gieseker":
         return rpt.gieseker_report(args.d)
-    surface, v = _parse_inputs(args)
     if args.command == "bad-curves":
         return rpt.bad_curves_report(surface, v)
     if args.command == "report":
@@ -153,16 +152,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        report = _build_report(args)
-        # rendered inside the try: a derived integer may still exceed the
-        # interpreter's limit on integer-to-string conversion
+        surface, v = (None, None) if args.command == "gieseker" else _parse_inputs(args)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        report = _build_report(args, surface, v)
         structured = args.format == "structured"
         out = rpt.render_structured(report) if structured else rpt.render_text(report)
     except (PreconditionError, EnumerationLimitError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, AmplecheckError) as exc:
+    except AmplecheckError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError:  # past parsing, only the integer-to-string limit raises one
+        limit = sys.get_int_max_str_digits()
+        print(f"input error: a derived value of the report exceeds the interpreter's limit of "
+              f"{limit} digits for integer-to-string conversion", file=sys.stderr)
         return EXIT_PARSE
     if structured:
         sys.stdout.buffer.write(out)

@@ -1,10 +1,12 @@
 """Report assembly: one deterministic, exactly-rational view of all verdicts.
 
-Reports are plain dicts of JSON-native values built in a fixed key order,
-so the structured rendering is byte-identical across runs and round-trips
-through ``json.loads``.  Every rational is rendered as ``{"num", "den"}``;
-no floating point value ever appears.  Each section carries a ``tag``
-naming the criterion that backs its verdict, drawn from ``VERDICT_TAGS``.
+Reports are plain dicts of JSON-native values built in a fixed key order, so
+the structured rendering is byte-identical across runs and round-trips
+through ``json.loads``.  The exception is ``classes``: it holds ``BadCurve``
+records until rendering writes each as ``bad_curve_to_json`` lays it out.
+Every rational is rendered as ``{"num", "den"}``; no floating point value
+ever appears.  Each section carries a ``tag`` naming the criterion that
+backs its verdict, drawn from ``VERDICT_TAGS``.
 
 Every report, of the full pipeline or of one command, is wrapped by
 ``build_report``: ``schema_version``, ``command``, ``surface`` and
@@ -206,10 +208,7 @@ def ample_gg_to_json(cert: AmpleGGCertificate) -> dict:
         out["global_generation"] = gg_to_json(cert.gg)
     if cert.nonspecial is not None:
         out["nonspecial_twists"] = nonspecial_to_json(cert.nonspecial)
-    out["bad_curves"] = {
-        "tag": "bad-curves",
-        "classes": [bad_curve_to_json(b) for b in cert.bad_curves],
-    }
+    out["bad_curves"] = {"tag": "bad-curves", "classes": cert.bad_curves}
     out["verdict"] = cert.verdict
     if cert.failure_reason:
         out["failure_reason"] = cert.failure_reason
@@ -301,7 +300,7 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
 
 def bad_curves_report(surface: Surface, v: ChernCharacter) -> dict:
     bad = enumerate_bad_curves(v)
-    section = {"tag": "bad-curves", "classes": [bad_curve_to_json(b) for b in bad]}
+    section = {"tag": "bad-curves", "classes": bad}
     verdict = f"{len(bad)} bad curve class(es); " + (
         "all dimension counts pass" if all(b.passes for b in bad) else "some dimension count fails"
     )
@@ -320,9 +319,9 @@ def _write_json(node, pad: str, out: list[str]) -> None:
     """Append the pieces of ``json.dumps(node, indent=2, ensure_ascii=True)``.
 
     ``pad`` is the indentation of the line ``node`` starts on.  Only the
-    JSON-native values reports are built from are accepted: dicts with
-    string keys, lists (and tuples, written as lists), strings, ints, bools
-    and None.
+    values reports are built from are accepted: dicts with string keys,
+    lists (and tuples, written as lists), strings, ints, bools, None, and
+    tuples of ``BadCurve`` records of one surface (``_bad_curve_entries``).
     """
     if isinstance(node, str):
         out.append(encode_basestring_ascii(node))
@@ -351,13 +350,47 @@ def _write_json(node, pad: str, out: list[str]) -> None:
             return
         inner = pad + "  "
         sep = "[\n" + inner
-        for item in node:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = ",\n" + inner
+        if type(node) is tuple and type(node[0]) is BadCurve:
+            out += (sep, (",\n" + inner).join(_bad_curve_entries(node, inner)))
+        else:
+            for item in node:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = ",\n" + inner
         out.append("\n" + pad + "]")
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+_BAD_CURVE_TEMPLATES: dict[tuple[tuple[str, ...], str], str] = {}  # (basis, pad) -> template
+
+
+def _slots(node):
+    if isinstance(node, dict):
+        return {k: "\x00" if k == "text" else _slots(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_slots(item) for item in node]
+    return "\x00" if isinstance(node, int) else node
+
+
+def _bad_curve_entries(records: tuple[BadCurve, ...], pad: str) -> list[str]:
+    """Each record's ``bad_curve_to_json`` entry written at ``pad``, through one
+    template: the first entry with a ``%s`` slot for each int, bool and ``text``."""
+    key = (records[0].curve.surface.basis, pad)
+    template = _BAD_CURVE_TEMPLATES.get(key)
+    if template is None:
+        out: list[str] = []
+        _write_json(_slots(bad_curve_to_json(records[0])), pad, out)
+        template = _BAD_CURVE_TEMPLATES[key] = (
+            "".join(out).replace("%", "%%").replace('"\\u0000"', "%s")
+        )
+    # slots in document order; ``%s`` writes ints through int.__repr__, as _write_json
+    return [
+        template % (*[q for x in b.curve.coords for q in (x.numerator, x.denominator)],
+                    encode_basestring_ascii(str(b.curve)), b.chi_twist, b.d,
+                    b.c.numerator, b.c.denominator, "true" if b.passes else "false")
+        for b in records
+    ]
 
 
 def render_structured(report: dict) -> bytes:
@@ -398,16 +431,16 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
                 continue
             if isinstance(value, dict) and set(value) == {"num", "den"}:
                 lines.append(f"{pad}{key}: {_fmt_rat(value)}")
-            elif isinstance(value, (dict, list)):
+            elif isinstance(value, (dict, list, tuple)):
                 lines.append(f"{pad}{key}:")
                 _render_lines(value, indent + 1, lines)
             else:
                 lines.append(f"{pad}{key}: {value}")
-    elif isinstance(node, list):
-        for item in node:
+    elif isinstance(node, (list, tuple)):  # a tuple holds BadCurve records
+        for item in node if isinstance(node, list) else map(bad_curve_to_json, node):
             if isinstance(item, dict) and set(item) == {"num", "den"}:
                 lines.append(f"{pad}- {_fmt_rat(item)}")
-            elif isinstance(item, (dict, list)):
+            elif isinstance(item, (dict, list, tuple)):
                 lines.append(pad + "-")
                 _render_lines(item, indent + 1, lines)
             else:

@@ -170,7 +170,10 @@ class TestInputDigitBudget:
         finally:
             sys.set_int_max_str_digits(saved)
         assert (code, out) == (2, b"")
-        assert err.startswith(b"input error: Exceeds the limit")
+        assert err == (
+            b"input error: a derived value of the report exceeds the interpreter's "
+            b"limit of 4300 digits for integer-to-string conversion\n"
+        )
 
 
 CORPUS = [
