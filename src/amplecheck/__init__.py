@@ -22,7 +22,6 @@ from .ampleness import (
     kernel_character,
     multiplier_lower_bound,
     normalize_character,
-    splitting_codim,
 )
 from .characters import (
     ChernCharacter,
@@ -65,9 +64,7 @@ from .surfaces import (
     Surface,
     SurfaceKind,
     h0_line_bundle,
-    hilbert_polynomial,
     is_big_and_nef,
-    is_effective,
     is_irreducible_curve_class,
     is_nef,
     parse_surface,
@@ -108,9 +105,7 @@ __all__ = [
     "gg_quick_criterion",
     "gieseker_character",
     "h0_line_bundle",
-    "hilbert_polynomial",
     "is_big_and_nef",
-    "is_effective",
     "is_irreducible_curve_class",
     "is_nef",
     "kernel_character",
@@ -123,7 +118,6 @@ __all__ = [
     "parse_character",
     "parse_surface",
     "slope_conditions",
-    "splitting_codim",
     "tangent_bundle_character",
     "wbn_applicable",
     "wbn_cohomology",

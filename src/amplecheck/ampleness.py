@@ -65,7 +65,7 @@ from fractions import Fraction
 
 from .characters import ChernCharacter
 from .cohomology import NonspecialTrace, WbnApplicability, nonspecial_all_twists, wbn_applicable
-from .errors import AmplecheckError, CertificateError, EnumerationLimitError, PreconditionError
+from .errors import CertificateError, EnumerationLimitError, PreconditionError
 from .positivity import (
     Condition,
     GGClassification,
@@ -124,23 +124,6 @@ def dimension_count(v: ChernCharacter, curve: DivisorClass) -> BadCurve:
     return BadCurve(curve, chi, h0_line_bundle(curve) - 1, c)
 
 
-def splitting_codim(k: int, rank: int, degree: int) -> int:
-    """Codimension ``k*(degree - rank + k)`` of the k-quotient stratum.
-
-    For a complete family of globally generated bundles on the line with
-    rank ``rank``, degree ``degree`` and slope >= 1, the locus with exactly
-    k independent maps onto the trivial bundle has this codimension; it is
-    minimized at k = 1.
-    """
-    if not 1 <= k <= rank:
-        raise ValueError(f"k must satisfy 1 <= k <= rank, got k={k}, rank={rank}")
-    if degree < rank:
-        raise PreconditionError(
-            f"the codimension formula needs slope >= 1, got degree {degree} < rank {rank}"
-        )
-    return k * (degree - rank + k)
-
-
 def _family_bad_members(
     v: ChernCharacter, member: Callable[[int], DivisorClass], b_start: int, name: str
 ) -> list[BadCurve]:
@@ -156,10 +139,8 @@ def _family_bad_members(
     second = dimension_count(v, member(b_start + 1))
     chi0, d0, c0 = first.chi_twist, first.d, first.c
     step, dd, dc = second.chi_twist - chi0, second.d - d0, second.c - c0
-    if step <= 0:
-        raise AmplecheckError(
-            "twisted chi is not increasing along a curve family; slope hypotheses broken"
-        )
+    # step is c1.F (c1.E along bE + F), past the rank by the slope gate
+    _obligation(step > 0, f"twisted chi increases along family {name}", v)
     count = ceil_frac(Fraction(-chi0, step))
     if count > BAD_CURVE_CAP:
         raise EnumerationLimitError(
@@ -306,10 +287,14 @@ def normalize_character(v: ChernCharacter) -> tuple[ChernCharacter, DivisorClass
     return normalized, n
 
 
-def kernel_character(v: ChernCharacter, n: int, s: int = 2) -> ChernCharacter:
-    """Character ``(n*rank + s) * ch O(H) - n * v`` of the hypothetical kernel."""
+def _require_kernel_rank(s: int) -> None:
     if s < 2:
         raise PreconditionError(f"the kernel construction needs s >= 2, got {s}")
+
+
+def kernel_character(v: ChernCharacter, n: int, s: int = 2) -> ChernCharacter:
+    """Character ``(n*rank + s) * ch O(H) - n * v`` of the hypothetical kernel."""
+    _require_kernel_rank(s)
     if n < 1:
         raise PreconditionError(f"the multiplier must be positive, got {n}")
     surface = v.surface
@@ -330,8 +315,7 @@ def multiplier_lower_bound(v: ChernCharacter, s: int = 2) -> Fraction:
     Computed as ``s*(2 rank^2 delta - Q) / (rank*Q)`` from the integers
     ``Q = (c1 - rank*H)^2`` and ``2 rank^2 delta = (1-rank) c1^2 + 2 rank c2``.
     """
-    if s < 2:
-        raise PreconditionError(f"the kernel construction needs s >= 2, got {s}")
+    _require_kernel_rank(s)
     r, h, pair = v.rank, v.surface.polarization, v.surface.pair
     c = v.c1 - r * h
     if not is_big_and_nef(c):
@@ -381,8 +365,7 @@ def asymptotic_ample_certificate(
     as given; the default normalizes first, after which that inequality is
     automatic.
     """
-    if s < 2:
-        raise PreconditionError(f"the kernel construction needs s >= 2, got {s}")
+    _require_kernel_rank(s)
     conditions = require_slope_hypotheses(v, asymptotic=True)
     surface = v.surface
     if direct:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidCharacterError, InvalidDivisorError
-from .rationals import Rational, check_digits, format_rational, parse_rational, rat
+from .rationals import INTEGER, Rational, check_digits, format_rational, parse_rational, rat
 from .surfaces import DivisorClass, Surface
 
 
@@ -100,14 +100,7 @@ class ChernCharacter:
 
     @cached_property
     def _chi(self) -> int:
-        twice = (
-            2 * self.rank + _adjunction_form(self.surface, self.c1.coords) - 2 * self.c2
-        )
-        if twice % 2:
-            raise InvalidCharacterError(
-                f"non-integral Euler characteristic {Fraction(twice, 2)} for {self}"
-            )
-        return twice // 2
+        return self.rank + _adjunction_form(self.surface, self.c1.coords) // 2 - self.c2
 
     def euler_characteristic(self) -> int:
         return self._chi
@@ -187,21 +180,33 @@ def line_bundle_character(d: DivisorClass) -> ChernCharacter:
     return ChernCharacter(1, d, Fraction(d.self_intersection, 2))
 
 
-def parse_character(text: str, surface: Surface) -> ChernCharacter:
-    """Parse the canonical form ``r:c1:ch2``; see the module docstring."""
+def _parse_fields(
+    text: str, surface: Surface, form: str, c1: str, last: str
+) -> tuple[int, DivisorClass, Fraction]:
+    """Rank, class and last field of ``r:<c1>:<last>``; errors call the text a ``form``."""
     pieces = text.strip().split(":")
     if len(pieces) != 3:
-        raise ValueError(f"malformed character {text!r}: expected 'r:c1:ch2'")
-    rank_text, c1_text, ch2_text = pieces
+        raise ValueError(f"malformed {form} {text!r}: expected 'r:{c1}:{last}'")
+    rank_text, c1_text, last_text = pieces
     check_digits(rank_text, "rank")
-    try:
-        rank = int(rank_text)
-    except ValueError as exc:
-        raise ValueError(f"malformed rank {rank_text!r}") from exc
+    if not INTEGER.fullmatch(rank_text.strip()):
+        raise ValueError(f"malformed rank {rank_text!r}")
     coord_texts = c1_text.split(",")
     if len(coord_texts) != len(surface.basis):
         raise ValueError(
-            f"c1 on {surface} needs {len(surface.basis)} coordinates, got {c1_text!r}"
+            f"{c1} on {surface} needs {len(surface.basis)} coordinates, got {c1_text!r}"
         )
-    coords = [parse_rational(t, "c1 coordinate") for t in coord_texts]
-    return make_character(rank, surface.divisor(*coords), parse_rational(ch2_text, "ch2"))
+    coords = [parse_rational(t, f"{c1} coordinate") for t in coord_texts]
+    return int(rank_text), surface.divisor(*coords), parse_rational(last_text, last)
+
+
+def parse_character(text: str, surface: Surface) -> ChernCharacter:
+    """Parse the canonical form ``r:c1:ch2``; see the module docstring."""
+    return make_character(*_parse_fields(text, surface, "character", "c1", "ch2"))
+
+
+def parse_log_character(text: str, surface: Surface) -> ChernCharacter:
+    """Parse the logarithmic form ``r:nu:delta`` (``nu`` in the same basis as ``c1``)."""
+    return from_log_invariants(
+        *_parse_fields(text, surface, "logarithmic character", "nu", "delta")
+    )

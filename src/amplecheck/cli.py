@@ -29,10 +29,10 @@ import sys
 
 from . import report as rpt
 from .ampleness import ample_gg_verdict, asymptotic_ample_certificate
-from .characters import ChernCharacter, from_log_invariants, parse_character
+from .characters import ChernCharacter, parse_character, parse_log_character
 from .errors import AmplecheckError, EnumerationLimitError, PreconditionError
 from .positivity import classify_global_generation, necessary_obstructions
-from .rationals import DIGIT_BUDGET, check_digits, parse_rational
+from .rationals import DIGIT_BUDGET, INTEGER, check_digits
 from .surfaces import Surface, parse_surface
 
 EXIT_OK = 0
@@ -41,11 +41,13 @@ EXIT_PRECONDITION = 3
 
 
 def integer(text: str) -> int:
-    """Type of ``--s`` and ``--d``: an integer of at most ``DIGIT_BUDGET`` digits."""
+    """Type of ``--s`` and ``--d``: an integer of at most ``DIGIT_BUDGET`` ASCII digits."""
     try:
         check_digits(text, "the value")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not INTEGER.fullmatch(text.strip()):
+        raise ValueError(text)  # argparse reports an invalid integer value
     return int(text)
 
 
@@ -92,17 +94,7 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[Surface, ChernCharacter]:
     surface = parse_surface(args.surface)
     if args.ch is not None:
         return surface, parse_character(args.ch, surface)
-    pieces = args.log_ch.strip().split(":")
-    if len(pieces) != 3:
-        raise ValueError(f"malformed logarithmic character {args.log_ch!r}: expected 'r:nu:delta'")
-    rank = int(check_digits(pieces[0], "rank"))
-    coords = [parse_rational(t, "nu coordinate") for t in pieces[1].split(",")]
-    if len(coords) != len(surface.basis):
-        raise ValueError(
-            f"nu on {surface} needs {len(surface.basis)} coordinates, got {pieces[1]!r}"
-        )
-    delta = parse_rational(pieces[2], "delta")
-    return surface, from_log_invariants(rank, surface.divisor(*coords), delta)
+    return surface, parse_log_character(args.log_ch, surface)
 
 
 def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
@@ -127,11 +119,9 @@ def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
     if args.command == "ample-gg":
         cert = ample_gg_verdict(v)
         return {"ample_gg": rpt.ample_gg_to_json(cert)}, cert.verdict
-    if args.command == "asymptotic":
-        cert = asymptotic_ample_certificate(v, args.s, direct=args.direct)
-        section = rpt.asymptotic_to_json(cert)
-        return {"asymptotic": section}, section["verdict"]
-    raise AssertionError(f"unhandled command {args.command}")
+    cert = asymptotic_ample_certificate(v, args.s, direct=args.direct)  # the one left: asymptotic
+    section = rpt.asymptotic_to_json(cert)
+    return {"asymptotic": section}, section["verdict"]
 
 
 def _build_report(args: argparse.Namespace, surface: Surface, v: ChernCharacter) -> dict:

@@ -138,20 +138,19 @@ def nonspecial_all_twists(v: ChernCharacter) -> NonspecialTrace:
     general member (a single bundle good for all D simultaneously) rests on
     the finiteness of the curve classes with negative twisted chi.
     """
-    require_slope_hypotheses(v)
+    conditions = require_slope_hypotheses(v)
     if v.surface.is_plane:
         return NonspecialTrace(
             v.surface,
             v.delta,
             note="plane case: delta >= 0 is twist-invariant, nothing else is needed",
         )
-    r = v.rank
-    fiber, section = ruling_degrees(v.c1)
+    fiber, section = conditions  # margins nu.F - 1 and nu.E - 1
     return NonspecialTrace(
         v.surface,
         v.delta,
-        fiber_margin=Fraction(fiber - r, r),
-        section_margin=Fraction(section - r, r),
+        fiber_margin=fiber.margin,
+        section_margin=section.margin,
         note=(
             "worst case over irreducible D: D.F >= 0 and D.E >= -e, so the "
             "twisted slopes stay above the -1 thresholds by the recorded margins"

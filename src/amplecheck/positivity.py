@@ -231,18 +231,13 @@ def _balanced_fiber_split(v: ChernCharacter, direction: DivisorClass) -> tuple[i
     division of ``c`` by the rank.  Balanced direct sums of twists along a
     ruling, including the trivial ones ``rank * ch O(aD)``, are all globally
     generated, so nonnegative ``a, m`` (with ``m < rank``) is the right
-    solvability range.
+    solvability range.  Both callers take D to be the ruling whose degree
+    on ``c1`` is zero, which puts ``c1`` along D, and the nef check of
+    ``_require_gg_hypotheses`` makes ``c >= 0``: only ``ch2`` is left to test.
     """
     if v.ch2 != 0:
         return None
-    along = direction.coords.index(1)
-    if any(c != 0 for i, c in enumerate(v.c1.coords) if i != along):
-        return None
-    c = int(v.c1.coords[along])
-    if c < 0:
-        return None
-    a, m = divmod(c, v.rank)
-    return a, m
+    return divmod(v.c1.coords[direction.coords.index(1)], v.rank)
 
 
 def classify_global_generation(v: ChernCharacter) -> GGClassification:

@@ -8,6 +8,7 @@ the value is integral.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = int | Fraction
@@ -15,6 +16,11 @@ Rational = int | Fraction
 # Most digits one input field (rank, coordinate, ch2, e, s, d) may hold;
 # larger inputs are rejected where they are parsed.
 DIGIT_BUDGET = 2000
+
+# The only number forms accepted: ASCII digits, so the digits as written
+# are all the digits there are (no exponent, underscore or other script).
+INTEGER = re.compile(r"[+-]?[0-9]+")
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def check_digits(text: str, field: str) -> str:
@@ -55,14 +61,16 @@ def ceil_frac(value: Rational) -> int:
 
 
 def parse_rational(text: str, field: str = "rational") -> Fraction:
-    """Parse ``p`` or ``p/q`` with optional sign; no decimals allowed."""
+    """Parse ``p`` or ``p/q`` in ASCII digits with optional sign; no decimals allowed."""
     text = check_digits(text.strip(), field)
     if "." in text:
         raise ValueError(f"decimal notation not accepted (use p/q): {text!r}")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+        if RATIONAL.fullmatch(text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f"malformed rational {text!r}")
 
 
 def rational_to_json(value: Rational) -> dict[str, int]:

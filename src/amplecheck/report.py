@@ -90,13 +90,9 @@ def condition_to_json(c: Condition) -> dict:
 
 
 def _wbn_to_json(w: WbnApplicability) -> dict:
-    out = {
-        "applicable": w.applicable,
-        "failures": list(w.failures),
-    }
-    if w.converse_note:
-        out["converse_note"] = w.converse_note
-    return out
+    """Only the applicability: the certificate that renders it requires it, and
+    ``converse_note`` is set only when it fails."""
+    return {"applicable": w.applicable, "failures": list(w.failures)}
 
 
 def invariants_section(v: ChernCharacter) -> dict:
@@ -311,7 +307,7 @@ def gieseker_report(d: int, s: int = 2) -> dict:
     v = gieseker_character(d)
     cert = asymptotic_ample_certificate(v, s, direct=True)
     sections = {"invariants": invariants_section(v), "asymptotic": asymptotic_to_json(cert)}
-    verdict = f"asymptotically-ample(n_min={cert.n_min})"
+    verdict = sections["asymptotic"]["verdict"]
     return build_report("gieseker", v.surface, v, sections, verdict, d=d)
 
 
@@ -419,9 +415,6 @@ def _fmt_rat(value: dict) -> str:
 def _render_lines(node, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(node, dict):
-        if set(node) == {"num", "den"}:
-            lines.append(pad + _fmt_rat(node))
-            return
         for key, value in node.items():
             if key == "verdict":
                 # the one "verdict:" line is printed at the end; nested
@@ -436,7 +429,7 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
                 _render_lines(value, indent + 1, lines)
             else:
                 lines.append(f"{pad}{key}: {value}")
-    elif isinstance(node, (list, tuple)):  # a tuple holds BadCurve records
+    else:  # a list, or a tuple of BadCurve records; rationals and scalars are inline
         for item in node if isinstance(node, list) else map(bad_curve_to_json, node):
             if isinstance(item, dict) and set(item) == {"num", "den"}:
                 lines.append(f"{pad}- {_fmt_rat(item)}")
@@ -445,8 +438,6 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
                 _render_lines(item, indent + 1, lines)
             else:
                 lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{node}")
 
 
 def render_text(report: dict) -> str:

@@ -132,7 +132,7 @@ def parse_surface(text: str) -> Surface:
         return Surface.projective_plane()
     if token and token[0].upper() == "F":
         tail = token[1:]
-        if tail.isdigit():
+        if tail.isascii() and tail.isdigit():
             return Surface.hirzebruch(int(check_digits(tail, "surface parameter e")))
     raise ValueError(f"malformed surface {text!r}: expected 'P2' or 'F<e>'")
 
@@ -224,11 +224,6 @@ def is_nef(d: DivisorClass) -> bool:
     return fiber >= 0 and section >= 0
 
 
-def is_effective(d: DivisorClass) -> bool:
-    """Effective cone membership: nonnegative coordinates in {H} resp. {E, F}."""
-    return all(c >= 0 for c in d.coords)
-
-
 def is_big_and_nef(d: DivisorClass) -> bool:
     """Nef with positive self-intersection (bigness for nef surface classes)."""
     return is_nef(d) and d.surface.pair(d.coords, d.coords) > 0
@@ -253,21 +248,6 @@ def is_irreducible_curve_class(d: DivisorClass) -> bool:
     if a >= 1 and b >= a * e:
         return e >= 1 or b >= 1
     return False
-
-
-def hilbert_polynomial(nu: DivisorClass) -> Fraction:
-    """Euler characteristic of O(nu), as a polynomial in rational classes.
-
-    This is ``chi(O) + (nu^2 - nu.K)/2``, which works out to
-    ``(x^2 + 3x + 2)/2`` on the plane and ``(x+1)(y + 1 - ex/2)`` for
-    ``nu = xE + yF`` on ``F_e``.
-    """
-    surface = nu.surface
-    if surface.is_plane:
-        x = nu.coords[0]
-        return (x * x + 3 * x + 2) / Fraction(2)
-    x, y = nu.coords
-    return (x + 1) * (y + 1 - Fraction(surface.e) * x / 2)
 
 
 def h0_line_bundle(d: DivisorClass) -> int:

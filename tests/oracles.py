@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's closed forms: bad curves
 are found by scanning a coordinate box with the irreducibility predicate
 and a direct Euler-characteristic evaluation, and minimal multipliers by
-stepping n upward until the kernel discriminant turns nonnegative.
+stepping n upward until the kernel discriminant turns nonnegative.  The
+reference formulas the oracles evaluate (the Hilbert polynomial, the
+effective cone, the splitting codimension) are defined here, not in the
+library they check.
 """
 
 from __future__ import annotations
@@ -12,13 +15,51 @@ from fractions import Fraction
 
 from amplecheck import (
     ChernCharacter,
+    DivisorClass,
+    PreconditionError,
     Surface,
-    hilbert_polynomial,
     is_irreducible_curve_class,
     kernel_character,
 )
 
 SCAN_CAP = 10_000
+
+
+def hilbert_polynomial(nu: DivisorClass) -> Fraction:
+    """Euler characteristic of O(nu), as a polynomial in rational classes.
+
+    This is ``chi(O) + (nu^2 - nu.K)/2``, which works out to
+    ``(x^2 + 3x + 2)/2`` on the plane and ``(x+1)(y + 1 - ex/2)`` for
+    ``nu = xE + yF`` on ``F_e``.
+    """
+    surface = nu.surface
+    if surface.is_plane:
+        x = nu.coords[0]
+        return (x * x + 3 * x + 2) / Fraction(2)
+    x, y = nu.coords
+    return (x + 1) * (y + 1 - Fraction(surface.e) * x / 2)
+
+
+def is_effective(d: DivisorClass) -> bool:
+    """Effective cone membership: nonnegative coordinates in {H} resp. {E, F}."""
+    return all(c >= 0 for c in d.coords)
+
+
+def splitting_codim(k: int, rank: int, degree: int) -> int:
+    """Codimension ``k*(degree - rank + k)`` of the k-quotient stratum.
+
+    For a complete family of globally generated bundles on the line with
+    rank ``rank``, degree ``degree`` and slope >= 1, the locus with exactly
+    k independent maps onto the trivial bundle has this codimension; it is
+    minimized at k = 1.
+    """
+    if not 1 <= k <= rank:
+        raise ValueError(f"k must satisfy 1 <= k <= rank, got k={k}, rank={rank}")
+    if degree < rank:
+        raise PreconditionError(
+            f"the codimension formula needs slope >= 1, got degree {degree} < rank {rank}"
+        )
+    return k * (degree - rank + k)
 
 
 def chi_of_twist(v: ChernCharacter, d) -> int:
@@ -160,7 +201,7 @@ def effective_shortcut_violations(v: ChernCharacter, box: int) -> list[tuple]:
         d.coords
         for d in candidates
         if is_irreducible_curve_class(d)
-        and all(c >= 0 for c in (k + d).coords)
+        and is_effective(k + d)
         and chi_of_twist(v, d) < 0
     ]
 

@@ -18,7 +18,6 @@ from amplecheck import (
     fulton_lazarsfeld_margin,
     gieseker_character,
     h0_line_bundle,
-    hilbert_polynomial,
     is_nef,
     line_bundle_character,
     make_character,
@@ -39,6 +38,7 @@ from conftest import (
 from oracles import (
     brute_force_bad_curves,
     brute_min_multiplier,
+    hilbert_polynomial,
     matches_bad_curve_shape,
     naive_family_cutoff,
 )

@@ -20,7 +20,6 @@ from amplecheck import (
     normalize_character,
     parse_character,
     slope_conditions,
-    splitting_codim,
 )
 from amplecheck import ampleness
 from amplecheck.positivity import require_nonnegative_delta, require_slope_hypotheses
@@ -33,6 +32,7 @@ from oracles import (
     h0_by_sum,
     matches_bad_curve_shape,
     naive_family_cutoff,
+    splitting_codim,
 )
 
 P2 = Surface.projective_plane()
@@ -374,6 +374,8 @@ class TestKernelCharacter:
             kernel_character(INTRO, 1, 1)
         with pytest.raises(PreconditionError):
             kernel_character(INTRO, 0, 2)
+        with pytest.raises(PreconditionError):
+            multiplier_lower_bound(INTRO, 1)
 
 
 class TestEffectiveBound:

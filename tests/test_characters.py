@@ -13,12 +13,13 @@ from amplecheck import (
     SurfaceMismatchError,
     from_log_invariants,
     h0_line_bundle,
-    hilbert_polynomial,
     line_bundle_character,
     make_character,
     parse_character,
 )
+from amplecheck.characters import parse_log_character
 from conftest import characters, integral_divisors, surfaces_strategy
+from oracles import hilbert_polynomial
 
 P2 = Surface.projective_plane()
 F1 = Surface.hirzebruch(1)
@@ -216,6 +217,10 @@ class TestDualAndScale:
 
 
 class TestLineBundleCharacters:
+    def test_integral_classes_only(self):
+        with pytest.raises(InvalidDivisorError):
+            line_bundle_character(P2.divisor(Fraction(1, 2)))
+
     def test_examples(self):
         assert line_bundle_character(P2.zero) == make_character(1, P2.zero, 0)
         assert line_bundle_character(P2.divisor(1)) == make_character(
@@ -261,6 +266,10 @@ class TestLogarithmicConstructor:
         with pytest.raises(InvalidCharacterError):
             from_log_invariants(2, P2.divisor(Fraction(1, 3)), 0)
 
+    def test_rank_must_be_positive(self):
+        with pytest.raises(InvalidCharacterError):
+            from_log_invariants(0, P2.divisor(1), 0)
+
     def test_no_character_at_off_lattice_discriminant(self):
         delta = Fraction(27, 8) - Fraction(1, 10**6)
         with pytest.raises(InvalidCharacterError):
@@ -288,3 +297,36 @@ class TestTextualForm:
     def test_parse_rejects_integrality_failure(self):
         with pytest.raises(InvalidCharacterError):
             parse_character("2:3,5:1/3", F2)
+
+    def test_numbers_are_ascii_p_or_p_over_q(self):
+        for text, message in (
+            ("2:1e5:0", "malformed rational '1e5'"),
+            ("2:1_0:0", "malformed rational '1_0'"),
+            ("2:\u0663:0", "malformed rational '\u0663'"),
+            ("2:3:1/0", "malformed rational '1/0'"),
+            ("2:3:1.5e3", "decimal notation not accepted (use p/q): '1.5e3'"),
+            ("1_0:1:0", "malformed rank '1_0'"),
+            ("\u0662:4:0", "malformed rank '\u0662'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                parse_character(text, P2)
+            assert str(info.value) == message, text
+        assert parse_character(" +2:-3:+1/2 ", P2) == make_character(2, P2.divisor(-3), Fraction(1, 2))
+
+
+class TestLogarithmicForm:
+    def test_parse(self):
+        assert parse_log_character("2:3/2:3/8", P2) == TANGENT
+        assert parse_log_character("2:3/2,5/2:11/8", F1) == parse_character("2:3,5:5/2", F1)
+
+    def test_shares_the_grammar_of_the_canonical_form(self):
+        for text, message in (
+            ("2:1", "malformed logarithmic character '2:1': expected 'r:nu:delta'"),
+            ("x:1:0", "malformed rank 'x'"),
+            ("2:1,2:0", "nu on P2 needs 1 coordinates, got '1,2'"),
+            ("2:1e1:0", "malformed rational '1e1'"),
+            ("2:1:1/0", "malformed rational '1/0'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                parse_log_character(text, P2)
+            assert str(info.value) == message, text

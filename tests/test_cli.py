@@ -3,13 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from amplecheck.cli import main
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
 from amplecheck import Surface, make_character
+from test_golden import run_cli as run_captured
 
 
 def run_cli(capsysbinary, *argv):
@@ -68,6 +73,117 @@ class TestParsing:
         )
         assert code == 2
         assert b"denominators" in err
+
+
+class TestNumberForms:
+    """Numbers are ``p`` or ``p/q`` in ASCII digits; any other form exits 2 at once."""
+
+    @pytest.mark.parametrize("token", ["1e2000000", "1e20000000"])
+    def test_exponent_is_rejected_before_it_is_expanded(self, capsysbinary, token):
+        # Fraction() used to expand these: 5.6 s to exit 2 for the first, and
+        # the second was still running after 60 s
+        start = time.perf_counter()
+        code, out, err = run_cli(capsysbinary, "report", "--surface", "P2", "--ch", f"2:{token}:0")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, b"")
+        assert err == f"input error: malformed rational '{token}'\n".encode()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # each of these used to exit 0
+            (["--ch", "2:1e5:0"], "input error: malformed rational '1e5'"),
+            (["--ch", "2:1_0:0"], "input error: malformed rational '1_0'"),
+            (["--ch", "\u0662:4:0"], "input error: malformed rank '\u0662'"),
+            (["--log-ch", "2:1e1:0"], "input error: malformed rational '1e1'"),
+            (["--log-ch", "1_0:1:0"], "input error: malformed rank '1_0'"),
+            # the log form's rank used to be reported by int() itself
+            (["--log-ch", "x:1:0"], "input error: malformed rank 'x'"),
+            (["--ch", "2:3:1.5e3"], "input error: decimal notation not accepted (use p/q): '1.5e3'"),
+        ],
+    )
+    def test_loose_forms_exit_two(self, capsysbinary, argv, message):
+        code, out, err = run_cli(capsysbinary, "invariants", "--surface", "P2", *argv)
+        assert (code, out) == (2, b"")
+        assert err == f"{message}\n".encode()
+
+    def test_loose_surfaces_and_integers_exit_two(self, capsysbinary):
+        code, _, err = run_cli(
+            capsysbinary, "invariants", "--surface", "F\u0661", "--ch", "2:1,1:0"
+        )
+        assert code == 2
+        assert err == "input error: malformed surface 'F\u0661': expected 'P2' or 'F<e>'\n".encode()
+        for argv in (["gieseker", "--d", "1_2"], ["gieseker", "--d", "\u0661\u0662"],
+                     ["asymptotic", "--surface", "P2", "--ch", "2:20:-142", "--s", "1_0"]):
+            code, out, err = run_cli(capsysbinary, *argv)
+            assert (code, out) == (2, b"")
+            assert f"invalid integer value: {argv[-1]!r}".encode() in err
+
+
+COMMANDS = ("invariants", "obstructions", "gg", "ample-gg", "asymptotic", "bad-curves", "report")
+# these enumerate bad curves, whose number grows with the coordinates
+ENUMERATING = ("ample-gg", "bad-curves", "report")
+
+LOOSE = st.one_of(
+    # past the digit budget by a little, or just within it
+    st.tuples(st.sampled_from(["", "-", "+"]), st.integers(1990, 2010)).map(
+        lambda t: t[0] + "7" * t[1]
+    ),
+    st.tuples(st.integers(-9, 9), st.integers(0, 3000)).map(lambda t: f"{t[0]}e{t[1]}"),
+    st.sampled_from(["1_0", "1.5", "\u0663", "\u00b2", "\uff11\uff12", "1/0", "-", "", " 7 "]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+def _numbers(small: bool):
+    whole = st.integers(-12, 30) if small else st.integers(-(10**2000), 10**2000)
+    return st.one_of(
+        whole.map(str),
+        st.tuples(whole, st.integers(1, 4)).map(lambda t: f"{t[0]}/{t[1]}"),
+        LOOSE,
+    )
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of any subcommand, mostly well formed; enumerating commands get small numbers.
+
+    Values are passed as ``--flag=value``, so a leading ``-`` reaches the parser of
+    the value instead of being taken for an option.
+    """
+    command = draw(st.sampled_from(COMMANDS + ("gieseker",)))
+    if command == "gieseker":
+        return [command, "--d=" + draw(st.one_of(st.integers(-2, 60).map(str), LOOSE))]
+    numbers = _numbers(command in ENUMERATING)
+    surface = draw(st.one_of(
+        st.sampled_from(["P2", "F0", "F1", "F2", "F3"]),
+        st.sampled_from(["f1", "F7", "Q3", "F", "F-1", "F\u0661", "F\u00b2", ""]),
+    ))
+    count = draw(st.sampled_from([1 if surface == "P2" else 2, 1, 2, 3]))
+    fields = [
+        draw(st.one_of(st.integers(1, 4).map(str), numbers)),
+        ",".join(draw(st.lists(numbers, min_size=count, max_size=count))),
+        draw(numbers),
+    ]
+    text = ":".join(fields[: draw(st.sampled_from([3, 3, 2, 4]))])
+    flag = draw(st.sampled_from(["--ch", "--log-ch"]))
+    argv = [command, "--surface", surface, f"{flag}={text}"]
+    if command in ("asymptotic", "report"):
+        if draw(st.booleans()):
+            argv.append("--s=" + draw(st.one_of(st.integers(-1, 6).map(str), LOOSE)))
+        if draw(st.booleans()):
+            argv.append("--direct")
+    return argv + ["--format", draw(st.sampled_from(["text", "structured"]))]
+
+
+@settings(max_examples=250, deadline=timedelta(seconds=2))
+@given(cli_argv())
+def test_cli_fuzz_exits_zero_two_or_three(argv):
+    """Every argv ends in 0, 2 or 3, within the deadline, with no exception escaping."""
+    code, out, err = run_captured(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert (code == 0) == (out != b""), (argv, err)
+    assert "Traceback" not in err
 
 
 class TestExitContract:
@@ -318,9 +434,11 @@ def test_run_report_is_pure():
 
 
 TESTS = Path(__file__).resolve().parent
+GOLDEN_MANIFESTS = ("cases.json", "branches.json")
 
-# Replays every golden case in one ``python -O`` process (``assert`` stripped)
-# and prints each outcome as JSON, stdout base64-encoded.  Output is captured
+# Replays every golden case of the manifests named in ``sys.argv`` in one
+# ``python -O`` process (``assert`` stripped) and prints each outcome as JSON,
+# stdout base64-encoded.  Output is captured
 # as ``test_golden.run_cli`` does; importing that module would pull in pytest
 # and hypothesis, which take longer to import than the replay takes to run.
 OPTIMIZED_REPLAY = """
@@ -329,7 +447,7 @@ from pathlib import Path
 from amplecheck.cli import main
 cases = {}
 real = sys.stdout, sys.stderr
-for entry in json.loads(Path("golden/cases.json").read_text()):
+for entry in (e for name in sys.argv[1:] for e in json.loads(Path("golden", name).read_text())):
     out, err = io.BytesIO(), io.BytesIO()
     sys.stdout = io.TextIOWrapper(out, encoding="utf-8")
     sys.stderr = io.TextIOWrapper(err, encoding="utf-8")
@@ -351,13 +469,16 @@ def test_golden_corpus_under_optimize():
     src = str(TESTS.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_REPLAY],
+        [sys.executable, "-O", "-c", OPTIMIZED_REPLAY, *GOLDEN_MANIFESTS],
         capture_output=True, env=env, cwd=TESTS, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     replay = json.loads(proc.stdout)
     assert replay["debug"] is False
-    manifest = json.loads((TESTS / "golden" / "cases.json").read_text())
+    manifest = [
+        entry for name in GOLDEN_MANIFESTS
+        for entry in json.loads((TESTS / "golden" / name).read_text())
+    ]
     assert len(replay["cases"]) == len(manifest) > 0
     for entry in manifest:
         code, out, err = replay["cases"][entry["name"]]

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from amplecheck import (
     CohomologyTriple,
+    NonspecialTrace,
     PreconditionError,
     Surface,
     h0_line_bundle,
@@ -107,6 +108,12 @@ class TestNonspecialTwists:
         assert trace.fiber_margin == Fraction(1, 2)
         assert trace.section_margin == 0
         assert trace.holds
+
+    def test_holds_reads_every_margin(self):
+        assert not NonspecialTrace(F1, Fraction(-1, 8)).holds
+        assert not NonspecialTrace(F1, Fraction(0), fiber_margin=Fraction(0)).holds
+        assert not NonspecialTrace(F1, Fraction(0), section_margin=Fraction(-1, 2)).holds
+        assert NonspecialTrace(F1, Fraction(0), Fraction(1, 2), Fraction(0)).holds
 
     def test_slope_hypotheses_enforced(self):
         with pytest.raises(PreconditionError):

@@ -2,11 +2,14 @@
 
 Every case in ``CASES`` runs ``amplecheck.cli.main`` in-process and is
 compared byte for byte with ``tests/golden/<name>.stdout`` and with the
-exit code and stderr recorded in ``tests/golden/cases.json``.  The corpus
-covers the 20-case acceptance corpus and ``gieseker --d 4..50`` in both
-formats, inputs rejected with exit 2 or 3 (one at least for every
-precondition the procedures check), and full reports whose sections come
-out ``skipped``.
+exit code and stderr recorded in its manifest, ``tests/golden/cases.json``
+or ``tests/golden/branches.json``.  The corpus covers the 20-case
+acceptance corpus and ``gieseker --d 4..50`` in both formats, inputs
+rejected with exit 2 or 3 (one at least for every precondition the
+procedures check), and full reports whose sections come out ``skipped``.
+``branches.json`` holds the cases added later, one for each branch of the
+CLI no other test runs; a manifest of its own leaves the files of the
+first corpus as they were.
 
 The files record behaviour, so they are regenerated only when an output
 change is intended, from the root of a checkout::
@@ -31,7 +34,6 @@ from amplecheck.cli import main
 from test_acceptance import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MANIFEST = GOLDEN / "cases.json"
 
 FORMATS = ("text", "structured")
 
@@ -69,6 +71,22 @@ SKIPPED_SECTIONS = [
 ]
 
 
+BRANCHES = [
+    # chi(v*(H-L)) > 0 stops the direct mode
+    ["asymptotic", "--surface", "P2", "--ch", "2:6:8", "--direct"],
+    # both ruling degrees below -rank
+    ["invariants", "--surface", "F0", "--ch", "1:-6,-6:36"],
+    # the tangent bundle's note
+    ["obstructions", "--surface", "P2", "--ch", "2:3:3/2"],
+    # a rendered failed_condition, and a rendered chi_twist_second
+    ["gg", "--surface", "P2", "--ch", "2:5:-27/2"],
+    ["gg", "--surface", "F0", "--ch", "2:3,3:1"],
+    # a logarithmic form with two fields, and with two nu coordinates on P2
+    ["invariants", "--surface", "P2", "--log-ch", "2:1"],
+    ["invariants", "--surface", "P2", "--log-ch", "2:1,2:0"],
+]
+
+
 def _cases() -> list[list[str]]:
     cases = []
     for command, surface, ch in CORPUS:
@@ -84,8 +102,9 @@ def case_name(argv: list[str]) -> str:
     return re.sub(r"[^A-Za-z0-9-]+", "_", " ".join(arg.lstrip("-") for arg in argv))
 
 
-CASES = {case_name(argv): argv for argv in _cases()}
-assert len(CASES) == len(_cases()), "two cases share a file name"
+MANIFESTS = {GOLDEN / "cases.json": _cases(), GOLDEN / "branches.json": BRANCHES}
+CASES = {case_name(argv): argv for argvs in MANIFESTS.values() for argv in argvs}
+assert len(CASES) == sum(map(len, MANIFESTS.values())), "two cases share a file name"
 
 
 def run_cli(argv: list[str]) -> tuple[int, bytes, str]:
@@ -104,7 +123,9 @@ def run_cli(argv: list[str]) -> tuple[int, bytes, str]:
 
 
 def _manifest() -> dict:
-    return {entry["name"]: entry for entry in json.loads(MANIFEST.read_text())}
+    return {
+        entry["name"]: entry for path in MANIFESTS for entry in json.loads(path.read_text())
+    }
 
 
 def test_corpus_files_match_case_list():
@@ -128,12 +149,14 @@ def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.stdout"):
         stale.unlink()
-    manifest = []
-    for name, argv in CASES.items():
-        code, out, err = run_cli(argv)
-        (GOLDEN / f"{name}.stdout").write_bytes(out)
-        manifest.append({"name": name, "argv": argv, "exit": code, "stderr": err})
-    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
+    for path, argvs in MANIFESTS.items():
+        manifest = []
+        for argv in argvs:
+            name = case_name(argv)
+            code, out, err = run_cli(argv)
+            (GOLDEN / f"{name}.stdout").write_bytes(out)
+            manifest.append({"name": name, "argv": argv, "exit": code, "stderr": err})
+        path.write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -301,6 +301,10 @@ class TestQuickCriterion:
         with pytest.raises(PreconditionError):
             gg_quick_criterion(make_character(2, P2.divisor(4), 8))  # delta = -2
 
+    def test_rank_gate(self):
+        with pytest.raises(PreconditionError):
+            gg_quick_criterion(make_character(1, P2.divisor(4), 8))
+
     def test_silent_is_not_negative(self):
         # case 3 character: quick criterion is silent, classification says gg
         v = make_character(2, P2.divisor(3), Fraction(-5, 2))

@@ -7,16 +7,16 @@ import hypothesis.strategies as st
 from amplecheck import (
     InvalidDivisorError,
     Surface,
+    SurfaceKind,
     SurfaceMismatchError,
     h0_line_bundle,
-    hilbert_polynomial,
     is_big_and_nef,
-    is_effective,
     is_irreducible_curve_class,
     is_nef,
     parse_surface,
 )
 from conftest import ALL_SURFACES, integral_divisors, surfaces_strategy
+from oracles import hilbert_polynomial, is_effective
 
 P2 = Surface.projective_plane()
 F0 = Surface.hirzebruch(0)
@@ -159,6 +159,10 @@ class TestIrreducibleClasses:
     def test_below_nef_threshold(self):
         assert not is_irreducible_curve_class(F2.divisor(1, 1))  # b = 1 < ae = 2
 
+    def test_integral_classes_only(self):
+        with pytest.raises(InvalidDivisorError):
+            is_irreducible_curve_class(F2.divisor(Fraction(1, 2), 0))
+
     def test_plane_conic(self):
         assert is_irreducible_curve_class(P2.divisor(2))
         assert not is_irreducible_curve_class(P2.divisor(0))
@@ -262,10 +266,14 @@ class TestParsing:
         assert parse_surface("F12") == Surface.hirzebruch(12)
 
     def test_reject(self):
-        for bad in ("X", "F-1", "F", "P3", ""):
+        for bad in ("X", "F-1", "F", "P3", "", "F\u0661", "F\u00b2"):
             with pytest.raises(ValueError):
                 parse_surface(bad)
 
     def test_invalid_surface_parameters(self):
         with pytest.raises(ValueError):
             Surface.hirzebruch(-1)
+        with pytest.raises(ValueError):
+            Surface(SurfaceKind.PROJECTIVE_PLANE, 1)
+        with pytest.raises(TypeError):
+            P2.divisor(1.5)
