@@ -19,7 +19,9 @@ with every rational as ``{"num": ..., "den": ...}``.
 
 Exit status: 0 for any completed report, 2 for malformed input (an input
 field of more than ``DIGIT_BUDGET`` digits among them), 3 when the
-hypotheses of the requested procedure fail for the given character.
+hypotheses of the requested procedure fail for the given character, and 1
+when a certificate's proof obligation fails, which is a defect of
+amplecheck, not of the input.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ import sys
 from . import report as rpt
 from .ampleness import ample_gg_verdict, asymptotic_ample_certificate
 from .characters import ChernCharacter, parse_character, parse_log_character
-from .errors import AmplecheckError, EnumerationLimitError, PreconditionError
+from .errors import CertificateError, EnumerationLimitError, PreconditionError
 from .positivity import classify_global_generation, necessary_obstructions
 from .rationals import DIGIT_BUDGET, INTEGER, check_digits
 from .surfaces import Surface, parse_surface
 
 EXIT_OK = 0
+EXIT_DEFECT = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
@@ -153,9 +156,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, EnumerationLimitError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except AmplecheckError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except CertificateError as exc:  # a proof obligation failed: a defect, not the input
+        print(f"certificate error: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
     except ValueError:  # past parsing, only the integer-to-string limit raises one
         limit = sys.get_int_max_str_digits()
         print(f"input error: a derived value of the report exceeds the interpreter's limit of "

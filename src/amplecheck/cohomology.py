@@ -42,7 +42,6 @@ class WbnApplicability:
     delta_ok: bool
     fiber_ok: bool = True
     section_ok: bool = True
-    converse_note: str | None = None
 
     def __bool__(self) -> bool:
         return self.applicable
@@ -74,17 +73,7 @@ def wbn_applicable(v: ChernCharacter) -> WbnApplicability:
     fiber, section = ruling_degrees(v.c1)
     fiber_ok = fiber >= -v.rank
     section_ok = section >= -v.rank
-    note = None
-    if not section_ok and v.euler_characteristic() >= 0:
-        # The converse direction: with chi >= 0, cohomology of the general
-        # bundle is chi-determined only when nu.E >= -1.
-        note = (
-            "chi >= 0 with nu.E < -1: the general bundle genuinely has more "
-            "than one nonzero cohomology group"
-        )
-    return WbnApplicability(
-        delta_ok and fiber_ok and section_ok, delta_ok, fiber_ok, section_ok, note
-    )
+    return WbnApplicability(delta_ok and fiber_ok and section_ok, delta_ok, fiber_ok, section_ok)
 
 
 def wbn_cohomology(v: ChernCharacter) -> CohomologyTriple:

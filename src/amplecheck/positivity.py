@@ -15,12 +15,22 @@ forced to be a line bundle, so for rank >= 2 that equality is itself an
 obstruction.  Stability of the input character is an assumption recorded in
 the report, never a computed fact.
 
-*Global generation.*  For ``delta >= 0`` and rank >= 2 the characters whose
-general prioritary bundle is globally generated are classified by a short
-case list per surface; the dispatch below mirrors those lists exactly,
-comparing the character-identity cases by exact equality.  A uniform
-sufficient criterion: if ``nu`` is big and nef and ``chi(v(-L)) >= 0``, the
-general bundle is globally generated.
+*Global generation.*  For ``delta >= 0``, rank >= 2 and ``nu`` nef (on the
+plane, ``nu.H >= 0``) the general prioritary bundle is globally generated
+exactly in one of four cases, tried in order on every surface:
+
+1. ``c1`` is degenerate (zero on the plane, ``c1.E = 0`` or ``c1.F = 0`` on
+   ``F_0``, ``c1.F = 0`` on ``F_e``) and ``v`` is a balanced sum of line
+   bundles along it;
+2. otherwise ``chi(v(-D)) >= 0`` for a twist class D (H on the plane, F or
+   E on ``F_0``, F on ``F_e``);
+3. otherwise ``chi(v) >= rank + 2``;
+4. otherwise ``chi(v) = rank + 1`` and ``v`` is the special character
+   ``(rank+1) ch O - ch O(-2H)`` on the plane or
+   ``(rank+1) ch O - ch O(-2E-2F)`` on ``F_1``.
+
+A uniform sufficient criterion: if ``nu`` is big and nef and
+``chi(v(-L)) >= 0``, the general bundle is globally generated.
 
 *Arithmetic.*  Every slope inequality is decided on integer pairings of
 ``c1`` against the rank: ``nu.H > 1 + 1/rank`` as ``c1.H > rank + 1``,
@@ -223,139 +233,75 @@ def _require_gg_hypotheses(v: ChernCharacter) -> None:
         raise PreconditionError(f"nu = {v.nu} is not nef on {v.surface}")
 
 
-def _balanced_fiber_split(v: ChernCharacter, direction: DivisorClass) -> tuple[int, int] | None:
-    """Solve ``v = (rank-m) ch O(aD) + m ch O((a+1)D)`` for integers a, m >= 0.
-
-    ``direction`` is E or F with self-intersection 0, so the split exists
-    iff ``ch2 = 0`` and ``c1 = c*D`` with ``c >= 0``; then ``(a, m)`` is the
-    division of ``c`` by the rank.  Balanced direct sums of twists along a
-    ruling, including the trivial ones ``rank * ch O(aD)``, are all globally
-    generated, so nonnegative ``a, m`` (with ``m < rank``) is the right
-    solvability range.  Both callers take D to be the ruling whose degree
-    on ``c1`` is zero, which puts ``c1`` along D, and the nef check of
-    ``_require_gg_hypotheses`` makes ``c >= 0``: only ``ch2`` is left to test.
-    """
-    if v.ch2 != 0:
-        return None
-    return divmod(v.c1.coords[direction.coords.index(1)], v.rank)
-
-
 def classify_global_generation(v: ChernCharacter) -> GGClassification:
-    """Exact case dispatch of the global-generation classification.
+    """The four-case ladder of the module docstring, run once for every surface.
 
     Requires ``delta >= 0`` and rank >= 2 (and ``nu`` nef on Hirzebruch
-    surfaces); exactly one case fires for a positive verdict.
+    surfaces).  The branch on the surface picks the ladder's data: the
+    degeneracy test, the twist classes (the first is reported as
+    ``chi_twist``), the ``c1`` of the special character ``(rank, c1, -2)``
+    and the texts.
     """
     _require_gg_hypotheses(v)
     surface = v.surface
     r = v.rank
     chi = v.euler_characteristic()
+    coords = v.c1.coords
+    special = near_miss = None
     if surface.is_plane:
-        h = surface.polarization
-        slope = v.c1.coords[0]
-        if slope < 0:
+        if coords[0] < 0:
             return GGClassification(False, failed_condition="negative slope", chi=chi)
-        if slope == 0:
-            if v.c1 == surface.zero and v.ch2 == 0:
-                return GGClassification(
-                    True, 1, "trivial character: rank * ch O", chi=chi,
-                    balanced_split=(0, 0),
-                )
-            return GGClassification(
-                False, failed_condition="slope zero but not rank * ch O", chi=chi
-            )
-        chi_twist = v.twisted_chi(-h)
-        if chi_twist >= 0:
-            return GGClassification(
-                True, 2, "chi(v(-H)) >= 0", chi=chi, chi_twist=chi_twist
-            )
-        if chi >= r + 2:
-            return GGClassification(
-                True, 3, "chi(v) >= rank + 2", chi=chi, chi_twist=chi_twist
-            )
-        # special character (rank+1) ch O - ch O(-2H) = (rank, 2H, -2)
-        if chi == r + 1 and v == ChernCharacter(r, 2 * h, Fraction(-2)):
-            return GGClassification(
-                True, 4, "chi(v) = rank + 1 and v = (rank+1) ch O - ch O(-2H)",
-                chi=chi, chi_twist=chi_twist,
-            )
-        if chi == r + 1:
-            return GGClassification(
-                False, failed_condition="chi(v) = rank + 1 but v is not the special character",
-                chi=chi, chi_twist=chi_twist,
-            )
-        return GGClassification(
-            False, failed_condition="chi(v(-H)) < 0 and chi(v) <= rank + 1",
-            chi=chi, chi_twist=chi_twist,
+        degenerate = coords[0] == 0
+        twists = (surface.polarization,)
+        special = ((2,), "chi(v) = rank + 1 and v = (rank+1) ch O - ch O(-2H)")
+        near_miss = "chi(v) = rank + 1 but v is not the special character"
+        balanced, unbalanced, twisted, neither = (
+            "trivial character: rank * ch O",
+            "slope zero but not rank * ch O",
+            "chi(v(-H)) >= 0",
+            "chi(v(-H)) < 0 and chi(v) <= rank + 1",
         )
+    else:
+        fiber_degree, section_degree = ruling_degrees(v.c1)
+        if surface.e == 0:
+            degenerate = fiber_degree == 0 or section_degree == 0
+            twists = (surface.fiber_class, surface.divisor(1, 0))
+            balanced, unbalanced, twisted, neither = (
+                "balanced sum of line bundles along a ruling",
+                "degenerate slope but not a balanced sum along a ruling",
+                "chi(v(-E)) >= 0 or chi(v(-F)) >= 0",
+                "both ruling twists have chi < 0 and chi(v) <= rank + 1",
+            )
+        else:
+            degenerate = fiber_degree == 0
+            twists = (surface.fiber_class,)
+            if surface.e == 1:
+                special = ((2, 2), "chi(v) = rank + 1 and v = (rank+1) ch O - ch O(-2E-2F)")
+            balanced, unbalanced, twisted, neither = (
+                "balanced sum of line bundles pulled back from the base",
+                "fiber degree zero but not a balanced sum of fiber twists",
+                "chi(v(-F)) >= 0",
+                "chi(v(-F)) < 0 and chi(v) <= rank + 1",
+            )
 
-    e = surface.e
-    fiber = surface.fiber_class
-    section = surface.divisor(1, 0)
-    c1_f, c1_e = ruling_degrees(v.c1)
-    if e == 0:
-        if c1_e == 0 or c1_f == 0:
-            # c1.E = 0 forces c1 along E; c1.F = 0 forces c1 along F
-            direction = section if c1_e == 0 else fiber
-            split = _balanced_fiber_split(v, direction)
-            if split is not None:
-                return GGClassification(
-                    True, 1, "balanced sum of line bundles along a ruling",
-                    chi=chi, balanced_split=split,
-                )
-            return GGClassification(
-                False,
-                failed_condition="degenerate slope but not a balanced sum along a ruling",
-                chi=chi,
-            )
-        chi_e = v.twisted_chi(-section)
-        chi_f = v.twisted_chi(-fiber)
-        if chi_e >= 0 or chi_f >= 0:
-            return GGClassification(
-                True, 2, "chi(v(-E)) >= 0 or chi(v(-F)) >= 0",
-                chi=chi, chi_twist=chi_f, chi_twist_second=chi_e,
-            )
-        if chi >= r + 2:
-            return GGClassification(
-                True, 3, "chi(v) >= rank + 2",
-                chi=chi, chi_twist=chi_f, chi_twist_second=chi_e,
-            )
-        return GGClassification(
-            False, failed_condition="both ruling twists have chi < 0 and chi(v) <= rank + 1",
-            chi=chi, chi_twist=chi_f, chi_twist_second=chi_e,
-        )
-
-    if c1_f == 0:
-        split = _balanced_fiber_split(v, fiber)
-        if split is not None:
-            return GGClassification(
-                True, 1, "balanced sum of line bundles pulled back from the base",
-                chi=chi, balanced_split=split,
-            )
-        return GGClassification(
-            False,
-            failed_condition="fiber degree zero but not a balanced sum of fiber twists",
-            chi=chi,
-        )
-    chi_twist = v.twisted_chi(-fiber)
-    if chi_twist >= 0:
-        return GGClassification(True, 2, "chi(v(-F)) >= 0", chi=chi, chi_twist=chi_twist)
+    if degenerate:
+        # c1 = cD with c >= 0 (the slope test, or the nef gate) for D = 0 or a
+        # ruling, D^2 = 0: v = (rank-m) ch O(aD) + m ch O((a+1)D) iff ch2 = 0
+        if v.ch2 == 0:
+            split = divmod(sum(coords), r)
+            return GGClassification(True, 1, balanced, chi=chi, balanced_split=split)
+        return GGClassification(False, failed_condition=unbalanced, chi=chi)
+    chis = [v.twisted_chi(-d) for d in twists]
+    measured = dict(zip(("chi_twist", "chi_twist_second"), chis), chi=chi)
+    if max(chis) >= 0:
+        return GGClassification(True, 2, twisted, **measured)
     if chi >= r + 2:
-        return GGClassification(True, 3, "chi(v) >= rank + 2", chi=chi, chi_twist=chi_twist)
-    if (
-        e == 1
-        and chi == r + 1
-        and v == ChernCharacter(r, surface.divisor(2, 2), Fraction(-2))
-    ):
-        # (rank+1) ch O - ch O(-2E-2F) = (rank, 2E+2F, -2) on F_1
-        return GGClassification(
-            True, 4, "chi(v) = rank + 1 and v = (rank+1) ch O - ch O(-2E-2F)",
-            chi=chi, chi_twist=chi_twist,
-        )
-    return GGClassification(
-        False, failed_condition="chi(v(-F)) < 0 and chi(v) <= rank + 1",
-        chi=chi, chi_twist=chi_twist,
-    )
+        return GGClassification(True, 3, "chi(v) >= rank + 2", **measured)
+    if chi == r + 1:
+        if special and coords == special[0] and v.ch2 == -2:
+            return GGClassification(True, 4, special[1], **measured)
+        neither = near_miss or neither
+    return GGClassification(False, failed_condition=neither, **measured)
 
 
 def gg_quick_criterion(v: ChernCharacter) -> bool:

@@ -90,8 +90,7 @@ def condition_to_json(c: Condition) -> dict:
 
 
 def _wbn_to_json(w: WbnApplicability) -> dict:
-    """Only the applicability: the certificate that renders it requires it, and
-    ``converse_note`` is set only when it fails."""
+    """Only the applicability: the certificate that renders it requires it."""
     return {"applicable": w.applicable, "failures": list(w.failures)}
 
 
@@ -303,9 +302,9 @@ def bad_curves_report(surface: Surface, v: ChernCharacter) -> dict:
     return build_report("bad-curves", surface, v, {"bad_curves": section}, verdict)
 
 
-def gieseker_report(d: int, s: int = 2) -> dict:
+def gieseker_report(d: int) -> dict:
     v = gieseker_character(d)
-    cert = asymptotic_ample_certificate(v, s, direct=True)
+    cert = asymptotic_ample_certificate(v, 2, direct=True)
     sections = {"invariants": invariants_section(v), "asymptotic": asymptotic_to_json(cert)}
     verdict = sections["asymptotic"]["verdict"]
     return build_report("gieseker", v.surface, v, sections, verdict, d=d)

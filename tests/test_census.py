@@ -18,16 +18,24 @@ verdict with ``tests/golden/census.json``.  It also checks, on every
 ``ample-general`` character, that it is unobstructed, globally generated
 and passes the asymptotic preconditions.
 
-The golden file records behaviour; regenerate it only when a verdict
+A second golden file, ``tests/golden/gg_census.json``, pins the whole
+global-generation record over the same box: one line per character with
+every ``GGClassification`` field (or the ``PreconditionError`` text), kept
+as a count and a sha256.  The census line names only the case and the
+failed condition, so this one catches a moved ``chi_twist``, a swapped
+``chi_twist_second`` or a wrong balanced split.
+
+The golden files record behaviour; regenerate them only when a verdict
 change is intended, from the root of a checkout::
 
     PYTHONPATH=src python3 tests/test_census.py
 
-and review the diff before committing it.
+which rewrites both files, and review the diffs before committing them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -46,6 +54,7 @@ from amplecheck import (
 from amplecheck.rationals import ceil_frac
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "census.json"
+GG_GOLDEN = GOLDEN.with_name("gg_census.json")
 
 SURFACES = (Surface.projective_plane(),) + tuple(Surface.hirzebruch(e) for e in range(4))
 RANKS = range(1, 5)
@@ -122,11 +131,36 @@ def census() -> tuple[dict, list[str]]:
     return summary, violations
 
 
+def gg_line(v: ChernCharacter) -> str:
+    """Every field of the classification record of ``v``, or its precondition text."""
+    try:
+        gg = classify_global_generation(v)
+    except PreconditionError as exc:
+        return f"{v.surface} {v} | skip {exc}"
+    fields = (getattr(gg, f.name) for f in dataclasses.fields(gg))
+    return f"{v.surface} {v} | " + " | ".join(map(repr, fields))
+
+
+def gg_census() -> dict:
+    """Count and sha256 of the classification lines of the box."""
+    digest = hashlib.sha256()
+    count = 0
+    for v in box():
+        digest.update(gg_line(v).encode() + b"\n")
+        count += 1
+    return {"characters": count, "sha256": digest.hexdigest()}
+
+
 def test_census_matches_golden():
     summary, violations = census()
     assert violations == []
     assert summary == json.loads(GOLDEN.read_text())
 
 
+def test_gg_census_matches_golden():
+    assert gg_census() == json.loads(GG_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(census()[0], indent=1) + "\n")
+    GG_GOLDEN.write_text(json.dumps(gg_census(), indent=1) + "\n")

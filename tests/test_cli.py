@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from amplecheck import ampleness
 from amplecheck.cli import main
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
 from amplecheck import Surface, make_character
@@ -219,6 +220,19 @@ class TestExitContract:
         assert err == (
             b"precondition error: 100004 bad members in one family exceeds the cap 100000\n"
         )
+
+    def test_failed_obligation_is_one(self, capsysbinary, monkeypatch):
+        # a failed proof obligation is a defect of amplecheck, not of the input
+        obligation = ampleness._obligation
+        monkeypatch.setattr(
+            ampleness, "_obligation", lambda holds, text, v: obligation(False, text, v)
+        )
+        code, out, err = run_cli(
+            capsysbinary, "asymptotic", "--surface", "P2", "--ch", "2:20:-142", "--direct"
+        )
+        assert (code, out) == (1, b"")
+        assert err.startswith(b"certificate error: certificate obligation fails for 2:20:-142: ")
+        assert b"Traceback" not in err
 
 
 ONE_AND_2200_ZEROS = "1" + "0" * 2200

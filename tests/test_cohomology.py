@@ -42,12 +42,6 @@ class TestApplicability:
         assert result.delta_ok and result.fiber_ok and not result.section_ok
         assert result.failures == ("nu.E < -1",)
 
-    def test_converse_note_when_chi_nonnegative(self):
-        v = make_character(1, F2.divisor(0, -2), 2)
-        result = wbn_applicable(v)
-        assert not result.applicable
-        assert result.converse_note is not None
-
 
 class TestCohomologyOfGeneralBundle:
     def test_split_positive(self):
