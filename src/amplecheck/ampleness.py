@@ -60,15 +60,12 @@ explicit raises, so ``python -O`` keeps them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import ChernCharacter
-from .cohomology import NonspecialTrace, WbnApplicability, nonspecial_all_twists, wbn_applicable
+from .cohomology import nonspecial_all_twists, wbn_applicable
 from .errors import CertificateError, EnumerationLimitError, PreconditionError
 from .positivity import (
-    Condition,
-    GGClassification,
     classify_global_generation,
     gg_quick_criterion,
     require_slope_hypotheses,
@@ -76,6 +73,7 @@ from .positivity import (
     tangent_bundle_character,
 )
 from .rationals import ceil_frac
+from .records import Record
 from .surfaces import (
     DivisorClass,
     Surface,
@@ -97,14 +95,12 @@ GENERAL_MEMBER_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BadCurve:
+class BadCurve(Record):
     """An irreducible class with negative twisted chi, plus its dimension count."""
 
-    curve: DivisorClass
-    chi_twist: int          # chi(v(K+D)), < 0 for a bad curve
-    d: int                  # dim |D| = h^0(O(D)) - 1
-    c: int                  # codimension lower bound c1.D - rank + 1 = rank*nu.D - rank + 1
+    # chi_twist = chi(v(K+D)), < 0 for a bad curve; d = dim |D| = h^0(O(D)) - 1;
+    # c = codimension lower bound c1.D - rank + 1 = rank*nu.D - rank + 1
+    __slots__ = ("curve", "chi_twist", "d", "c")
 
     @property
     def passes(self) -> bool:
@@ -201,18 +197,13 @@ def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
     return _bad_curves(v)
 
 
-@dataclass(frozen=True)
-class AmpleGGCertificate:
+class AmpleGGCertificate(Record):
     """Verdict on ampleness of the general globally generated bundle."""
 
-    character: ChernCharacter
-    slope_conditions: tuple[Condition, ...]
-    gg: GGClassification | None
-    nonspecial: NonspecialTrace | None
-    bad_curves: tuple[BadCurve, ...]
-    ample_general: bool
-    failure_reason: str | None
-    notes: tuple[str, ...]
+    __slots__ = (
+        "character", "slope_conditions", "gg", "nonspecial",
+        "bad_curves", "ample_general", "failure_reason", "notes",
+    )
 
     @property
     def verdict(self) -> str:
@@ -330,28 +321,29 @@ def effective_n_bound(v: ChernCharacter, s: int = 2) -> int:
     return max(1, ceil_frac(multiplier_lower_bound(v, s)))
 
 
-@dataclass(frozen=True)
-class AsymptoticCertificate:
+class AsymptoticCertificate(Record):
     """Certificate that all large multiples of ``v`` carry ample general bundles."""
 
-    character: ChernCharacter
-    mode: str                          # "normalized" or "direct"
-    base: ChernCharacter               # the character the algebra ran on
-    twist_used: DivisorClass           # N with base = v(-N); zero in direct mode
-    s: int
-    b: DivisorClass                    # nu(base) - H, big and nef
-    bound: Fraction                    # exact rational multiplier bound
-    n_min: int
-    kernel: ChernCharacter             # u at n = n_min
-    delta_kernel: Fraction             # >= 0
-    delta_kernel_prev: Fraction | None  # < 0 when n_min > 1
-    chi_dual_twist: int                # chi(base*(H-L)) <= 0
-    chi_kernel_dual_twist: int         # chi(u*(H-L)) = -n_min * chi_dual_twist >= 0
-    kernel_twist_nu: DivisorClass      # nu(u*(H)) = (n_min*rank/s) * B, nef
-    kernel_twist_gg: bool              # sufficient criterion on u*(H)
-    wbn_kernel: WbnApplicability       # for u*(H-L)
-    slope_conditions: tuple[Condition, ...]
-    notes: tuple[str, ...]
+    __slots__ = (
+        "character",
+        "mode",                   # "normalized" or "direct"
+        "base",                   # the character the algebra ran on
+        "twist_used",             # N with base = v(-N); zero in direct mode
+        "s",
+        "b",                      # nu(base) - H, big and nef
+        "bound",                  # exact rational multiplier bound
+        "n_min",
+        "kernel",                 # u at n = n_min
+        "delta_kernel",           # >= 0
+        "delta_kernel_prev",      # < 0 when n_min > 1, else None
+        "chi_dual_twist",         # chi(base*(H-L)) <= 0
+        "chi_kernel_dual_twist",  # chi(u*(H-L)) = -n_min * chi_dual_twist >= 0
+        "kernel_twist_nu",        # nu(u*(H)) = (n_min*rank/s) * B, nef
+        "kernel_twist_gg",        # sufficient criterion on u*(H)
+        "wbn_kernel",             # for u*(H-L)
+        "slope_conditions",
+        "notes",
+    )
 
 
 def asymptotic_ample_certificate(

@@ -34,12 +34,12 @@ The canonical textual form used by the CLI and reports is ``r:c1:ch2`` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidCharacterError, InvalidDivisorError
 from .rationals import INTEGER, Rational, check_digits, format_rational, parse_rational, rat
+from .records import Record
 from .surfaces import DivisorClass, Surface
 
 
@@ -48,18 +48,18 @@ def _adjunction_form(surface: Surface, x: tuple[int, ...]) -> int:
     return surface.pair(x, x) - surface.pair(x, surface.canonical_coords)
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
-    rank: int
-    c1: DivisorClass
-    ch2: Fraction
+class ChernCharacter(Record):
+    __slots__ = ("rank", "c1", "ch2", "__dict__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ch2", rat(self.ch2))
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise InvalidCharacterError(f"rank must be a positive integer, got {self.rank}")
-        if not self.c1.is_integral:
-            raise InvalidCharacterError(f"c1 must be integral, got {self.c1}")
+    def __init__(self, rank: int, c1: DivisorClass, ch2: Rational) -> None:
+        ch2 = rat(ch2)
+        if not isinstance(rank, int) or rank < 1:
+            raise InvalidCharacterError(f"rank must be a positive integer, got {rank}")
+        if not c1.is_integral:
+            raise InvalidCharacterError(f"c1 must be integral, got {c1}")
+        _set_rank(self, int(rank))
+        _set_c1(self, c1)
+        _set_ch2(self, ch2)
         self.c2  # computing c2 checks that it is an integer
 
     @property
@@ -145,6 +145,9 @@ class ChernCharacter:
     def __str__(self) -> str:
         coords = ",".join(format_rational(c) for c in self.c1.coords)
         return f"{self.rank}:{coords}:{format_rational(self.ch2)}"
+
+
+_set_rank, _set_c1, _set_ch2 = ChernCharacter._setters
 
 
 def make_character(

@@ -25,23 +25,18 @@ margins of these estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .characters import ChernCharacter
 from .errors import PreconditionError
 from .positivity import require_slope_hypotheses
-from .surfaces import Surface, ruling_degrees
+from .records import Record
+from .surfaces import ruling_degrees
 
 
-@dataclass(frozen=True)
-class WbnApplicability:
+class WbnApplicability(Record):
     """Whether the weak Brill-Noether hypotheses hold, with reasons."""
 
-    applicable: bool
-    delta_ok: bool
-    fiber_ok: bool = True
-    section_ok: bool = True
+    __slots__ = ("applicable", "delta_ok", "fiber_ok", "section_ok")
+    _defaults = (True, True)
 
     def __bool__(self) -> bool:
         return self.applicable
@@ -58,11 +53,8 @@ class WbnApplicability:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CohomologyTriple:
-    h0: int
-    h1: int
-    h2: int
+class CohomologyTriple(Record):
+    __slots__ = ("h0", "h1", "h2")
 
 
 def wbn_applicable(v: ChernCharacter) -> WbnApplicability:
@@ -92,8 +84,7 @@ def wbn_cohomology(v: ChernCharacter) -> CohomologyTriple:
     return CohomologyTriple(max(chi, 0), max(-chi, 0), 0)
 
 
-@dataclass(frozen=True)
-class NonspecialTrace:
+class NonspecialTrace(Record):
     """Symbolic certificate that every twist v(K+D) is weak-Brill-Noether.
 
     Margins are distances from the worst case to the failure threshold; a
@@ -101,11 +92,9 @@ class NonspecialTrace:
     where the estimate is strict).
     """
 
-    surface: Surface
-    delta: Fraction
-    fiber_margin: Fraction | None = None    # (nu.F - 2) - (-1) = nu.F - 1
-    section_margin: Fraction | None = None  # (nu.E - 2) - (-1) = nu.E - 1
-    note: str = ""
+    # fiber_margin = (nu.F - 2) - (-1) = nu.F - 1, section_margin = nu.E - 1, or None
+    __slots__ = ("surface", "delta", "fiber_margin", "section_margin", "note")
+    _defaults = (None, None, "")
 
     @property
     def holds(self) -> bool:

@@ -17,7 +17,7 @@ class SurfaceMismatchError(AmplecheckError, ValueError):
 
 
 class InvalidDivisorError(AmplecheckError, ValueError):
-    """A divisor class violates a constraint (e.g. integrality) of an operation."""
+    """A surface or divisor class violates a constraint (e.g. integrality)."""
 
 
 class InvalidCharacterError(AmplecheckError, ValueError):

@@ -43,13 +43,13 @@ equals the slope's distance from its threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .characters import ChernCharacter
 from .errors import PreconditionError
 from .rationals import Rational, rat
+from .records import Record
 from .surfaces import DivisorClass, is_big_and_nef, is_nef, ruling_degrees
 
 
@@ -60,14 +60,10 @@ def tangent_bundle_character(surface) -> ChernCharacter | None:
     return ChernCharacter(2, surface.divisor(3), Fraction(3, 2))
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """One checked inequality with its exact margin (negative = violated)."""
 
-    id: str
-    text: str
-    holds: bool
-    margin: Fraction
+    __slots__ = ("id", "text", "holds", "margin")
 
 
 class ObstructionVerdict(Enum):
@@ -76,12 +72,9 @@ class ObstructionVerdict(Enum):
     EXCEPTIONAL_TANGENT_BUNDLE = "exceptional-tangent-bundle"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    conditions: tuple[Condition, ...]
-    verdict: ObstructionVerdict
-    stability_assumed: bool
-    note: str | None = None
+class ObstructionReport(Record):
+    __slots__ = ("conditions", "verdict", "stability_assumed", "note")
+    _defaults = (None,)
 
     @property
     def failed(self) -> tuple[Condition, ...]:
@@ -211,18 +204,14 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     return ObstructionReport(tuple(conditions), verdict, stability_assumed=True, note=note)
 
 
-@dataclass(frozen=True)
-class GGClassification:
+class GGClassification(Record):
     """Outcome of the global-generation case dispatch for the general bundle."""
 
-    globally_generated: bool
-    case: int | None = None
-    description: str = ""
-    failed_condition: str | None = None
-    chi: int | None = None
-    chi_twist: int | None = None
-    chi_twist_second: int | None = None
-    balanced_split: tuple[int, int] | None = None  # (a, m)
+    __slots__ = (
+        "globally_generated", "case", "description", "failed_condition",
+        "chi", "chi_twist", "chi_twist_second", "balanced_split",  # the split is (a, m)
+    )
+    _defaults = (None, "", None, None, None, None, None)
 
 
 def _require_gg_hypotheses(v: ChernCharacter) -> None:

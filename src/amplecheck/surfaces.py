@@ -36,13 +36,13 @@ is nef (nef line bundles on these surfaces have no higher cohomology).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvalidDivisorError, SurfaceMismatchError
 from .rationals import Rational, check_digits, exact
+from .records import Record
 
 
 class SurfaceKind(Enum):
@@ -50,18 +50,20 @@ class SurfaceKind(Enum):
     HIRZEBRUCH = "F"
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Record):
     """The projective plane or a Hirzebruch surface ``F_e``."""
 
-    kind: SurfaceKind
-    e: int = 0
+    __slots__ = ("kind", "e", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.kind is SurfaceKind.PROJECTIVE_PLANE and self.e != 0:
-            raise ValueError("the projective plane carries no parameter e")
-        if self.kind is SurfaceKind.HIRZEBRUCH and self.e < 0:
-            raise ValueError(f"Hirzebruch parameter must be >= 0, got {self.e}")
+    def __init__(self, kind: SurfaceKind, e: int = 0) -> None:
+        if not isinstance(e, int):
+            raise InvalidDivisorError(f"Hirzebruch parameter must be an integer, got {e!r}")
+        if kind is SurfaceKind.PROJECTIVE_PLANE and e != 0:
+            raise InvalidDivisorError("the projective plane carries no parameter e")
+        if kind is SurfaceKind.HIRZEBRUCH and e < 0:
+            raise InvalidDivisorError(f"Hirzebruch parameter must be >= 0, got {e}")
+        _set_kind(self, kind)
+        _set_e(self, int(e))
 
     @classmethod
     def projective_plane(cls) -> "Surface":
@@ -125,6 +127,9 @@ class Surface:
         return self.name
 
 
+_set_kind, _set_e = Surface._setters
+
+
 def parse_surface(text: str) -> Surface:
     """Parse ``"P2"`` or ``"F<e>"`` (e.g. ``"F0"``, ``"F3"``)."""
     token = text.strip()
@@ -137,20 +142,19 @@ def parse_surface(text: str) -> Surface:
     raise ValueError(f"malformed surface {text!r}: expected 'P2' or 'F<e>'")
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """An element of the rational Picard group, in the distinguished basis."""
 
-    surface: Surface
-    coords: tuple[Rational, ...]
+    __slots__ = ("surface", "coords")
 
-    def __post_init__(self) -> None:
-        expected = len(self.surface.basis)
-        if len(self.coords) != expected:
+    def __init__(self, surface: Surface, coords: tuple[Rational, ...]) -> None:
+        expected = len(surface.basis)
+        if len(coords) != expected:
             raise InvalidDivisorError(
-                f"{self.surface} divisor needs {expected} coordinates, got {len(self.coords)}"
+                f"{surface} divisor needs {expected} coordinates, got {len(coords)}"
             )
-        object.__setattr__(self, "coords", tuple(map(exact, self.coords)))
+        _set_surface(self, surface)
+        _set_coords(self, tuple(map(exact, coords)))
 
     def _check_same_surface(self, other: "DivisorClass") -> None:
         if self.surface != other.surface:
@@ -208,6 +212,9 @@ class DivisorClass:
         for term in parts[1:]:
             out += f" + {term}" if not term.startswith("-") else f" - {term[1:]}"
         return out
+
+
+_set_surface, _set_coords = DivisorClass._setters
 
 
 def ruling_degrees(d: DivisorClass) -> tuple[Rational, Rational]:

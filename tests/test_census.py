@@ -35,7 +35,6 @@ which rewrites both files, and review the diffs before committing them.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -137,7 +136,7 @@ def gg_line(v: ChernCharacter) -> str:
         gg = classify_global_generation(v)
     except PreconditionError as exc:
         return f"{v.surface} {v} | skip {exc}"
-    fields = (getattr(gg, f.name) for f in dataclasses.fields(gg))
+    fields = (getattr(gg, name) for name in gg._fields)
     return f"{v.surface} {v} | " + " | ".join(map(repr, fields))
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from amplecheck import (
     parse_character,
 )
 from amplecheck.characters import parse_log_character
+from amplecheck.report import character_to_json, render_structured
 from conftest import characters, integral_divisors, surfaces_strategy
 from oracles import hilbert_polynomial
 
@@ -35,6 +35,16 @@ class TestConstruction:
     def test_integrality_rejected(self):
         with pytest.raises(InvalidCharacterError):
             make_character(2, P2.divisor(3), Fraction(1, 3))
+
+    def test_bool_rank_becomes_int(self):
+        v = ChernCharacter(True, P2.divisor(1), Fraction(1, 2))
+        assert type(v.rank) is int and str(v) == "1:1:1/2"
+        assert render_structured(character_to_json(v)).startswith(b'{\n  "rank": 1,')
+
+    def test_non_integer_rank_rejected(self):
+        for rank in (2.0, Fraction(2)):
+            with pytest.raises(InvalidCharacterError):
+                ChernCharacter(rank, P2.divisor(2), 0)
 
     def test_rank_zero_rejected(self):
         with pytest.raises(InvalidCharacterError):
@@ -140,8 +150,7 @@ class TestIntegerRiemannRoch:
         fresh = ChernCharacter(v.rank, v.c1, v.ch2)
         v.mu, v.nu, v.delta, v.c2, v.euler_characteristic(), v.twisted_chi(d)  # fill caches
         assert v == fresh and hash(v) == hash(fresh)
-        assert dataclasses.replace(v) == fresh
-        shifted = dataclasses.replace(v, ch2=v.ch2 + 1)
+        shifted = ChernCharacter(v.rank, v.c1, v.ch2 + 1)
         assert shifted.c2 == v.c2 - 1
         assert shifted.delta == v.delta - Fraction(1, v.rank)
         assert shifted.euler_characteristic() == v.euler_characteristic() + 1
@@ -214,6 +223,11 @@ class TestDualAndScale:
     def test_scale_rejects_nonpositive(self):
         with pytest.raises(InvalidCharacterError):
             TANGENT.scale(0)
+
+    def test_scale_factor_is_an_int(self):
+        assert TANGENT.scale(True) == TANGENT and type(TANGENT.scale(True).rank) is int
+        with pytest.raises(InvalidCharacterError):
+            TANGENT.scale(2.0)
 
 
 class TestLineBundleCharacters:

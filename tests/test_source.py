@@ -1,6 +1,9 @@
 """Checks on the library's source text."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "amplecheck"
@@ -45,3 +48,21 @@ def test_intersection_numbers_are_not_divided_with_slash():
         and any(_is_intersection_number(n) for n in ast.walk(node.left))
     ]
     assert not found, f"'/' applied to an intersection number: {found}"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Records are plain slotted classes, so a CLI process never imports
+    ``dataclasses`` and, through it, ``inspect``, ``ast`` and ``dis``.
+
+    ``-S`` keeps a site ``.pth`` file from importing these modules first.
+    """
+    probe = (
+        "import sys; import amplecheck.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    ).stdout
+    assert out.strip() == "[]"

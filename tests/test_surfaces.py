@@ -277,3 +277,11 @@ class TestParsing:
             Surface(SurfaceKind.PROJECTIVE_PLANE, 1)
         with pytest.raises(TypeError):
             P2.divisor(1.5)
+
+    def test_float_parameter_rejected(self):
+        with pytest.raises(InvalidDivisorError):
+            Surface.hirzebruch(1.5)
+
+    def test_bool_parameter_becomes_int(self):
+        surface = Surface.hirzebruch(True)
+        assert surface == F1 and surface.name == "F1" and type(surface.e) is int
