@@ -156,7 +156,7 @@ def make_character(
     """Validated constructor; ``surface`` (if given) must match ``c1``."""
     if surface is not None and c1.surface != surface:
         raise InvalidCharacterError(f"c1 lives on {c1.surface}, expected {surface}")
-    return ChernCharacter(rank, c1, rat(ch2))
+    return ChernCharacter(rank, c1, ch2)
 
 
 def from_log_invariants(rank: int, nu: DivisorClass, delta: Rational) -> ChernCharacter:

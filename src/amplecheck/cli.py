@@ -34,7 +34,7 @@ from .ampleness import ample_gg_verdict, asymptotic_ample_certificate
 from .characters import ChernCharacter, parse_character, parse_log_character
 from .errors import CertificateError, EnumerationLimitError, PreconditionError
 from .positivity import classify_global_generation, necessary_obstructions
-from .rationals import DIGIT_BUDGET, INTEGER, check_digits
+from .rationals import INTEGER, check_digits
 from .surfaces import Surface, parse_surface
 
 EXIT_OK = 0

@@ -31,12 +31,8 @@ def check_digits(text: str, field: str) -> str:
 
 
 def rat(value: Rational) -> Fraction:
-    """Coerce an int or Fraction to Fraction, rejecting floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    """Coerce an int or Fraction to Fraction, rejecting floats as ``exact`` does."""
+    return value if isinstance(value, Fraction) else Fraction(exact(value))
 
 
 def exact(value: Rational) -> Rational:

@@ -10,9 +10,10 @@ backs its verdict, drawn from ``VERDICT_TAGS``.
 
 Every report, of the full pipeline or of one command, is wrapped by
 ``build_report``: ``schema_version``, ``command``, ``surface`` and
-``character`` first, then the sections, then ``verdict`` last.  A section
-whose preconditions fail is not omitted: it carries a ``skipped`` entry
-naming the failing precondition.
+``character`` first, then the sections, then ``verdict`` last, which
+``render_text`` writes as its final ``verdict:`` line.  A section whose
+preconditions fail is not omitted: ``_section``, the one place this rule is
+written, gives it a ``skipped`` entry naming the failing precondition.
 """
 
 from __future__ import annotations
@@ -133,24 +134,21 @@ def obstructions_section(report: ObstructionReport) -> dict:
     return out
 
 
-def gg_section(v: ChernCharacter) -> dict:
+def _section(tag: str, build) -> dict:
+    """``build()``, or the ``tag`` section's ``skipped`` entry if a precondition fails."""
     try:
-        gg = classify_global_generation(v)
+        return build()
     except PreconditionError as exc:
-        return {"tag": "gg-classification", "skipped": str(exc)}
-    return classified_gg_section(v, gg)
+        return {"tag": tag, "skipped": str(exc)}
 
 
 def classified_gg_section(v: ChernCharacter, gg: GGClassification) -> dict:
-    """``gg_section`` of ``v`` from its classification ``gg``."""
+    """The ``global_generation`` section of ``v`` from its classification ``gg``."""
     out = gg_to_json(gg)
-    try:
-        out["quick_criterion"] = {
-            "tag": "gg-quick-criterion",
-            "sufficient": gg_quick_criterion(v),
-        }
-    except PreconditionError as exc:
-        out["quick_criterion"] = {"tag": "gg-quick-criterion", "skipped": str(exc)}
+    out["quick_criterion"] = _section(
+        "gg-quick-criterion",
+        lambda: {"tag": "gg-quick-criterion", "sufficient": gg_quick_criterion(v)},
+    )
     return out
 
 
@@ -244,14 +242,6 @@ def asymptotic_to_json(cert: AsymptoticCertificate) -> dict:
     return out
 
 
-def asymptotic_section(v: ChernCharacter, s: int = 2, direct: bool = False) -> dict:
-    try:
-        cert = asymptotic_ample_certificate(v, s, direct=direct)
-    except PreconditionError as exc:
-        return {"tag": "asymptotic-ampleness", "skipped": str(exc)}
-    return asymptotic_to_json(cert)
-
-
 def build_report(
     command: str,
     surface: Surface,
@@ -283,11 +273,15 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
         "invariants": invariants_section(v),
         "general_cohomology": cohomology_section(v),
         "obstructions": obstructions_section(necessary_obstructions(v)),
-        "global_generation": (
-            gg_section(v) if ample.gg is None else classified_gg_section(v, ample.gg)
+        "global_generation": _section(
+            "gg-classification",
+            lambda: classified_gg_section(v, ample.gg or classify_global_generation(v)),
         ),
         "ample_gg": ample_gg_to_json(ample),
-        "asymptotic": asymptotic_section(v, s, direct),
+        "asymptotic": _section(
+            "asymptotic-ampleness",
+            lambda: asymptotic_to_json(asymptotic_ample_certificate(v, s, direct=direct)),
+        ),
         "warnings": ["stability of the input character is assumed, not verified"],
     }
     return build_report("report", surface, v, sections, sections["ample_gg"]["verdict"])
@@ -415,12 +409,8 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(node, dict):
         for key, value in node.items():
-            if key == "verdict":
-                # the one "verdict:" line is printed at the end; nested
-                # section outcomes are labelled differently
-                if indent > 0:
-                    lines.append(f"{pad}outcome: {value}")
-                continue
+            if key == "verdict" and indent:
+                key = "outcome"  # the envelope's verdict, its last key, is the one "verdict:" line
             if isinstance(value, dict) and set(value) == {"num", "den"}:
                 lines.append(f"{pad}{key}: {_fmt_rat(value)}")
             elif isinstance(value, (dict, list, tuple)):
@@ -443,5 +433,4 @@ def render_text(report: dict) -> str:
     """Human-readable rendering with exactly one final verdict line."""
     lines: list[str] = []
     _render_lines(report, 0, lines)
-    lines.append(f"verdict: {report['verdict']}")
     return "\n".join(lines) + "\n"

@@ -25,12 +25,19 @@ as a count and a sha256.  The census line names only the case and the
 failed condition, so this one catches a moved ``chi_twist``, a swapped
 ``chi_twist_second`` or a wrong balanced split.
 
+A third, ``tests/golden/report_census.json``, pins the bytes of the full
+report: for every third character of the box, ``run_report`` rendered by
+``render_structured`` and by ``render_text``, kept as a count and one
+sha256 per format.  It holds every skip text, tag and field the report
+writes, so a change to the report assembly or to either writer that moves
+one byte shows up here.
+
 The golden files record behaviour; regenerate them only when a verdict
-change is intended, from the root of a checkout::
+or report change is intended, from the root of a checkout::
 
     PYTHONPATH=src python3 tests/test_census.py
 
-which rewrites both files, and review the diffs before committing them.
+which rewrites all three files, and review the diffs before committing them.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from amplecheck import (
@@ -51,9 +59,11 @@ from amplecheck import (
     necessary_obstructions,
 )
 from amplecheck.rationals import ceil_frac
+from amplecheck.report import render_structured, render_text, run_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "census.json"
 GG_GOLDEN = GOLDEN.with_name("gg_census.json")
+REPORT_GOLDEN = GOLDEN.with_name("report_census.json")
 
 SURFACES = (Surface.projective_plane(),) + tuple(Surface.hirzebruch(e) for e in range(4))
 RANKS = range(1, 5)
@@ -150,6 +160,22 @@ def gg_census() -> dict:
     return {"characters": count, "sha256": digest.hexdigest()}
 
 
+def report_census() -> dict:
+    """Count and per-format sha256 of the full reports of every third character."""
+    structured, text = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for v in islice(box(), 0, None, 3):
+        report = run_report(v.surface, v)
+        structured.update(render_structured(report))
+        text.update(render_text(report).encode())
+        count += 1
+    return {
+        "characters": count,
+        "structured_sha256": structured.hexdigest(),
+        "text_sha256": text.hexdigest(),
+    }
+
+
 def test_census_matches_golden():
     summary, violations = census()
     assert violations == []
@@ -160,6 +186,11 @@ def test_gg_census_matches_golden():
     assert gg_census() == json.loads(GG_GOLDEN.read_text())
 
 
+def test_report_census_matches_golden():
+    assert report_census() == json.loads(REPORT_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(census()[0], indent=1) + "\n")
     GG_GOLDEN.write_text(json.dumps(gg_census(), indent=1) + "\n")
+    REPORT_GOLDEN.write_text(json.dumps(report_census(), indent=1) + "\n")

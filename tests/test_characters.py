@@ -11,6 +11,7 @@ from amplecheck import (
     Surface,
     SurfaceMismatchError,
     from_log_invariants,
+    fulton_lazarsfeld_margin,
     h0_line_bundle,
     line_bundle_character,
     make_character,
@@ -61,6 +62,21 @@ class TestConstruction:
     def test_surface_tag_checked(self):
         with pytest.raises(InvalidCharacterError):
             make_character(2, P2.divisor(3), Fraction(3, 2), surface=F1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ChernCharacter(2, P2.divisor(3), 1.5),
+            lambda: make_character(2, P2.divisor(3), 1.5),
+            lambda: from_log_invariants(2, P2.divisor(Fraction(3, 2)), 0.5),
+            lambda: fulton_lazarsfeld_margin(2, P2.divisor(Fraction(3, 2)), 0.5),
+        ],
+        ids=["constructor", "make_character", "from_log_invariants", "fulton_lazarsfeld_margin"],
+    )
+    def test_float_ch2_or_delta_rejected(self, build):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == "expected an exact rational, got float"
 
 
 class TestLogInvariants:

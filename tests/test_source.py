@@ -66,3 +66,30 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
     ).stdout
     assert out.strip() == "[]"
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """``file:line name`` for each name an import binds in ``path`` but no
+    expression reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and type(n.ctx) is ast.Load}
+    return [
+        f"{path.name}:{node.lineno} {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for name in [alias.asname or alias.name.partition(".")[0]]
+        if name not in read
+    ]
+
+
+def test_every_import_is_read():
+    """A module reads every name it imports; ``__init__`` re-exports, so it is left out."""
+    found = [
+        entry
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+        for entry in _unread_imports(path)
+    ]
+    assert not found, f"imported but never read: {found}"
