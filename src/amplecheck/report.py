@@ -1,12 +1,14 @@
 """Report assembly: one deterministic, exactly-rational view of all verdicts.
 
-Reports are plain dicts of JSON-native values built in a fixed key order, so
-the structured rendering is byte-identical across runs and round-trips
-through ``json.loads``.  The exception is ``classes``: it holds ``BadCurve``
-records until rendering writes each as ``bad_curve_to_json`` lays it out.
-Every rational is rendered as ``{"num", "den"}``; no floating point value
-ever appears.  Each section carries a ``tag`` naming the criterion that
-backs its verdict, drawn from ``VERDICT_TAGS``.
+A report is a dict built in a fixed key order.  Its values are JSON-native,
+or they are the library's records and rationals as they are: ``DivisorClass``,
+``ChernCharacter``, ``Condition``, ``BadCurve`` and ``Fraction``.  ``to_json``
+lays each out, a rational as ``{"num", "den"}`` (no floating point value ever
+appears), so ``json.dumps(report, default=to_json)`` serialises a report and
+``parse_structured(render_structured(report))`` is its JSON-native form.  The
+renderers write those layouts by filling one cached template per record type,
+basis and indentation.  Each section carries a ``tag`` naming the criterion
+that backs its verdict, drawn from ``VERDICT_TAGS``.
 
 Every report, of the full pipeline or of one command, is wrapped by
 ``build_report``: ``schema_version``, ``command``, ``surface`` and
@@ -19,7 +21,8 @@ written, gives it a ``skipped`` entry naming the failing precondition.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii
 
 from .ampleness import (
     AmpleGGCertificate,
@@ -98,9 +101,9 @@ def _wbn_to_json(w: WbnApplicability) -> dict:
 def invariants_section(v: ChernCharacter) -> dict:
     return {
         "tag": "riemann-roch",
-        "mu": rational_to_json(v.mu),
-        "nu": divisor_to_json(v.nu),
-        "delta": rational_to_json(v.delta),
+        "mu": v.mu,
+        "nu": v.nu,
+        "delta": v.delta,
         "euler_characteristic": v.euler_characteristic(),
     }
 
@@ -126,7 +129,7 @@ def obstructions_section(report: ObstructionReport) -> dict:
     out = {
         "tag": "ampleness-obstructions",
         "stability_assumed": report.stability_assumed,
-        "conditions": [condition_to_json(c) for c in report.conditions],
+        "conditions": report.conditions,
         "verdict": report.verdict.value,
     }
     if report.note:
@@ -171,11 +174,11 @@ def gg_to_json(gg: GGClassification) -> dict:
 
 
 def nonspecial_to_json(trace: NonspecialTrace) -> dict:
-    out: dict = {"tag": "nonspecial-twists", "delta": rational_to_json(trace.delta)}
+    out: dict = {"tag": "nonspecial-twists", "delta": trace.delta}
     if trace.fiber_margin is not None:
-        out["fiber_margin"] = rational_to_json(trace.fiber_margin)
+        out["fiber_margin"] = trace.fiber_margin
     if trace.section_margin is not None:
-        out["section_margin"] = rational_to_json(trace.section_margin)
+        out["section_margin"] = trace.section_margin
     out["note"] = trace.note
     out["holds"] = trace.holds
     return out
@@ -195,7 +198,7 @@ def bad_curve_to_json(bad: BadCurve) -> dict:
 def ample_gg_to_json(cert: AmpleGGCertificate) -> dict:
     out: dict = {
         "tag": "ample-globally-generated",
-        "slope_conditions": [condition_to_json(c) for c in cert.slope_conditions],
+        "slope_conditions": cert.slope_conditions,
     }
     if cert.gg is not None:
         out["global_generation"] = gg_to_json(cert.gg)
@@ -210,36 +213,31 @@ def ample_gg_to_json(cert: AmpleGGCertificate) -> dict:
 
 
 def asymptotic_to_json(cert: AsymptoticCertificate) -> dict:
-    out = {
+    return {
         "tag": "asymptotic-ampleness",
         "mode": cert.mode,
-        "slope_conditions": [condition_to_json(c) for c in cert.slope_conditions],
-        "base_character": character_to_json(cert.base),
-        "twist_used": divisor_to_json(cert.twist_used),
+        "slope_conditions": cert.slope_conditions,
+        "base_character": cert.base,
+        "twist_used": cert.twist_used,
         "s": cert.s,
-        "B": divisor_to_json(cert.b),
-        "B_squared": rational_to_json(cert.b.self_intersection),
-        "bound": rational_to_json(cert.bound),
+        "B": cert.b,
+        "B_squared": cert.b.self_intersection,
+        "bound": cert.bound,
         "n_min": cert.n_min,
         "kernel": {
             "tag": "kernel-discriminant",
-            "character": character_to_json(cert.kernel),
-            "delta": rational_to_json(cert.delta_kernel),
-            "delta_at_previous_n": (
-                rational_to_json(cert.delta_kernel_prev)
-                if cert.delta_kernel_prev is not None
-                else None
-            ),
+            "character": cert.kernel,
+            "delta": cert.delta_kernel,
+            "delta_at_previous_n": cert.delta_kernel_prev,
         },
         "chi_dual_twist": cert.chi_dual_twist,
         "chi_kernel_dual_twist": cert.chi_kernel_dual_twist,
-        "kernel_twist_nu": divisor_to_json(cert.kernel_twist_nu),
+        "kernel_twist_nu": cert.kernel_twist_nu,
         "kernel_twist_globally_generated": cert.kernel_twist_gg,
         "wbn_kernel_dual_twist": _wbn_to_json(cert.wbn_kernel),
         "notes": list(cert.notes),
         "verdict": f"asymptotically-ample(n_min={cert.n_min})",
     }
-    return out
 
 
 def build_report(
@@ -256,7 +254,7 @@ def build_report(
     if d is not None:
         report["d"] = d
     report["surface"] = surface.name
-    report["character"] = character_to_json(v)
+    report["character"] = v
     report.update(sections)
     report["verdict"] = verdict
     return report
@@ -305,15 +303,15 @@ def gieseker_report(d: int) -> dict:
 
 
 def _write_json(node, pad: str, out: list[str]) -> None:
-    """Append the pieces of ``json.dumps(node, indent=2, ensure_ascii=True)``.
+    """Append the pieces of ``json.dumps(node, indent=2, ensure_ascii=True, default=to_json)``.
 
     ``pad`` is the indentation of the line ``node`` starts on.  Only the
     values reports are built from are accepted: dicts with string keys,
     lists (and tuples, written as lists), strings, ints, bools, None, and
-    tuples of ``BadCurve`` records of one surface (``_bad_curve_entries``).
+    the records of ``_RECORDS``, each filled into its cached template.
     """
     if isinstance(node, str):
-        out.append(encode_basestring_ascii(node))
+        out.append(_ascii(node))
     elif node is None:
         out.append("null")
     elif node is True:
@@ -329,7 +327,7 @@ def _write_json(node, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         sep = "{\n" + inner
         for key, value in node.items():
-            out.append(sep + encode_basestring_ascii(key) + ": ")
+            out.append(sep + _ascii(key) + ": ")
             _write_json(value, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
@@ -339,55 +337,95 @@ def _write_json(node, pad: str, out: list[str]) -> None:
             return
         inner = pad + "  "
         sep = "[\n" + inner
-        if type(node) is tuple and type(node[0]) is BadCurve:
-            out += (sep, (",\n" + inner).join(_bad_curve_entries(node, inner)))
-        else:
-            for item in node:
-                out.append(sep)
-                _write_json(item, inner, out)
-                sep = ",\n" + inner
+        cls = type(node[0])
+        if cls in _RECORDS:  # records of one type and basis share one template
+            _, basis, slots, _ = _RECORDS[cls]
+            key = basis(node[0])
+            if all(type(item) is cls and basis(item) == key for item in node):
+                template = _template(node[0], inner)
+                out += (sep, (",\n" + inner).join([template % slots(item) for item in node]))
+                out.append("\n" + pad + "]")
+                return
+        for item in node:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
         out.append("\n" + pad + "]")
+    elif type(node) in _RECORDS:
+        out.append(_template(node, pad) % _RECORDS[type(node)][2](node))
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
-_BAD_CURVE_TEMPLATES: dict[tuple[tuple[str, ...], str], str] = {}  # (basis, pad) -> template
+def _template(record, pad: str | int) -> str:
+    """``record``'s layout, a ``%s`` slot per value of its ``_RECORDS`` entry, written at
+    ``pad`` (at ``render_text``'s indent ``pad`` if an int); cached per type, basis, pad."""
+    layout, basis, *_ = _RECORDS[type(record)]
+    key = (type(record), basis(record), pad)
+    if key not in _TEMPLATES:
+        written: list[str] = []
+        if isinstance(pad, str):
+            _write_json(_slotted(layout(record)), pad, written)
+            text = "".join(written).replace("%", "%%").replace('"\\u0000"', "\x00")
+        else:  # where a rational is written n/d, one slot
+            _render_lines(_slotted(layout(record)), pad, written)
+            text = "\n".join(written).replace("%", "%%").replace("\x00/\x00", "\x00")
+        _TEMPLATES[key] = text.replace("\x00", "%s")
+    return _TEMPLATES[key]
 
 
-def _slots(node):
-    if isinstance(node, dict):
-        return {k: "\x00" if k == "text" else _slots(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_slots(item) for item in node]
-    return "\x00" if isinstance(node, int) else node
+def _slotted(layout):
+    """``layout`` with a sentinel in place of each int, bool and ``id`` or ``text`` string."""
+    if isinstance(layout, dict):
+        return {k: "\x00" if k in ("id", "text") else _slotted(v) for k, v in layout.items()}
+    if isinstance(layout, list):
+        return [_slotted(item) for item in layout]
+    return "\x00" if isinstance(layout, int) else layout
 
 
-def _bad_curve_entries(records: tuple[BadCurve, ...], pad: str) -> list[str]:
-    """Each record's ``bad_curve_to_json`` entry written at ``pad``, through one
-    template: the first entry with a ``%s`` slot for each int, bool and ``text``."""
-    key = (records[0].curve.surface.basis, pad)
-    template = _BAD_CURVE_TEMPLATES.get(key)
-    if template is None:
-        out: list[str] = []
-        _write_json(_slots(bad_curve_to_json(records[0])), pad, out)
-        template = _BAD_CURVE_TEMPLATES[key] = (
-            "".join(out).replace("%", "%%").replace('"\\u0000"', "%s")
-        )
-    # slots in document order; ``%s`` writes ints through int.__repr__, as _write_json
-    return [
-        template % (*[q for x in b.curve.coords for q in (x.numerator, x.denominator)],
-                    encode_basestring_ascii(str(b.curve)), b.chi_twist, b.d,
-                    b.c.numerator, b.c.denominator, "true" if b.passes else "false")
-        for b in records
-    ]
+def _nums(coords: tuple) -> list:
+    return [n for q in coords for n in (q.numerator, q.denominator)]
+
+
+# record type -> (its layout, the basis that layout depends on, the slots of its structured
+# template and of its text template, in document order); a structured ``%s`` writes an int
+# as int.__repr__ does, a text one writes an exact rational as _fmt_rat does
+_RECORDS = {
+    Fraction: (rational_to_json, lambda q: None,
+               lambda q: (q.numerator, q.denominator),
+               None),  # written inline in text
+    Condition: (condition_to_json, lambda c: None,
+                lambda c: (_ascii(c.id), _ascii(c.text), "true" if c.holds else "false",
+                           c.margin.numerator, c.margin.denominator),
+                lambda c: (c.id, c.text, c.holds, c.margin)),
+    DivisorClass: (divisor_to_json, lambda d: d.surface.basis,
+                   lambda d: (*_nums(d.coords), _ascii(str(d))),
+                   lambda d: (*d.coords, d)),
+    ChernCharacter: (character_to_json, lambda v: v.surface.basis,
+                     lambda v: (v.rank, *_nums(v.c1.coords), _ascii(str(v.c1)),
+                                v.ch2.numerator, v.ch2.denominator, v.c2, _ascii(str(v))),
+                     lambda v: (v.rank, *v.c1.coords, v.c1, v.ch2, v.c2, v)),
+    BadCurve: (bad_curve_to_json, lambda b: b.curve.surface.basis,
+               lambda b: (*_nums(b.curve.coords), _ascii(str(b.curve)), b.chi_twist, b.d,
+                          b.c.numerator, b.c.denominator, "true" if b.passes else "false"),
+               lambda b: (*b.curve.coords, b.curve, b.chi_twist, b.d, b.c, b.passes)),
+}
+_TEMPLATES: dict[tuple, str] = {}  # (record type, basis, pad) -> template
+
+
+def to_json(x) -> dict:
+    """The layout of a record or ``Fraction``; ``default=to_json`` serialises a report."""
+    if type(x) not in _RECORDS:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return _RECORDS[type(x)][0](x)
 
 
 def render_structured(report: dict) -> bytes:
     """Stable machine-readable rendering; deterministic field order.
 
-    The bytes are those of ``json.dumps(report, indent=2, ensure_ascii=True)``
-    plus a newline, written in one pass: ``indent`` turns off the C encoder
-    of ``json.dumps``.
+    The bytes are those of ``json.dumps(report, indent=2, ensure_ascii=True,
+    default=to_json)`` plus a newline, written in one pass: ``indent`` turns
+    off the C encoder of ``json.dumps``.
     """
     out: list[str] = []
     _write_json(report, "", out)
@@ -408,25 +446,21 @@ def _fmt_rat(value: dict) -> str:
 def _render_lines(node, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(node, dict):
-        for key, value in node.items():
-            if key == "verdict" and indent:
-                key = "outcome"  # the envelope's verdict, its last key, is the one "verdict:" line
-            if isinstance(value, dict) and set(value) == {"num", "den"}:
-                lines.append(f"{pad}{key}: {_fmt_rat(value)}")
-            elif isinstance(value, (dict, list, tuple)):
-                lines.append(f"{pad}{key}:")
-                _render_lines(value, indent + 1, lines)
-            else:
-                lines.append(f"{pad}{key}: {value}")
-    else:  # a list, or a tuple of BadCurve records; rationals and scalars are inline
-        for item in node if isinstance(node, list) else map(bad_curve_to_json, node):
-            if isinstance(item, dict) and set(item) == {"num", "den"}:
-                lines.append(f"{pad}- {_fmt_rat(item)}")
-            elif isinstance(item, (dict, list, tuple)):
-                lines.append(pad + "-")
-                _render_lines(item, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {item}")
+        # the envelope's verdict, its last key, is the one "verdict:" line
+        heads = [f"{pad}{'outcome' if key == 'verdict' and indent else key}:" for key in node]
+        node = node.values()
+    else:
+        heads = [pad + "-"] * len(node)
+    for head, value in zip(heads, node):
+        if type(value) in _RECORDS and type(value) is not Fraction:
+            lines += (head, _template(value, indent + 1) % _RECORDS[type(value)][3](value))
+        elif isinstance(value, dict) and set(value) == {"num", "den"}:
+            lines.append(f"{head} {_fmt_rat(value)}")
+        elif isinstance(value, (dict, list, tuple)):
+            lines.append(head)
+            _render_lines(value, indent + 1, lines)
+        else:
+            lines.append(f"{head} {value}")
 
 
 def render_text(report: dict) -> str:

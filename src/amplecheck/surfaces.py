@@ -193,25 +193,13 @@ class DivisorClass(Record):
         return self.dot(self)
 
     def __str__(self) -> str:
-        parts = []
+        out = ""
         for c, name in zip(self.coords, self.surface.basis):
-            if c == 0:
-                continue
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            elif c.denominator == 1:
-                term = f"{c}{name}"
-            else:
-                term = f"({c}){name}"
-            parts.append(term)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" + {term}" if not term.startswith("-") else f" - {term[1:]}"
-        return out
+            if c:
+                term = (name if c == 1 else f"-{name}" if c == -1
+                        else f"{c}{name}" if c.denominator == 1 else f"({c}){name}")
+                out += f" - {term[1:]}" if out and term[0] == "-" else f" + {term}" if out else term
+        return out or "0"
 
 
 _set_surface, _set_coords = DivisorClass._setters

@@ -3,9 +3,9 @@
 ``render_structured`` writes reports in one pass instead of calling
 ``json.dumps(report, indent=2, ensure_ascii=True)``; the reference stays
 here as the oracle, on every golden structured report, on built reports
-and on generated JSON trees.  Built reports hold their bad curves as
-``BadCurve`` records, which the reference writes through
-``default=bad_curve_to_json``.
+and on generated JSON trees.  Built reports hold records (``DivisorClass``,
+``ChernCharacter``, ``Condition``, ``BadCurve``) and ``Fraction`` leaves,
+which the reference writes through ``default=to_json``.
 """
 
 from __future__ import annotations
@@ -13,21 +13,24 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from amplecheck import BadCurve, Surface, parse_character
+from amplecheck import BadCurve, ChernCharacter, Condition, DivisorClass, Surface, parse_character
 from amplecheck import report as rpt
 from amplecheck.report import (
-    bad_curve_to_json,
     bad_curves_report,
+    gieseker_report,
     parse_structured,
     render_structured,
     render_text,
     run_report,
+    to_json,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -40,7 +43,7 @@ STRUCTURED = sorted(
 
 
 def reference(report) -> bytes:
-    text = json.dumps(report, indent=2, ensure_ascii=True, default=bad_curve_to_json)
+    text = json.dumps(report, indent=2, ensure_ascii=True, default=to_json)
     return (text + "\n").encode("ascii")
 
 
@@ -75,21 +78,65 @@ def _f0_report_with_672_bad_curves():
     return report
 
 
-def test_bad_curves_are_written_without_per_member_dicts(monkeypatch):
-    report = _f0_report_with_672_bad_curves()
-    expected = render_structured(report)
-    calls = []
-    for name in ("bad_curve_to_json", "divisor_to_json"):
+LAYOUTS = ("divisor_to_json", "character_to_json", "condition_to_json", "bad_curve_to_json",
+           "rational_to_json")
+
+
+def _count_layout_calls(monkeypatch) -> tuple[list[str], list[type]]:
+    """Calls of each layout by name, and of the ``_RECORDS`` dispatch table by record type."""
+    calls: list[str] = []
+    for name in LAYOUTS:
         original = getattr(rpt, name)
         monkeypatch.setattr(
             rpt, name, lambda x, name=name, original=original: calls.append(name) or original(x)
         )
+    table_calls: list[type] = []
+    for cls, (layout, *rest) in list(rpt._RECORDS.items()):
+        counted = lambda x, layout=layout: table_calls.append(type(x)) or layout(x)  # noqa: E731
+        monkeypatch.setitem(rpt._RECORDS, cls, (counted, *rest))
+    return calls, table_calls
+
+
+def test_bad_curves_are_written_without_per_member_dicts(monkeypatch):
+    report = _f0_report_with_672_bad_curves()
+    expected = render_structured(report)
+    calls, table_calls = _count_layout_calls(monkeypatch)
     assert render_structured(report) == expected
-    assert calls == []
-    # a cold template cache costs one entry of each, not one per member
-    monkeypatch.setattr(rpt, "_BAD_CURVE_TEMPLATES", {})
+    assert calls == table_calls == []
+    # a cold template cache costs one layout of each record type, not one per member
+    monkeypatch.setattr(rpt, "_TEMPLATES", {})
     assert render_structured(report) == expected
-    assert calls == ["bad_curve_to_json", "divisor_to_json"]
+    assert Counter(table_calls) == Counter([ChernCharacter, BadCurve])
+
+
+def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
+    surface = Surface.hirzebruch(2)
+    reports = [run_report(surface, parse_character("2:3,8:2", surface)), gieseker_report(12)]
+    expected = [render_structured(r) for r in reports]  # the warm-up
+    texts = [render_text(r) for r in reports]
+    calls, table_calls = _count_layout_calls(monkeypatch)
+    assert [render_structured(r) for r in reports] == expected
+    assert [render_text(r) for r in reports] == texts
+    assert calls == table_calls == []
+    # a cold cache lays out each (record type, basis, pad) key once, when first seen
+    monkeypatch.setattr(rpt, "_TEMPLATES", {})
+    assert [render_structured(r) for r in reports] == expected
+    assert Counter(table_calls) == Counter(key[0] for key in rpt._TEMPLATES)
+    assert {Fraction, DivisorClass, ChernCharacter, Condition} <= set(table_calls)
+    # keyed on the surface's basis, not the surface, so F_e of any e shares one entry
+    assert {basis for _, basis, _ in rpt._TEMPLATES} <= {None, ("H",), ("E", "F")}
+
+
+def test_text_rendering_of_bad_curves_makes_no_dict_per_member(monkeypatch):
+    report = _f0_report_with_672_bad_curves()
+    expected = render_text(report)
+    calls, table_calls = _count_layout_calls(monkeypatch)
+    assert render_text(report) == expected
+    assert "bad_curve_to_json" not in calls and BadCurve not in table_calls
+    # a cold template cache lays out the first bad curve only
+    monkeypatch.setattr(rpt, "_TEMPLATES", {})
+    assert render_text(report) == expected
+    assert table_calls.count(BadCurve) == 1 and "bad_curve_to_json" not in calls
 
 
 def test_text_rendering_of_bad_curve_records_is_unchanged():
@@ -137,43 +184,95 @@ def test_writer_rejects_non_report_values(tree):
 SURFACES = [Surface.projective_plane()] + [Surface.hirzebruch(e) for e in range(6)]
 HUGE = 10**3999  # within the interpreter's default limit of 4300 digits
 VALUES = st.integers(min_value=-1000, max_value=1000) | st.integers(min_value=-HUGE, max_value=HUGE)
+FRACTIONS = st.fractions(max_denominator=50) | st.builds(Fraction, VALUES, st.integers(1, 10**40))
+
+
+def divisors(surface: Surface, coord=st.integers(min_value=-50, max_value=10**40)):
+    return st.tuples(*[coord] * len(surface.basis)).map(lambda c: surface.divisor(*c))
+
+
+def characters(surface: Surface):
+    """``ChernCharacter``s with any integral ``c1`` and any integer ``c2``."""
+    def build(rank, c1, c2):
+        return ChernCharacter(rank, c1, Fraction(c1.self_intersection, 2) - c2)
+
+    return st.builds(build, st.integers(1, 10**6), divisors(surface), VALUES)
+
+
+RECORD_KINDS = [  # each record type a report holds, on a surface, and Fraction leaves
+    lambda surface: st.builds(BadCurve, divisors(surface), VALUES, VALUES, VALUES),
+    divisors,
+    lambda surface: divisors(surface, st.integers(-50, 50) | FRACTIONS),
+    characters,
+    lambda surface: st.builds(
+        Condition, st.text(max_size=8), st.text(), st.booleans(), st.integers() | FRACTIONS
+    ),
+    lambda surface: FRACTIONS,
+]
 
 
 @st.composite
-def bad_curve_tuples(draw):
-    """A non-empty tuple of ``BadCurve`` records on one surface."""
-    surface = draw(st.sampled_from(SURFACES))
-    coords = st.tuples(*[st.integers(min_value=-50, max_value=10**40)] * len(surface.basis))
-    records = st.builds(BadCurve, coords.map(lambda c: surface.divisor(*c)), VALUES, VALUES, VALUES)
-    return tuple(draw(st.lists(records, min_size=1, max_size=4)))
+def records(draw, surfaces=st.sampled_from(SURFACES)):
+    return draw(draw(st.sampled_from(RECORD_KINDS))(draw(surfaces)))
+
+
+@st.composite
+def record_sequences(draw):
+    """A non-empty tuple or list of records of one type, on one surface or on two."""
+    kind = draw(st.sampled_from(RECORD_KINDS))
+    surfaces = st.sampled_from(draw(st.lists(st.sampled_from(SURFACES), min_size=1, max_size=2)))
+    items = draw(st.lists(surfaces.flatmap(kind), min_size=1, max_size=4))
+    return draw(st.sampled_from([tuple, list]))(items)
 
 
 TREES_WITH_RECORDS = st.recursive(
-    SCALARS | bad_curve_tuples(),
+    SCALARS | records() | record_sequences(),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=3), children, max_size=4),
     max_leaves=12,
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(TREES_WITH_RECORDS)
-def test_writer_matches_reference_on_bad_curve_records(tree):
+def test_writer_matches_reference_on_trees_with_records(tree):
     assert render_structured(tree) == reference(tree)
 
 
-def test_oversized_record_field_raises_the_interpreters_value_error():
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), TREES_WITH_RECORDS, max_size=4))
+def test_text_of_records_is_the_text_of_their_layouts(tree):
+    # the JSON-native form holds every record as its layout and every rational as {num, den}
+    assert render_text(tree) == render_text(parse_structured(reference(tree)))
+
+
+OVERSIZED = {  # one field of 4,301 digits, past the interpreter's default limit
+    "bad-curve": lambda: BadCurve(Surface.hirzebruch(0).divisor(1, 0), -(10**4300), 0, 1),
+    "fraction": lambda: Fraction(10**4300, 3),
+    "character": lambda: characters_with_c2(10**4300),
+    "divisor": lambda: Surface.hirzebruch(1).divisor(2, -(10**4300)),
+}
+
+
+def characters_with_c2(c2: int) -> ChernCharacter:
+    c1 = Surface.hirzebruch(0).divisor(1, 1)
+    return ChernCharacter(2, c1, Fraction(c1.self_intersection, 2) - c2)
+
+
+def test_oversized_record_field_raises_the_interpreters_value_error(monkeypatch):
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no integer-to-string limit")
+    monkeypatch.setattr(rpt, "_TEMPLATES", {})
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        surface = Surface.hirzebruch(0)
-        bad = BadCurve(surface.divisor(1, 0), -(10**4300), 0, 1)
-        with pytest.raises(ValueError, match="Exceeds the limit") as got:
-            render_structured({"classes": (bad,)})
-        with pytest.raises(ValueError) as want:
-            reference({"classes": (bad,)})
-        assert str(got.value) == str(want.value)
+        for kind, make in OVERSIZED.items():
+            tree = {"classes": (make(),)}
+            with pytest.raises(ValueError) as want:
+                reference(tree)
+            for cache in ("cold", "warm"):
+                with pytest.raises(ValueError, match="Exceeds the limit") as got:
+                    render_structured(tree)
+                assert str(got.value) == str(want.value), (kind, cache)
     finally:
         sys.set_int_max_str_digits(saved)
