@@ -68,9 +68,9 @@ from .errors import CertificateError, EnumerationLimitError, PreconditionError
 from .positivity import (
     classify_global_generation,
     gg_quick_criterion,
+    is_tangent_bundle,
     require_slope_hypotheses,
     slope_conditions,
-    tangent_bundle_character,
 )
 from .rationals import ceil_frac
 from .records import Record
@@ -160,19 +160,20 @@ def _bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
     """
     surface = v.surface
     e = surface.e
+    of = DivisorClass._of  # family members have int coordinates
     candidates: list[DivisorClass] = []
     families: list[tuple] = []
     if surface.is_plane:
         candidates = [surface.divisor(1), surface.divisor(2)]    # H, 2H
     elif e == 0:
-        families.append((lambda b: surface.divisor(1, b), 0, "E + bF"))  # b=0 is E
-        families.append((lambda b: surface.divisor(b, 1), 0, "bE + F"))  # b=0 is F
+        families.append((lambda b: of(surface, (1, b)), 0, "E + bF"))  # b=0 is E
+        families.append((lambda b: of(surface, (b, 1)), 0, "bE + F"))  # b=0 is F
     elif e == 1:
         candidates = [surface.divisor(0, 1), surface.divisor(2, 2)]  # F, 2E+2F
-        families.append((lambda b: surface.divisor(1, b), 0, "E + bF"))  # b=0 is E
+        families.append((lambda b: of(surface, (1, b)), 0, "E + bF"))  # b=0 is E
     else:
         candidates = [surface.divisor(0, 1), surface.divisor(1, 0)]  # F, E
-        families.append((lambda b: surface.divisor(1, b), e, "E + bF"))  # b >= e
+        families.append((lambda b: of(surface, (1, b)), e, "E + bF"))  # b >= e
 
     bad = [b for b in (dimension_count(v, d) for d in candidates) if b.chi_twist < 0]
     for member, b_start, name in families:
@@ -229,7 +230,7 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
     if v.delta < 0:
         return fail("bogomolov: delta < 0 admits no semistable bundle")
     if not all(c.holds for c in conditions):
-        if v == tangent_bundle_character(v.surface):
+        if is_tangent_bundle(v):
             notes.append(
                 "the character is the plane's tangent bundle, which is "
                 "globally generated and ample despite failing the slope bound"
@@ -288,14 +289,15 @@ def kernel_character(v: ChernCharacter, n: int, s: int = 2) -> ChernCharacter:
     _require_kernel_rank(s)
     if n < 1:
         raise PreconditionError(f"the multiplier must be positive, got {n}")
-    surface = v.surface
-    h = surface.polarization
+    h, pair = v.surface.polarization, v.surface.pair
     copies = n * v.rank + s
-    return ChernCharacter(
-        s,
-        copies * h - n * v.c1,
-        Fraction(copies * surface.pair(h.coords, h.coords), 2) - n * v.ch2,
-    )
+    c1, h_squared = copies * h - n * v.c1, pair(h.coords, h.coords)
+    if type(n) is not int or type(s) is not int:  # other rationals go through the checks
+        return ChernCharacter(s, c1, Fraction(copies * h_squared, 2) - n * v.ch2)
+    # c(u) = c(O(H))^copies / c(v)^n: c2 = C(copies, 2) H^2 - copies*n c1.H + C(n+1, 2) c1^2 - n c2
+    c2 = (copies * (copies - 1) // 2 * h_squared - copies * n * pair(v.c1.coords, h.coords)
+          + n * (n + 1) // 2 * pair(v.c1.coords, v.c1.coords) - n * v.c2)
+    return ChernCharacter._of(s, c1, c2)
 
 
 def multiplier_lower_bound(v: ChernCharacter, s: int = 2) -> Fraction:

@@ -1,13 +1,15 @@
 """Exact Chern character arithmetic and Riemann-Roch.
 
-A character is a triple ``(rank, c1, ch2)`` with positive rank, integral
-``c1`` and exact rational ``ch2`` subject to the integrality of the second
-Chern class ``c2 = c1^2/2 - ch2``.  Integral ``c1`` has ``int``
-coordinates (see ``surfaces``), so ``c1^2``, ``c2`` and chi are ``int``s;
-``Fraction``s appear only where a quotient may leave the integers: ``ch2``,
-``mu``, ``nu`` and ``delta``.  No verdict is decided on ``nu``: a slope
-test ``nu.C > t`` is the integer comparison ``c1.C > t*rank``, and its
-reported margin is built once, as ``Fraction(c1.C - t*rank, rank)``.  The
+A character is held as the integers ``(rank, c1, c2)``: positive rank,
+integral ``c1`` (``int`` coordinates, see ``surfaces``) and the second Chern
+class.  The constructor keeps its signature ``ChernCharacter(rank, c1, ch2)``
+and checks that ``c2 = c1^2/2 - ch2`` is an integer; ``repr`` shows ``c2``.
+Twists, duals, multiples, sums and kernels compute ``c2`` in ints from the
+total Chern class and skip the checks (``Record._of``).  ``Fraction``s
+appear only where a quotient may leave the integers: ``ch2``, ``mu``,
+``nu`` and ``delta``.  No verdict is decided on ``nu``: a slope test
+``nu.C > t`` is the integer comparison ``c1.C > t*rank``, and its reported
+margin is built once, as ``Fraction(c1.C - t*rank, rank)``.  The
 logarithmic invariants
 
     mu = (c1.H) / (rank * H^2),   nu = c1 / rank,
@@ -35,11 +37,10 @@ The canonical textual form used by the CLI and reports is ``r:c1:ch2`` with
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InvalidCharacterError, InvalidDivisorError
 from .rationals import INTEGER, Rational, check_digits, format_rational, parse_rational, rat
-from .records import Record
+from .records import Record, lazy
 from .surfaces import DivisorClass, Surface
 
 
@@ -49,7 +50,7 @@ def _adjunction_form(surface: Surface, x: tuple[int, ...]) -> int:
 
 
 class ChernCharacter(Record):
-    __slots__ = ("rank", "c1", "ch2", "__dict__")
+    __slots__ = ("rank", "c1", "c2", "__dict__")
 
     def __init__(self, rank: int, c1: DivisorClass, ch2: Rational) -> None:
         ch2 = rat(ch2)
@@ -57,61 +58,68 @@ class ChernCharacter(Record):
             raise InvalidCharacterError(f"rank must be a positive integer, got {rank}")
         if not c1.is_integral:
             raise InvalidCharacterError(f"c1 must be integral, got {c1}")
+        c1_squared = c1.surface.pair(c1.coords, c1.coords)
+        p, q = ch2.numerator, ch2.denominator
+        c2, rest = divmod(c1_squared * q - 2 * p, 2 * q)  # c1^2/2 - ch2, ch2 = p/q
+        if rest:
+            c2 = Fraction(c1_squared, 2) - ch2
+            raise InvalidCharacterError(
+                f"c1^2/2 - ch2 = {c2} is not an integer (c2 must be integral)"
+            )
         _set_rank(self, int(rank))
         _set_c1(self, c1)
-        _set_ch2(self, ch2)
-        self.c2  # computing c2 checks that it is an integer
+        _set_c2(self, c2)
+        self.__dict__.update(ch2=ch2, _c1_squared=c1_squared)
+
+    def __reduce__(self):
+        return ChernCharacter, (self.rank, self.c1, self.ch2)  # rebuilt through the checks
 
     @property
     def surface(self) -> Surface:
         return self.c1.surface
 
-    @cached_property
+    @lazy
     def _c1_squared(self) -> int:
         return self.surface.pair(self.c1.coords, self.c1.coords)
 
-    @cached_property
-    def c2(self) -> int:
-        p, q = self.ch2.numerator, self.ch2.denominator
-        c2, rest = divmod(self._c1_squared * q - 2 * p, 2 * q)  # c1^2/2 - ch2, ch2 = p/q
-        if rest:
-            c2 = Fraction(self._c1_squared, 2) - self.ch2
-            raise InvalidCharacterError(
-                f"c1^2/2 - ch2 = {c2} is not an integer (c2 must be integral)"
-            )
-        return c2
+    @lazy
+    def ch2(self) -> Fraction:
+        return Fraction(self._c1_squared - 2 * self.c2, 2)
 
-    @cached_property
+    @lazy
     def nu(self) -> DivisorClass:
         rank = self.rank
         return DivisorClass(self.surface, tuple(Fraction(c, rank) for c in self.c1.coords))
 
-    @cached_property
+    @lazy
     def mu(self) -> Fraction:
         h = self.surface.polarization.coords
         pair = self.surface.pair
         return Fraction(pair(self.c1.coords, h), self.rank * pair(h, h))
 
-    @cached_property
+    @lazy
     def delta(self) -> Fraction:
         # nu^2/2 - ch2/rank with ch2 = c1^2/2 - c2, over the common denominator
         r = self.rank
         return Fraction((1 - r) * self._c1_squared + 2 * r * self.c2, 2 * r * r)
 
-    @cached_property
+    @lazy
     def _chi(self) -> int:
         return self.rank + _adjunction_form(self.surface, self.c1.coords) // 2 - self.c2
 
     def euler_characteristic(self) -> int:
         return self._chi
 
-    def twisted_chi(self, d: DivisorClass) -> int:
-        """``chi(v(d))`` for integral d, without building the twisted character."""
+    def _integral_coords(self, d: DivisorClass) -> tuple[int, ...]:
         if not d.is_integral:
             raise InvalidDivisorError(f"twists are by integral classes, got {d}")
         self.c1._check_same_surface(d)
+        return d.coords
+
+    def twisted_chi(self, d: DivisorClass) -> int:
+        """``chi(v(d))`` for integral d, without building the twisted character."""
+        x = self._integral_coords(d)
         surface = self.surface
-        x = d.coords
         return (
             self._chi
             + surface.pair(self.c1.coords, x)
@@ -119,35 +127,34 @@ class ChernCharacter(Record):
         )
 
     def twist(self, d: DivisorClass) -> "ChernCharacter":
-        """Tensor with the line bundle O(d), d integral."""
-        if not d.is_integral:
-            raise InvalidDivisorError(f"twists are by integral classes, got {d}")
-        pair = self.surface.pair
-        x = d.coords
-        return ChernCharacter(
-            self.rank,
-            self.c1 + self.rank * d,
-            self.ch2 + pair(self.c1.coords, x) + Fraction(self.rank * pair(x, x), 2),
-        )
+        """Tensor with the line bundle O(d), d integral: ``c2 + (r-1) c1.d + C(r, 2) d^2``."""
+        x = self._integral_coords(d)
+        r, pair = self.rank, self.surface.pair
+        c2 = self.c2 + (r - 1) * pair(self.c1.coords, x) + r * (r - 1) // 2 * pair(x, x)
+        return _trusted(r, self.c1 + r * d, c2)
 
     def dual(self) -> "ChernCharacter":
-        return ChernCharacter(self.rank, -self.c1, self.ch2)
+        return _trusted(self.rank, -self.c1, self.c2)
 
     def scale(self, n: int) -> "ChernCharacter":
         if not isinstance(n, int) or n < 1:
             raise InvalidCharacterError(f"scaling factor must be a positive integer, got {n}")
-        return ChernCharacter(n * self.rank, n * self.c1, n * self.ch2)
+        c2 = n * self.c2 + n * (n - 1) // 2 * self._c1_squared  # c(v)^n
+        return _trusted(n * self.rank, n * self.c1, c2)
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
-        """Character of a direct sum."""
-        return ChernCharacter(self.rank + other.rank, self.c1 + other.c1, self.ch2 + other.ch2)
+        """Character of a direct sum: ``c2 = c2 + c2' + c1.c1'``."""
+        c1 = self.c1 + other.c1
+        c2 = self.c2 + other.c2 + self.surface.pair(self.c1.coords, other.c1.coords)
+        return _trusted(self.rank + other.rank, c1, c2)
 
     def __str__(self) -> str:
         coords = ",".join(format_rational(c) for c in self.c1.coords)
         return f"{self.rank}:{coords}:{format_rational(self.ch2)}"
 
 
-_set_rank, _set_c1, _set_ch2 = ChernCharacter._setters
+_set_rank, _set_c1, _set_c2 = ChernCharacter._setters
+_trusted = ChernCharacter._of
 
 
 def make_character(

@@ -60,6 +60,11 @@ def tangent_bundle_character(surface) -> ChernCharacter | None:
     return ChernCharacter(2, surface.divisor(3), Fraction(3, 2))
 
 
+def is_tangent_bundle(v: ChernCharacter) -> bool:
+    """Whether ``v`` is ``tangent_bundle_character(v.surface)``, without building it."""
+    return v.surface.is_plane and (v.rank, v.c1.coords, v.c2) == (2, (3,), 3)
+
+
 class Condition(Record):
     """One checked inequality with its exact margin (negative = violated)."""
 
@@ -191,7 +196,7 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
             )
 
     note = None
-    if v == tangent_bundle_character(surface):
+    if is_tangent_bundle(v):
         verdict = ObstructionVerdict.EXCEPTIONAL_TANGENT_BUNDLE
         note = (
             "the tangent bundle of the plane: the unique stable ample bundle "

@@ -1,22 +1,39 @@
 """Immutable records: slotted classes compared, hashed and shown by field.
 
 A record names its fields in ``__slots__``, plus ``"__dict__"`` where
-``cached_property`` keeps values.  Its ``__eq__``, and its ``__init__``
-unless it writes one through ``_setters``, are compiled once per class, as
-``collections.namedtuple`` does; ``_defaults`` are those of the last fields.
+``lazy`` keeps values.  Its ``__eq__`` and its ``__init__`` (or, beside a
+validating ``__init__`` of its own, the unchecked ``_of``) are compiled once
+per class, as ``collections.namedtuple`` does; ``_defaults`` are those of
+the last fields.  ``cls._of(*fields)`` builds results valid by
+construction; copies and pickles rebuild through ``__init__``.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-_METHODS = """
-def __init__(self, {fields}):{sets}
+_INIT = "def __init__(self, {fields}):{sets}"
+_OF = "def _of(cls, {fields}):\n    self = object.__new__(cls){sets}\n    return self"
+_EQ = """
 def __eq__(self, other):
     if other.__class__ is not self.__class__:
         return NotImplemented
     return ({mine},) == ({theirs},)
 """
+
+
+class lazy:
+    """Lock-free ``functools.cached_property`` for immutable records: a first read stores
+    the value in ``__dict__`` past ``Record.__setattr__`` (racing reads store equal values)."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.func(record)
+        return value
 
 
 class Record:
@@ -28,15 +45,18 @@ class Record:
         cls._values = attrgetter(*fields)
         cls._setters = [getattr(cls, f).__set__ for f in fields]
         names = {f"_set_{f}": set_f for f, set_f in zip(fields, cls._setters)}
-        exec(_METHODS.format(
+        validating = "__init__" in cls.__dict__
+        exec(((_OF if validating else _INIT) + _EQ).format(
             fields=", ".join(fields),
             sets="".join(f"\n    _set_{f}(self, {f})" for f in fields),
             mine=", ".join(f"self.{f}" for f in fields),
             theirs=", ".join(f"other.{f}" for f in fields),
         ), names)
         cls.__eq__ = names["__eq__"]
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = names["__init__"]
+        if validating:
+            cls._of = classmethod(names["_of"])
+        else:  # the compiled __init__ checks nothing, so it is the trusted path
+            cls.__init__, cls._of = names["__init__"], cls
             cls.__init__.__defaults__ = cls._defaults
 
     def __hash__(self) -> int:

@@ -38,11 +38,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 from .errors import InvalidDivisorError, SurfaceMismatchError
 from .rationals import Rational, check_digits, exact
-from .records import Record
+from .records import Record, lazy
+
+SURFACE_CACHE_SIZE = 64  # surfaces interned by their constructors; ``e`` is user input
 
 
 class SurfaceKind(Enum):
@@ -67,13 +69,15 @@ class Surface(Record):
 
     @classmethod
     def projective_plane(cls) -> "Surface":
-        return cls(SurfaceKind.PROJECTIVE_PLANE)
+        return _interned(SurfaceKind.PROJECTIVE_PLANE)
 
     @classmethod
     def hirzebruch(cls, e: int) -> "Surface":
-        return cls(SurfaceKind.HIRZEBRUCH, e)
+        if type(e) is not int:  # rejected, or normalised (True), by the constructor
+            return cls(SurfaceKind.HIRZEBRUCH, e)
+        return _interned(SurfaceKind.HIRZEBRUCH, e)
 
-    @cached_property
+    @lazy
     def is_plane(self) -> bool:
         return self.kind is SurfaceKind.PROJECTIVE_PLANE
 
@@ -81,25 +85,25 @@ class Surface(Record):
     def name(self) -> str:
         return "P2" if self.is_plane else f"F{self.e}"
 
-    @cached_property
+    @lazy
     def basis(self) -> tuple[str, ...]:
         return ("H",) if self.is_plane else ("E", "F")
 
     def divisor(self, *coords: Rational) -> "DivisorClass":
         return DivisorClass(self, coords)
 
-    @cached_property
+    @lazy
     def zero(self) -> "DivisorClass":
         return self.divisor(*([0] * len(self.basis)))
 
-    @cached_property
+    @lazy
     def polarization(self) -> "DivisorClass":
         """The minimal ample class H: the line, or ``E + (e+1)F``."""
         if self.is_plane:
             return self.divisor(1)
         return self.divisor(1, self.e + 1)
 
-    @cached_property
+    @lazy
     def fiber_class(self) -> "DivisorClass":
         """The class L: the line on the plane, the fiber F on ``F_e``."""
         if self.is_plane:
@@ -113,7 +117,7 @@ class Surface(Record):
             return (-3,)
         return (-2, -(self.e + 2))
 
-    @cached_property
+    @lazy
     def canonical(self) -> "DivisorClass":
         return self.divisor(*self.canonical_coords)
 
@@ -128,6 +132,7 @@ class Surface(Record):
 
 
 _set_kind, _set_e = Surface._setters
+_interned = lru_cache(maxsize=SURFACE_CACHE_SIZE)(Surface)
 
 
 def parse_surface(text: str) -> Surface:
@@ -157,30 +162,35 @@ class DivisorClass(Record):
         _set_coords(self, tuple(map(exact, coords)))
 
     def _check_same_surface(self, other: "DivisorClass") -> None:
-        if self.surface != other.surface:
+        if self.surface is not other.surface and self.surface != other.surface:
             raise SurfaceMismatchError(
                 f"cannot combine classes on {self.surface} and {other.surface}"
             )
 
     @property
     def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coords)
+        c = self.coords  # a basis has one or two classes: quicker than all()
+        return type(c[0]) is int and type(c[-1]) is int
+
+    def _with(self, coords: tuple[Rational, ...]) -> "DivisorClass":
+        """A class on this surface; ``int`` coordinates need no normalising."""
+        d = _trusted_class(self.surface, coords)
+        return d if d.is_integral else DivisorClass(self.surface, coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_same_surface(other)
-        return DivisorClass(
-            self.surface, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return self._with(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
+        self._check_same_surface(other)
+        return self._with(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-c for c in self.coords))
+        return self._with(tuple(-c for c in self.coords))
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
         q = exact(scalar)
-        return DivisorClass(self.surface, tuple(q * c for c in self.coords))
+        return self._with(tuple(q * c for c in self.coords))
 
     __rmul__ = __mul__
 
@@ -203,6 +213,7 @@ class DivisorClass(Record):
 
 
 _set_surface, _set_coords = DivisorClass._setters
+_trusted_class = DivisorClass._of
 
 
 def ruling_degrees(d: DivisorClass) -> tuple[Rational, Rational]:

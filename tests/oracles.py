@@ -75,6 +75,39 @@ def chi_of_twist(v: ChernCharacter, d) -> int:
     return chi.numerator
 
 
+def by_ch2(surface: Surface, rank: int, c1: list, ch2: Fraction) -> ChernCharacter:
+    """``(rank, c1, ch2)`` through the validating constructors, coordinates as given."""
+    return ChernCharacter(rank, DivisorClass(surface, tuple(c1)), ch2)
+
+
+def twist_by_ch2(v: ChernCharacter, d: DivisorClass) -> ChernCharacter:
+    """``v(d) = (r, c1 + r*d, ch2 + c1.d + r*d^2/2)``: the twist through ``ch2``."""
+    pair, r, x = v.surface.pair, v.rank, d.coords
+    c1 = [a + r * b for a, b in zip(v.c1.coords, x)]
+    return by_ch2(v.surface, r, c1, v.ch2 + pair(v.c1.coords, x) + Fraction(r * pair(x, x), 2))
+
+
+def dual_by_ch2(v: ChernCharacter) -> ChernCharacter:
+    return by_ch2(v.surface, v.rank, [-a for a in v.c1.coords], v.ch2)
+
+
+def scale_by_ch2(v: ChernCharacter, n: int) -> ChernCharacter:
+    return by_ch2(v.surface, n * v.rank, [n * a for a in v.c1.coords], n * v.ch2)
+
+
+def sum_by_ch2(v: ChernCharacter, w: ChernCharacter) -> ChernCharacter:
+    c1 = [a + b for a, b in zip(v.c1.coords, w.c1.coords)]
+    return by_ch2(v.surface, v.rank + w.rank, c1, v.ch2 + w.ch2)
+
+
+def kernel_by_ch2(v: ChernCharacter, n: int, s: int) -> ChernCharacter:
+    """``(n*rank + s) ch O(H) - n v``, added up through ``ch2``."""
+    h = v.surface.polarization.coords
+    copies = n * v.rank + s
+    c1 = [copies * a - n * b for a, b in zip(h, v.c1.coords)]
+    return by_ch2(v.surface, s, c1, Fraction(copies * v.surface.pair(h, h), 2) - n * v.ch2)
+
+
 def h0_by_sum(d) -> int:
     """h^0(O(d)) by summing the sections of each summand, term by term.
 

@@ -13,6 +13,7 @@ from amplecheck import (
     from_log_invariants,
     fulton_lazarsfeld_margin,
     h0_line_bundle,
+    kernel_character,
     line_bundle_character,
     make_character,
     parse_character,
@@ -20,7 +21,14 @@ from amplecheck import (
 from amplecheck.characters import parse_log_character
 from amplecheck.report import character_to_json, render_structured
 from conftest import characters, integral_divisors, surfaces_strategy
-from oracles import hilbert_polynomial
+from oracles import (
+    dual_by_ch2,
+    hilbert_polynomial,
+    kernel_by_ch2,
+    scale_by_ch2,
+    sum_by_ch2,
+    twist_by_ch2,
+)
 
 P2 = Surface.projective_plane()
 F1 = Surface.hirzebruch(1)
@@ -244,6 +252,58 @@ class TestDualAndScale:
         assert TANGENT.scale(True) == TANGENT and type(TANGENT.scale(True).rank) is int
         with pytest.raises(InvalidCharacterError):
             TANGENT.scale(2.0)
+
+
+def _held_as_ints(v: ChernCharacter) -> bool:
+    return all(type(x) is int for x in (v.rank, *v.c1.coords, v.c2))
+
+
+class TestTrustedPaths:
+    """Twists, duals, multiples, sums and kernels are built without re-validation,
+    from ``c2`` in ints; each must equal the ``ch2`` formula through the checks."""
+
+    @given(wide_character_and_divisor())
+    def test_twist_matches_the_ch2_formula(self, pair):
+        v, d = pair
+        twisted = v.twist(d)
+        assert twisted == twist_by_ch2(v, d) and _held_as_ints(twisted)
+        assert twisted.ch2 == twist_by_ch2(v, d).ch2
+
+    @given(wide_character_and_divisor(), st.integers(1, 9))
+    def test_dual_and_scale_match_the_ch2_formula(self, pair, n):
+        v, _ = pair
+        assert v.dual() == dual_by_ch2(v) and _held_as_ints(v.dual())
+        assert v.scale(n) == scale_by_ch2(v, n) and _held_as_ints(v.scale(n))
+
+    @given(wide_character_and_divisor(), wide_character_and_divisor())
+    def test_sum_matches_the_ch2_formula(self, pair, other):
+        v, d = pair
+        w = other[0]
+        if w.surface != v.surface:
+            w = ChernCharacter(w.rank, d, Fraction(d.self_intersection, 2) - w.c2)
+        assert v + w == sum_by_ch2(v, w) and _held_as_ints(v + w)
+
+    @given(wide_character_and_divisor(), st.integers(1, 40), st.integers(2, 6))
+    def test_kernel_matches_the_ch2_formula(self, pair, n, s):
+        v, _ = pair
+        kernel = kernel_character(v, n, s)
+        assert kernel == kernel_by_ch2(v, n, s) and _held_as_ints(kernel)
+        assert kernel.delta == kernel_by_ch2(v, n, s).delta
+
+    def test_kernel_of_other_rationals_goes_through_the_checks(self):
+        with pytest.raises(InvalidCharacterError, match="rank must be a positive integer"):
+            kernel_character(TANGENT, 1, Fraction(3))
+
+    def test_sums_across_surfaces_rejected(self):
+        with pytest.raises(SurfaceMismatchError):
+            TANGENT + make_character(2, F1.divisor(1, 1), Fraction(1, 2))
+
+    def test_repr_shows_c2_and_the_constructor_keeps_ch2(self):
+        assert repr(TANGENT) == (
+            "ChernCharacter(rank=2, c1=DivisorClass(surface=Surface("
+            "kind=<SurfaceKind.PROJECTIVE_PLANE: 'P2'>, e=0), coords=(3,)), c2=3)"
+        )
+        assert TANGENT.ch2 == Fraction(3, 2) and TANGENT._fields == ("rank", "c1", "c2")
 
 
 class TestLineBundleCharacters:

@@ -10,6 +10,7 @@ from amplecheck import (
     ObstructionVerdict,
     PreconditionError,
     Surface,
+    ample_gg_verdict,
     asymptotic_ample_certificate,
     classify_global_generation,
     enumerate_bad_curves,
@@ -24,6 +25,7 @@ from amplecheck import (
     tangent_bundle_character,
     wbn_applicable,
 )
+from amplecheck.positivity import is_tangent_bundle
 from conftest import ALL_SURFACES, characters, random_valid_character
 from oracles import slope_conditions_oracle
 
@@ -328,6 +330,21 @@ class TestQuickCriterion:
 def test_tangent_character_helper():
     assert tangent_bundle_character(P2) == TANGENT
     assert tangent_bundle_character(F1) is None
+
+
+@given(characters())
+def test_tangent_bundle_test_agrees_with_the_character(v):
+    assert is_tangent_bundle(v) == (v == tangent_bundle_character(v.surface))
+    assert is_tangent_bundle(TANGENT)
+
+
+def test_tangent_bundle_test_builds_no_character(monkeypatch):
+    built = []
+    check = ChernCharacter.__init__
+    monkeypatch.setattr(ChernCharacter, "__init__", lambda *a: built.append(a) or check(*a))
+    assert necessary_obstructions(TANGENT).verdict is ObstructionVerdict.EXCEPTIONAL_TANGENT_BUNDLE
+    assert "tangent bundle" in ample_gg_verdict(TANGENT).notes[-1]
+    assert built == []
 
 
 def test_exactly_one_case_fires():

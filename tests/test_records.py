@@ -23,6 +23,7 @@ from amplecheck import (
     wbn_applicable,
     wbn_cohomology,
 )
+from amplecheck.records import Record, lazy
 
 F2 = Surface.hirzebruch(2)
 V = parse_character("2:3,8:2", F2)
@@ -86,3 +87,28 @@ def test_round_trips_rebuild_a_character_through_its_checks(monkeypatch):
     for again in (copy.copy(V), copy.deepcopy(V), pickle.loads(pickle.dumps(V))):
         assert again == V and "mu" not in again.__dict__  # caches start empty
     assert rebuilt == [(V.rank, V.c1, V.ch2)] * 3
+
+
+class Counted(Record):
+    __slots__ = ("x", "__dict__")
+    reads = 0
+
+    @lazy
+    def square(self):
+        Counted.reads += 1
+        return self.x * self.x
+
+
+def test_lazy_invariants_are_computed_once_past_setattr(monkeypatch):
+    monkeypatch.setattr(Record, "__setattr__", lambda *a: pytest.fail("went through setattr"))
+    record = Counted(7)
+    assert (record.square, record.square, Counted.reads) == (49, 49, 1)
+    assert record.__dict__ == {"square": 49}
+    assert Counted.square.__get__(None, Counted) is Counted.square
+
+
+def test_trusted_constructor_sets_the_fields_unchecked():
+    assert all(type(r)._of(*r._values(r)) == r for r in RECORDS[3:])  # their __init__ checks nothing
+    c1 = V.c1._of(F2, (3, 8))
+    assert c1 == V.c1 and type(c1) is type(V.c1)
+    assert ChernCharacter._of(V.rank, c1, V.c2) == V

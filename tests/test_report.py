@@ -21,7 +21,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from amplecheck import BadCurve, ChernCharacter, Condition, DivisorClass, Surface, parse_character
+from amplecheck import (
+    BadCurve,
+    ChernCharacter,
+    Condition,
+    DivisorClass,
+    Surface,
+    enumerate_bad_curves,
+    parse_character,
+)
 from amplecheck import report as rpt
 from amplecheck.report import (
     bad_curves_report,
@@ -125,6 +133,39 @@ def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
     assert {Fraction, DivisorClass, ChernCharacter, Condition} <= set(table_calls)
     # keyed on the surface's basis, not the surface, so F_e of any e shares one entry
     assert {basis for _, basis, _ in rpt._TEMPLATES} <= {None, ("H",), ("E", "F")}
+
+
+def _count_validated(monkeypatch) -> Counter:
+    """Count calls of the validating constructors of divisors and characters."""
+    counts = Counter()
+    for cls in (DivisorClass, ChernCharacter):
+        def counting(self, *fields, cls=cls, check=cls.__init__):
+            counts[cls] += 1
+            check(self, *fields)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def test_a_report_validates_few_records(monkeypatch):
+    """Twists, duals, kernels and divisor sums are built without re-validation:
+    one F2 report made 45 validated divisors and 8 validated characters before."""
+    F2 = Surface.hirzebruch(2)
+    render_structured(run_report(F2, parse_character("2:3,8:2", F2)))  # warm caches
+    counts = _count_validated(monkeypatch)
+    render_structured(run_report(F2, parse_character("2:3,8:2", F2)))
+    assert counts[DivisorClass] <= 9 and counts[ChernCharacter] <= 3
+
+
+def test_family_members_are_not_validated_one_by_one(monkeypatch):
+    F0 = Surface.hirzebruch(0)
+    enumerate_bad_curves(parse_character("2:400,3:-209", F0))  # warm caches
+    counts = _count_validated(monkeypatch)
+    made = []
+    for x in (200, 4000):
+        counts.clear()
+        bad = enumerate_bad_curves(parse_character(f"2:{2 * x},3:-{x + 9}", F0))
+        made.append((len(bad), counts[DivisorClass]))
+    assert made[0][0] < made[1][0] and made[0][1] == made[1][1] <= 4
 
 
 def test_text_rendering_of_bad_curves_makes_no_dict_per_member(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from amplecheck import (
+    DivisorClass,
     InvalidDivisorError,
     Surface,
     SurfaceKind,
@@ -15,6 +16,7 @@ from amplecheck import (
     is_nef,
     parse_surface,
 )
+from amplecheck import surfaces
 from conftest import ALL_SURFACES, integral_divisors, surfaces_strategy
 from oracles import hilbert_polynomial, is_effective
 
@@ -116,6 +118,66 @@ class TestCoordinates:
         for name in ("zero", "polarization", "fiber_class", "canonical"):
             assert getattr(surface, name) is getattr(surface, name)
             assert getattr(surface, name).is_integral
+
+
+WIDE_SURFACES = (P2,) + tuple(Surface.hirzebruch(e) for e in range(6))
+
+
+@st.composite
+def rational_divisors(draw):
+    """A surface of P2, F0-F5 and two classes on it, some coordinates halves or thirds."""
+    surface = draw(st.sampled_from(WIDE_SURFACES))
+    coord = st.fractions(min_value=-40, max_value=40, max_denominator=3)
+    return tuple(surface.divisor(*[draw(coord) for _ in surface.basis]) for _ in range(2))
+
+
+class TestTrustedArithmetic:
+    """Sums, differences, negatives and int multiples of int coordinates skip the
+    validating constructor; every result equals the validated class."""
+
+    @given(rational_divisors(), st.integers(-9, 9))
+    def test_results_equal_the_validated_class(self, classes, k):
+        a, b = classes
+        for result, coords in (
+            (a + b, [Fraction(x) + y for x, y in zip(a.coords, b.coords)]),
+            (a - b, [Fraction(x) - y for x, y in zip(a.coords, b.coords)]),
+            (-a, [-Fraction(x) for x in a.coords]),
+            (k * a, [k * Fraction(x) for x in a.coords]),
+            (a * k, [Fraction(x) * k for x in a.coords]),
+        ):
+            expected = DivisorClass(a.surface, tuple(coords))
+            assert result == expected and hash(result) == hash(expected)
+            integral = all(c.denominator == 1 for c in coords)
+            assert result.is_integral == integral
+            if integral:
+                assert all(type(c) is int for c in result.coords)
+
+    def test_halves_add_up_to_an_integral_class(self):
+        half = P2.divisor(Fraction(1, 2))
+        whole = half + half
+        assert whole == P2.divisor(1) and type(whole.coords[0]) is int
+
+    def test_mismatched_surfaces_still_raise(self):
+        with pytest.raises(SurfaceMismatchError):
+            F1.divisor(1, 0) - F2.divisor(1, 0)
+
+
+class TestInterning:
+    def test_parsed_surfaces_are_interned(self):
+        assert parse_surface("F2") is parse_surface("f2") is Surface.hirzebruch(2)
+        assert parse_surface("P2") is parse_surface("p2") is Surface.projective_plane()
+
+    def test_surface_cache_is_bounded(self):
+        for e in range(3 * surfaces.SURFACE_CACHE_SIZE):
+            parse_surface(f"F{e}")
+        huge = parse_surface("F" + "9" * 2000)
+        assert huge.e == 10**2000 - 1 and huge is parse_surface("F" + "9" * 2000)
+        assert surfaces._interned.cache_info().currsize <= surfaces.SURFACE_CACHE_SIZE
+
+    def test_other_parameters_are_not_interned(self):
+        with pytest.raises(InvalidDivisorError):
+            Surface.hirzebruch(1.0)
+        assert Surface.hirzebruch(True) == F1 and Surface.hirzebruch(True) is not F1
 
 
 class TestCanonicalClass:
