@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidCharacterError, InvalidDivisorError
-from .rationals import INTEGER, Rational, check_digits, format_rational, parse_rational, rat
+from .rationals import INTEGER, Rational, check_digits, parse_rational, rat
 from .records import Record, lazy
 from .surfaces import DivisorClass, Surface
 
@@ -149,8 +149,7 @@ class ChernCharacter(Record):
         return _trusted(self.rank + other.rank, c1, c2)
 
     def __str__(self) -> str:
-        coords = ",".join(format_rational(c) for c in self.c1.coords)
-        return f"{self.rank}:{coords}:{format_rational(self.ch2)}"
+        return f"{self.rank}:{','.join(map(str, self.c1.coords))}:{self.ch2}"
 
 
 _set_rank, _set_c1, _set_c2 = ChernCharacter._setters

@@ -79,7 +79,6 @@ class ObstructionVerdict(Enum):
 
 class ObstructionReport(Record):
     __slots__ = ("conditions", "verdict", "stability_assumed", "note")
-    _defaults = (None,)
 
     @property
     def failed(self) -> tuple[Condition, ...]:

@@ -72,10 +72,3 @@ def parse_rational(text: str, field: str = "rational") -> Fraction:
 def rational_to_json(value: Rational) -> dict[str, int]:
     q = exact(value)
     return {"num": q.numerator, "den": q.denominator}
-
-
-def format_rational(value: Rational) -> str:
-    q = exact(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"

@@ -1,11 +1,12 @@
 """Immutable records: slotted classes compared, hashed and shown by field.
 
 A record names its fields in ``__slots__``, plus ``"__dict__"`` where
-``lazy`` keeps values.  Its ``__eq__`` and its ``__init__`` (or, beside a
-validating ``__init__`` of its own, the unchecked ``_of``) are compiled once
-per class, as ``collections.namedtuple`` does; ``_defaults`` are those of
-the last fields.  ``cls._of(*fields)`` builds results valid by
-construction; copies and pickles rebuild through ``__init__``.
+``lazy`` keeps values.  Only its constructor is compiled, once per class as
+``collections.namedtuple`` does: the ``__init__``, or beside a validating
+``__init__`` the unchecked ``_of``; ``_defaults`` are those of the last
+fields.  ``==`` and ``hash`` both read the fields through ``cls._values``.
+``cls._of(*fields)`` builds results valid by construction; copies and
+pickles rebuild through ``__init__``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,6 @@ from operator import attrgetter
 
 _INIT = "def __init__(self, {fields}):{sets}"
 _OF = "def _of(cls, {fields}):\n    self = object.__new__(cls){sets}\n    return self"
-_EQ = """
-def __eq__(self, other):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return ({mine},) == ({theirs},)
-"""
 
 
 class lazy:
@@ -46,18 +41,18 @@ class Record:
         cls._setters = [getattr(cls, f).__set__ for f in fields]
         names = {f"_set_{f}": set_f for f, set_f in zip(fields, cls._setters)}
         validating = "__init__" in cls.__dict__
-        exec(((_OF if validating else _INIT) + _EQ).format(
-            fields=", ".join(fields),
-            sets="".join(f"\n    _set_{f}(self, {f})" for f in fields),
-            mine=", ".join(f"self.{f}" for f in fields),
-            theirs=", ".join(f"other.{f}" for f in fields),
-        ), names)
-        cls.__eq__ = names["__eq__"]
+        sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+        exec((_OF if validating else _INIT).format(fields=", ".join(fields), sets=sets), names)
         if validating:
             cls._of = classmethod(names["_of"])
         else:  # the compiled __init__ checks nothing, so it is the trusted path
             cls.__init__, cls._of = names["__init__"], cls
             cls.__init__.__defaults__ = cls._defaults
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
         return hash(self._values(self))

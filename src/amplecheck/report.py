@@ -34,7 +34,7 @@ from .ampleness import (
     gieseker_character,
 )
 from .characters import ChernCharacter
-from .cohomology import NonspecialTrace, WbnApplicability, wbn_applicable, wbn_cohomology
+from .cohomology import NonspecialTrace, wbn_applicable, wbn_cohomology
 from .errors import PreconditionError
 from .positivity import (
     Condition,
@@ -91,11 +91,6 @@ def condition_to_json(c: Condition) -> dict:
         "holds": c.holds,
         "margin": rational_to_json(c.margin),
     }
-
-
-def _wbn_to_json(w: WbnApplicability) -> dict:
-    """Only the applicability: the certificate that renders it requires it."""
-    return {"applicable": w.applicable, "failures": list(w.failures)}
 
 
 def invariants_section(v: ChernCharacter) -> dict:
@@ -234,7 +229,11 @@ def asymptotic_to_json(cert: AsymptoticCertificate) -> dict:
         "chi_kernel_dual_twist": cert.chi_kernel_dual_twist,
         "kernel_twist_nu": cert.kernel_twist_nu,
         "kernel_twist_globally_generated": cert.kernel_twist_gg,
-        "wbn_kernel_dual_twist": _wbn_to_json(cert.wbn_kernel),
+        # only the applicability: the certificate that renders it requires it
+        "wbn_kernel_dual_twist": {
+            "applicable": cert.wbn_kernel.applicable,
+            "failures": list(cert.wbn_kernel.failures),
+        },
         "notes": list(cert.notes),
         "verdict": f"asymptotically-ample(n_min={cert.n_min})",
     }

@@ -12,6 +12,7 @@ library they check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from amplecheck import (
     ChernCharacter,
@@ -106,6 +107,30 @@ def kernel_by_ch2(v: ChernCharacter, n: int, s: int) -> ChernCharacter:
     copies = n * v.rank + s
     c1 = [copies * a - n * b for a, b in zip(h, v.c1.coords)]
     return by_ch2(v.surface, s, c1, Fraction(copies * v.surface.pair(h, h), 2) - n * v.ch2)
+
+
+def rational_text(numerator: int, denominator: int) -> str:
+    """``p/q`` in lowest terms with ``q > 0``, or ``p`` when ``q`` is 1, written from
+    the two ints themselves rather than through ``str(Fraction)``."""
+    g = gcd(numerator, denominator) * (1 if denominator > 0 else -1)
+    p, q = numerator // g, denominator // g
+    return f"{p:d}" if q == 1 else f"{p:d}/{q:d}"
+
+
+def character_text(surface: Surface, rank: int, coords: tuple[int, ...], c2: int) -> str:
+    """The canonical ``r:c1:ch2`` of ``(rank, c1, c2)``, with ``ch2 = (c1^2 - 2*c2)/2``.
+
+    ``c1^2`` is ``a^2`` for ``aH`` on the plane and ``2ab - e*a^2`` for
+    ``aE + bF`` on ``F_e``, evaluated here rather than by the library.
+    """
+    if surface.is_plane:
+        (a,) = coords
+        square = a * a
+    else:
+        a, b = coords
+        square = 2 * a * b - surface.e * a * a
+    c1 = ",".join(rational_text(c, 1) for c in coords)
+    return f"{rank:d}:{c1}:{rational_text(square - 2 * c2, 2)}"
 
 
 def h0_by_sum(d) -> int:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from amplecheck import (
@@ -22,6 +22,7 @@ from amplecheck.characters import parse_log_character
 from amplecheck.report import character_to_json, render_structured
 from conftest import characters, integral_divisors, surfaces_strategy
 from oracles import (
+    character_text,
     dual_by_ch2,
     hilbert_polynomial,
     kernel_by_ch2,
@@ -144,6 +145,8 @@ class TestEulerCharacteristic:
 
 
 BIG = 10**6
+HUGE = 10**40
+COORD = st.integers(-HUGE, HUGE)
 WIDE_SURFACES = (Surface.projective_plane(),) + tuple(Surface.hirzebruch(e) for e in range(6))
 
 
@@ -372,6 +375,16 @@ class TestTextualForm:
             v = parse_character(text, surface)
             assert str(v) == text
             assert parse_character(str(v), surface) == v
+
+    @given(st.sampled_from(WIDE_SURFACES), st.integers(1, HUGE), st.tuples(COORD, COORD), COORD)
+    @example(P2, 7, (3, 0), HUGE)  # ch2 = 9/2 - 10^40
+    @example(Surface.hirzebruch(5), HUGE, (1 - HUGE, HUGE), -HUGE)  # c1^2 odd
+    def test_str_matches_the_oracle_beyond_the_census_box(self, surface, rank, pair, c2):
+        coords = pair[: len(surface.basis)]
+        c1 = surface.divisor(*coords)
+        v = ChernCharacter(rank, c1, c1.self_intersection / 2 - c2)
+        assert str(v) == character_text(surface, rank, coords, c2)
+        assert str(v.dual()) == character_text(surface, rank, tuple(-c for c in coords), c2)
 
     def test_parse_rejects_malformed(self):
         for surface, text in (

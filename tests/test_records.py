@@ -4,7 +4,9 @@ compared by their fields."""
 import copy
 import pickle
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from amplecheck import (
     ChernCharacter,
@@ -112,3 +114,32 @@ def test_trusted_constructor_sets_the_fields_unchecked():
     c1 = V.c1._of(F2, (3, 8))
     assert c1 == V.c1 and type(c1) is type(V.c1)
     assert ChernCharacter._of(V.rank, c1, V.c2) == V
+
+
+CLASSES = [type(r) for r in RECORDS] + [Counted]
+FIELDS = st.sampled_from([0, 1, None, "", V.c1, V])  # few values, so fields often agree
+
+
+@st.composite
+def record_pairs(draw):
+    """Two records built unchecked, often of one class, the second's fields often the first's."""
+    first = draw(st.sampled_from(CLASSES))
+    second = draw(st.just(first) | st.sampled_from(CLASSES))
+    mine = [draw(FIELDS) for _ in first._fields]
+    theirs = [draw(st.just(mine[i]) | FIELDS) if i < len(mine) else draw(FIELDS)
+              for i in range(len(second._fields))]
+    return first._of(*mine), second._of(*theirs)
+
+
+@given(record_pairs())
+def test_records_are_equal_exactly_when_class_and_values_agree(pair):
+    a, b = pair
+    same = type(a) is type(b) and a._values(a) == b._values(b)
+    assert (a == b, b == a, a != b) == (same, same, not same)
+    if same:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_every_record_compares_through_the_base_class(record):
+    assert type(record).__eq__ is Record.__eq__ and type(record).__hash__ is Record.__hash__

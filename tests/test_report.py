@@ -222,6 +222,13 @@ def test_writer_rejects_non_report_values(tree):
         render_structured(tree)
 
 
+@pytest.mark.parametrize("value, name", [(0.5, "float"), ({1, 2}, "set"), (b"x", "bytes")])
+def test_to_json_rejects_what_json_rejects(value, name):
+    with pytest.raises(TypeError) as info:
+        to_json(value)
+    assert str(info.value) == f"Object of type {name} is not JSON serializable"
+
+
 SURFACES = [Surface.projective_plane()] + [Surface.hirzebruch(e) for e in range(6)]
 HUGE = 10**3999  # within the interpreter's default limit of 4300 digits
 VALUES = st.integers(min_value=-1000, max_value=1000) | st.integers(min_value=-HUGE, max_value=HUGE)

@@ -2,11 +2,13 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "amplecheck"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "amplecheck"
 
 # Proof obligations must raise explicitly, since ``python -O`` strips
 # ``assert``.
@@ -93,3 +95,33 @@ def test_every_import_is_read():
         for entry in _unread_imports(path)
     ]
     assert not found, f"imported but never read: {found}"
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name and attribute that an expression in ``path`` reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and type(n.ctx) is ast.Load
+    }
+
+
+def test_every_function_is_read():
+    """Each function or method the library defines, dunders aside, is read by name in
+    ``src/`` (``__init__``'s re-exports left out), ``tests/`` or ``perfbench/``, or it
+    is a ``pyproject.toml`` entry point: a helper nothing calls is deleted, not kept."""
+    readers = [p for p in SOURCE.glob("*.py") if p.name != "__init__.py"]
+    readers += [*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    read = set().union(*map(_names_read, readers))
+    scripts = (ROOT / "pyproject.toml").read_text().partition("[project.scripts]")[2]
+    read |= set(re.findall(r'^[\w.-]+\s*=\s*"[\w.]+:(\w+)"', scripts.partition("\n[")[0], re.M))
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    ]
+    assert not found, f"defined but never read: {found}"

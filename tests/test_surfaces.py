@@ -113,6 +113,19 @@ class TestCoordinates:
         with pytest.raises(TypeError):
             F0.divisor(1, 2) * 0.5
 
+    @pytest.mark.parametrize(
+        "surface, coords, message",
+        [
+            (F2, (1,), "F2 divisor needs 2 coordinates, got 1"),
+            (F0, (), "F0 divisor needs 2 coordinates, got 0"),
+            (P2, (1, 2), "P2 divisor needs 1 coordinates, got 2"),
+        ],
+    )
+    def test_coordinate_count_is_checked(self, surface, coords, message):
+        with pytest.raises(InvalidDivisorError) as info:
+            DivisorClass(surface, coords)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("surface", ALL_SURFACES)
     def test_distinguished_classes_are_cached(self, surface):
         for name in ("zero", "polarization", "fiber_class", "canonical"):
