@@ -347,6 +347,10 @@ class AsymptoticCertificate(Record):
         "notes",
     )
 
+    @property
+    def verdict(self) -> str:
+        return f"asymptotically-ample(n_min={self.n_min})"
+
 
 def asymptotic_ample_certificate(
     v: ChernCharacter, s: int = 2, *, direct: bool = False

@@ -109,8 +109,8 @@ def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
         }
         return sections, "computed"
     if args.command == "obstructions":
-        section = rpt.obstructions_section(necessary_obstructions(v))
-        return {"obstructions": section}, section["verdict"]
+        obstructions = necessary_obstructions(v)
+        return {"obstructions": obstructions}, obstructions.verdict.value
     if args.command == "gg":
         gg = classify_global_generation(v)
         verdict = (
@@ -121,10 +121,9 @@ def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
         return {"global_generation": rpt.classified_gg_section(v, gg)}, verdict
     if args.command == "ample-gg":
         cert = ample_gg_verdict(v)
-        return {"ample_gg": rpt.ample_gg_to_json(cert)}, cert.verdict
+        return {"ample_gg": cert}, cert.verdict
     cert = asymptotic_ample_certificate(v, args.s, direct=args.direct)  # the one left: asymptotic
-    section = rpt.asymptotic_to_json(cert)
-    return {"asymptotic": section}, section["verdict"]
+    return {"asymptotic": cert}, cert.verdict
 
 
 def _build_report(args: argparse.Namespace, surface: Surface, v: ChernCharacter) -> dict:

@@ -1,14 +1,17 @@
 """Report assembly: one deterministic, exactly-rational view of all verdicts.
 
 A report is a dict built in a fixed key order.  Its values are JSON-native,
-or they are the library's records and rationals as they are: ``DivisorClass``,
-``ChernCharacter``, ``Condition``, ``BadCurve`` and ``Fraction``.  ``to_json``
-lays each out, a rational as ``{"num", "den"}`` (no floating point value ever
+or they are the library's records and rationals as they are: each section
+is a certificate record (``ObstructionReport``, ``GGSection``,
+``AmpleGGCertificate``, ``AsymptoticCertificate``), read by attribute as in
+``report["asymptotic"].n_min``, and records such as ``ChernCharacter`` sit
+wherever a layout is shown.  ``to_json`` lays each out by its table in
+``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
 appears), so ``json.dumps(report, default=to_json)`` serialises a report and
-``parse_structured(render_structured(report))`` is its JSON-native form.  The
-renderers write those layouts by filling one cached template per record type,
-basis and indentation.  Each section carries a ``tag`` naming the criterion
-that backs its verdict, drawn from ``VERDICT_TAGS``.
+``parse_structured(render_structured(report))`` is its JSON-native form.
+The renderers write each record by filling one cached template, made from
+the same table with its nested records spliced in.  Each section carries a
+``tag`` naming the criterion that backs its verdict, from ``VERDICT_TAGS``.
 
 Every report, of the full pipeline or of one command, is wrapped by
 ``build_report``: ``schema_version``, ``command``, ``surface`` and
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
+from operator import attrgetter
 
 from .ampleness import (
     AmpleGGCertificate,
@@ -45,6 +49,7 @@ from .positivity import (
     necessary_obstructions,
 )
 from .rationals import rational_to_json
+from .records import Record
 from .surfaces import DivisorClass, Surface
 
 SCHEMA_VERSION = "1"
@@ -66,31 +71,10 @@ VERDICT_TAGS = frozenset(
 )
 
 
-def divisor_to_json(d: DivisorClass) -> dict:
-    return {
-        "basis": list(d.surface.basis),
-        "coords": [rational_to_json(c) for c in d.coords],
-        "text": str(d),
-    }
+class GGSection(Record):
+    """The ``global_generation`` section: a classification and its quick criterion's entry."""
 
-
-def character_to_json(v: ChernCharacter) -> dict:
-    return {
-        "rank": v.rank,
-        "c1": divisor_to_json(v.c1),
-        "ch2": rational_to_json(v.ch2),
-        "c2": v.c2,
-        "text": str(v),
-    }
-
-
-def condition_to_json(c: Condition) -> dict:
-    return {
-        "id": c.id,
-        "text": c.text,
-        "holds": c.holds,
-        "margin": rational_to_json(c.margin),
-    }
+    __slots__ = ("classification", "quick_criterion")
 
 
 def invariants_section(v: ChernCharacter) -> dict:
@@ -120,18 +104,6 @@ def cohomology_section(v: ChernCharacter) -> dict:
     }
 
 
-def obstructions_section(report: ObstructionReport) -> dict:
-    out = {
-        "tag": "ampleness-obstructions",
-        "stability_assumed": report.stability_assumed,
-        "conditions": report.conditions,
-        "verdict": report.verdict.value,
-    }
-    if report.note:
-        out["note"] = report.note
-    return out
-
-
 def _section(tag: str, build) -> dict:
     """``build()``, or the ``tag`` section's ``skipped`` entry if a precondition fails."""
     try:
@@ -140,103 +112,10 @@ def _section(tag: str, build) -> dict:
         return {"tag": tag, "skipped": str(exc)}
 
 
-def classified_gg_section(v: ChernCharacter, gg: GGClassification) -> dict:
+def classified_gg_section(v: ChernCharacter, gg: GGClassification) -> GGSection:
     """The ``global_generation`` section of ``v`` from its classification ``gg``."""
-    out = gg_to_json(gg)
-    out["quick_criterion"] = _section(
-        "gg-quick-criterion",
-        lambda: {"tag": "gg-quick-criterion", "sufficient": gg_quick_criterion(v)},
-    )
-    return out
-
-
-def gg_to_json(gg: GGClassification) -> dict:
-    out: dict = {"tag": "gg-classification", "globally_generated": gg.globally_generated}
-    if gg.globally_generated:
-        out["case"] = gg.case
-        out["case_description"] = gg.description
-    else:
-        out["failed_condition"] = gg.failed_condition
-    if gg.chi is not None:
-        out["chi"] = gg.chi
-    if gg.chi_twist is not None:
-        out["chi_twist"] = gg.chi_twist
-    if gg.chi_twist_second is not None:
-        out["chi_twist_second"] = gg.chi_twist_second
-    if gg.balanced_split is not None:
-        out["balanced_split"] = {"a": gg.balanced_split[0], "m": gg.balanced_split[1]}
-    return out
-
-
-def nonspecial_to_json(trace: NonspecialTrace) -> dict:
-    out: dict = {"tag": "nonspecial-twists", "delta": trace.delta}
-    if trace.fiber_margin is not None:
-        out["fiber_margin"] = trace.fiber_margin
-    if trace.section_margin is not None:
-        out["section_margin"] = trace.section_margin
-    out["note"] = trace.note
-    out["holds"] = trace.holds
-    return out
-
-
-def bad_curve_to_json(bad: BadCurve) -> dict:
-    return {
-        "tag": "dimension-count",
-        "curve": divisor_to_json(bad.curve),
-        "chi_twist": bad.chi_twist,
-        "d": bad.d,
-        "c": rational_to_json(bad.c),
-        "passes": bad.passes,
-    }
-
-
-def ample_gg_to_json(cert: AmpleGGCertificate) -> dict:
-    out: dict = {
-        "tag": "ample-globally-generated",
-        "slope_conditions": cert.slope_conditions,
-    }
-    if cert.gg is not None:
-        out["global_generation"] = gg_to_json(cert.gg)
-    if cert.nonspecial is not None:
-        out["nonspecial_twists"] = nonspecial_to_json(cert.nonspecial)
-    out["bad_curves"] = {"tag": "bad-curves", "classes": cert.bad_curves}
-    out["verdict"] = cert.verdict
-    if cert.failure_reason:
-        out["failure_reason"] = cert.failure_reason
-    out["notes"] = list(cert.notes)
-    return out
-
-
-def asymptotic_to_json(cert: AsymptoticCertificate) -> dict:
-    return {
-        "tag": "asymptotic-ampleness",
-        "mode": cert.mode,
-        "slope_conditions": cert.slope_conditions,
-        "base_character": cert.base,
-        "twist_used": cert.twist_used,
-        "s": cert.s,
-        "B": cert.b,
-        "B_squared": cert.b.self_intersection,
-        "bound": cert.bound,
-        "n_min": cert.n_min,
-        "kernel": {
-            "tag": "kernel-discriminant",
-            "character": cert.kernel,
-            "delta": cert.delta_kernel,
-            "delta_at_previous_n": cert.delta_kernel_prev,
-        },
-        "chi_dual_twist": cert.chi_dual_twist,
-        "chi_kernel_dual_twist": cert.chi_kernel_dual_twist,
-        "kernel_twist_nu": cert.kernel_twist_nu,
-        "kernel_twist_globally_generated": cert.kernel_twist_gg,
-        # only the applicability: the certificate that renders it requires it
-        "wbn_kernel_dual_twist": {
-            "applicable": cert.wbn_kernel.applicable,
-            "failures": list(cert.wbn_kernel.failures),
-        },
-        "notes": list(cert.notes),
-        "verdict": f"asymptotically-ample(n_min={cert.n_min})",
-    }
+    return GGSection(gg, _section("gg-quick-criterion", lambda: {
+        "tag": "gg-quick-criterion", "sufficient": gg_quick_criterion(v)}))
 
 
 def build_report(
@@ -269,19 +148,17 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
     sections = {
         "invariants": invariants_section(v),
         "general_cohomology": cohomology_section(v),
-        "obstructions": obstructions_section(necessary_obstructions(v)),
+        "obstructions": necessary_obstructions(v),
         "global_generation": _section(
             "gg-classification",
             lambda: classified_gg_section(v, ample.gg or classify_global_generation(v)),
         ),
-        "ample_gg": ample_gg_to_json(ample),
+        "ample_gg": ample,
         "asymptotic": _section(
-            "asymptotic-ampleness",
-            lambda: asymptotic_to_json(asymptotic_ample_certificate(v, s, direct=direct)),
-        ),
+            "asymptotic-ampleness", lambda: asymptotic_ample_certificate(v, s, direct=direct)),
         "warnings": ["stability of the input character is assumed, not verified"],
     }
-    return build_report("report", surface, v, sections, sections["ample_gg"]["verdict"])
+    return build_report("report", surface, v, sections, ample.verdict)
 
 
 def bad_curves_report(surface: Surface, v: ChernCharacter) -> dict:
@@ -296,9 +173,217 @@ def bad_curves_report(surface: Surface, v: ChernCharacter) -> dict:
 def gieseker_report(d: int) -> dict:
     v = gieseker_character(d)
     cert = asymptotic_ample_certificate(v, 2, direct=True)
-    sections = {"invariants": invariants_section(v), "asymptotic": asymptotic_to_json(cert)}
-    verdict = sections["asymptotic"]["verdict"]
-    return build_report("gieseker", v.surface, v, sections, verdict, d=d)
+    sections = {"invariants": invariants_section(v), "asymptotic": cert}
+    return build_report("gieseker", v.surface, v, sections, cert.verdict, d=d)
+
+
+# Rows are (key, part, kind).  ``part`` reads the value from the object the table lays out:
+# an attribute path, "" for the object itself, an index or the builtin ``str``; in a CONST
+# row it is the value.  INT, BOOL and STR values fill a slot; RAT is written {num, den},
+# COORDS a tuple of those; STRS, a tuple of strings from a fixed set, is template text; WALK
+# is written by the walk, whatever it holds.  A record type is its own table spliced in, a
+# tuple of rows a nested dict, ``[Condition]`` a tuple of Condition records.  A key ending
+# in "?" is left out when its value is None (a STR value: when it is empty).
+CONST, INT, BOOL, STR, RAT, COORDS, STRS, WALK = (
+    "const", "int", "bool", "str", "rat", "coords", "strs", "walk")
+_LAYOUTS: dict[type, tuple] = {
+    Fraction: (("num", "numerator", INT), ("den", "denominator", INT)),
+    Condition: (("id", "id", STR), ("text", "text", STR), ("holds", "holds", BOOL),
+                ("margin", "margin", RAT)),
+    DivisorClass: (("basis", "surface.basis", STRS), ("coords", "coords", COORDS),
+                   ("text", str, STR)),
+    ChernCharacter: (("rank", "rank", INT), ("c1", "c1", DivisorClass), ("ch2", "ch2", RAT),
+                     ("c2", "c2", INT), ("text", str, STR)),
+    BadCurve: (("tag", "dimension-count", CONST), ("curve", "curve", DivisorClass),
+               ("chi_twist", "chi_twist", INT), ("d", "d", INT), ("c", "c", RAT),
+               ("passes", "passes", BOOL)),
+    ObstructionReport: (
+        ("tag", "ampleness-obstructions", CONST), ("stability_assumed", "stability_assumed", BOOL),
+        ("conditions", "conditions", [Condition]), ("verdict", "verdict.value", STR),
+        ("note?", "note", STR)),
+    GGClassification: (
+        ("tag", "gg-classification", CONST), ("globally_generated", "globally_generated", BOOL),
+        ("case?", "case", INT), ("case_description?", "description", STR),
+        ("failed_condition?", "failed_condition", STR), ("chi?", "chi", INT),
+        ("chi_twist?", "chi_twist", INT), ("chi_twist_second?", "chi_twist_second", INT),
+        ("balanced_split?", "balanced_split", (("a", 0, INT), ("m", 1, INT)))),
+    NonspecialTrace: (
+        ("tag", "nonspecial-twists", CONST), ("delta", "delta", RAT),
+        ("fiber_margin?", "fiber_margin", RAT), ("section_margin?", "section_margin", RAT),
+        ("note", "note", STR), ("holds", "holds", BOOL)),
+    AmpleGGCertificate: (
+        ("tag", "ample-globally-generated", CONST),
+        ("slope_conditions", "slope_conditions", [Condition]),
+        ("global_generation?", "gg", GGClassification),
+        ("nonspecial_twists?", "nonspecial", NonspecialTrace),
+        ("bad_curves", "", (("tag", "bad-curves", CONST), ("classes", "bad_curves", WALK))),
+        ("verdict", "verdict", STR), ("failure_reason?", "failure_reason", STR),
+        ("notes", "notes", STRS)),
+    AsymptoticCertificate: (
+        ("tag", "asymptotic-ampleness", CONST), ("mode", "mode", STR),
+        ("slope_conditions", "slope_conditions", [Condition]),
+        ("base_character", "base", ChernCharacter), ("twist_used", "twist_used", DivisorClass),
+        ("s", "s", INT), ("B", "b", DivisorClass), ("B_squared", "b.self_intersection", RAT),
+        ("bound", "bound", RAT), ("n_min", "n_min", INT),
+        ("kernel", "", (("tag", "kernel-discriminant", CONST),
+                        ("character", "kernel", ChernCharacter), ("delta", "delta_kernel", RAT),
+                        ("delta_at_previous_n", "delta_kernel_prev", WALK))),
+        ("chi_dual_twist", "chi_dual_twist", INT),
+        ("chi_kernel_dual_twist", "chi_kernel_dual_twist", INT),
+        ("kernel_twist_nu", "kernel_twist_nu", DivisorClass),
+        ("kernel_twist_globally_generated", "kernel_twist_gg", BOOL),
+        # only the applicability: the certificate that renders it requires it
+        ("wbn_kernel_dual_twist", "wbn_kernel",
+         (("applicable", "applicable", BOOL), ("failures", "failures", STRS))),
+        ("notes", "notes", STRS), ("verdict", "verdict", STR)),
+}
+_LAYOUTS[GGSection] = (  # the classification's rows, read through it, and the criterion
+    *((k, p if kind == CONST else f"classification.{p}", kind)
+      for k, p, kind in _LAYOUTS[GGClassification]),
+    ("quick_criterion", "quick_criterion", WALK))
+_SHAPES: dict[type, object] = {}  # record type -> its compiled shape function
+_TEMPLATES: dict[tuple, object] = {}  # (record type, pad, shape) -> its compiled filler
+
+
+def _get(obj, part):
+    if callable(part):
+        return part(obj)
+    return obj[part] if type(part) is int else attrgetter(part)(obj) if part else obj
+
+
+def _present(rows, obj):
+    """Each row of ``rows`` present in ``obj``, with its value and its key's "?" dropped."""
+    for key, part, kind in rows:
+        value = part if kind == CONST else _get(obj, part)
+        if not key.endswith("?"):
+            yield key, part, kind, value
+        elif value if kind == STR else value is not None:
+            yield key[:-1], part, kind, value
+
+
+def _code(expr: str, part) -> str:
+    """The code reading ``part`` of the object that the code ``expr`` reads."""
+    if callable(part):
+        return f"{part.__name__}({expr})"
+    return f"{expr}[{part}]" if type(part) is int else f"{expr}.{part}" if part else expr
+
+
+def _layout(rows, obj) -> dict:
+    out: dict = {}
+    for key, _, kind, value in _present(rows, obj):
+        if kind == RAT:
+            value = rational_to_json(value)
+        elif kind == COORDS:
+            value = [rational_to_json(q) for q in value]
+        elif kind == STRS:
+            value = list(value)
+        elif type(kind) is tuple:
+            value = _layout(kind, value)
+        out[key] = value
+    return out
+
+
+def to_json(x) -> dict:
+    """The layout of a record or ``Fraction``; ``default=to_json`` serialises a report."""
+    if type(x) not in _LAYOUTS:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return _layout(_LAYOUTS[type(x)], x)
+
+
+def _shape_code(rows, expr: str) -> list[str]:
+    """The code of what else than type and pad picks a template: whether each "?" row is
+    present, each STRS tuple, the length of each record tuple, and so on in nested rows."""
+    out = []
+    for key, part, kind in rows:
+        code = _code(expr, part)
+        inner = ([code] if kind == STRS else [f"len({code})"] if type(kind) is list
+                 else [] if type(kind) is str else _shape_code(_LAYOUTS.get(kind, kind), code))
+        if key.endswith("?"):
+            absent = f"not {code}" if kind == STR else f"{code} is None"
+            out.append(f"{absent} or ({', '.join(inner)},)" if inner else absent)
+        else:
+            out += inner
+    return out
+
+
+def _shape(cls: type):
+    """``cls``'s compiled shape function: a record's basis, for the leaf records."""
+    code = _shape_code(_LAYOUTS[cls], "r")
+    body = code[0] if len(code) == 1 else f"({', '.join(code)},)" if code else "None"
+    _SHAPES[cls] = shape = eval(f"lambda r: {body}", {})
+    return shape
+
+
+def _sketch(rows, obj, expr: str, pad, slots: list[str]) -> dict:
+    """The layout of ``obj`` with a sentinel in each slot, whose code (reading the filled
+    record ``r`` through ``expr``) goes on ``slots`` in document order.  ``pad`` is the pad
+    of the layout's line if a str, or the indent of its keys in text."""
+    text = type(pad) is int
+    inner = pad + 1 if text else pad + "  "
+    out: dict = {}
+    for key, part, kind, value in _present(rows, obj):
+        code = _code(expr, part)
+        if kind in (INT, BOOL, STR):
+            value = "\x00"
+            slots.append(code if text or kind == INT else f"_ascii({code})" if kind == STR
+                         else f"('true' if {code} else 'false')")
+        elif kind in (RAT, COORDS):
+            codes = [code] if kind == RAT else [f"{code}[{i}]" for i in range(len(value))]
+            for c in codes:
+                slots.extend([c] if text else [f"{c}.numerator", f"{c}.denominator"])
+            value = [{"num": "\x00", "den": "\x00"} for _ in codes]
+            value = value[0] if kind == RAT else value
+        elif kind == STRS:
+            value = list(value)
+        elif kind == WALK:
+            value = "\x01"
+            slots.append(f"_walked({code}, {(pad if text else inner)!r})")
+        elif type(kind) is list:
+            item = inner + 1 if text else inner + "  "
+            value = [_sketch(_LAYOUTS[kind[0]], x, f"{code}[{i}]", item, slots)
+                     for i, x in enumerate(value)]
+        elif kind != CONST:
+            value = _sketch(_LAYOUTS.get(kind, kind), value, code, inner, slots)
+        out[key] = value
+    return out
+
+
+def _compile(record, pad):
+    """``record``'s filler at ``pad``: its template, and one expression of its slots compiled
+    from the tables' parts (a record's values are only ever arguments, never code)."""
+    slots: list[str] = []
+    sketch = _sketch(_LAYOUTS[type(record)], record, "r", pad, slots)
+    written: list[str] = []
+    if type(pad) is str:
+        _write_json(sketch, pad, written)
+        template = "".join(written).replace("%", "%%").replace('"\\u0001"', '"\\u0000"')
+        template = template.replace('"\\u0000"', "%s")
+    else:  # where a rational is written n/d, one slot
+        _render_lines(sketch, pad, written)
+        template = "\n".join(written).replace("%", "%%").replace(" \x01", "\x00")
+        template = template.replace("\x00/\x00", "\x00").replace("\x00", "%s")
+    code = f"lambda r: _t % ({''.join(s + ', ' for s in slots)})"
+    return eval(code, {"_t": template, "_ascii": _ascii, "_walked": _walked})
+
+
+def _filler(record, pad):
+    """The cached function writing ``record`` at ``pad``; keyed by type, pad and shape."""
+    cls = type(record)
+    key = (cls, pad, (_SHAPES.get(cls) or _shape(cls))(record))
+    fill = _TEMPLATES.get(key)
+    if fill is None:
+        fill = _TEMPLATES[key] = _compile(record, pad)
+    return fill
+
+
+def _walked(value, pad) -> str:
+    """``value`` as the walk writes it after its key (in text: after a ``key:`` at ``pad``)."""
+    out: list[str] = []
+    if type(pad) is str:
+        _write_json(value, pad, out)
+        return "".join(out)
+    _render_lines({"-": value}, pad, out)
+    return "\n".join(out)[2 * pad + 2:]
 
 
 def _write_json(node, pad: str, out: list[str]) -> None:
@@ -307,7 +392,7 @@ def _write_json(node, pad: str, out: list[str]) -> None:
     ``pad`` is the indentation of the line ``node`` starts on.  Only the
     values reports are built from are accepted: dicts with string keys,
     lists (and tuples, written as lists), strings, ints, bools, None, and
-    the records of ``_RECORDS``, each filled into its cached template.
+    the records of ``_LAYOUTS``, each filled into its cached template.
     """
     if isinstance(node, str):
         out.append(_ascii(node))
@@ -337,12 +422,12 @@ def _write_json(node, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         sep = "[\n" + inner
         cls = type(node[0])
-        if cls in _RECORDS:  # records of one type and basis share one template
-            _, basis, slots, _ = _RECORDS[cls]
-            key = basis(node[0])
-            if all(type(item) is cls and basis(item) == key for item in node):
-                template = _template(node[0], inner)
-                out += (sep, (",\n" + inner).join([template % slots(item) for item in node]))
+        if cls in _LAYOUTS:  # records of one type and shape share one template
+            shape = _SHAPES.get(cls) or _shape(cls)
+            key = shape(node[0])
+            if all(type(item) is cls and shape(item) == key for item in node):
+                fill = _filler(node[0], inner)
+                out += (sep, (",\n" + inner).join([fill(item) for item in node]))
                 out.append("\n" + pad + "]")
                 return
         for item in node:
@@ -350,73 +435,10 @@ def _write_json(node, pad: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
-    elif type(node) in _RECORDS:
-        out.append(_template(node, pad) % _RECORDS[type(node)][2](node))
+    elif type(node) in _LAYOUTS:
+        out.append(_filler(node, pad)(node))
     else:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
-
-
-def _template(record, pad: str | int) -> str:
-    """``record``'s layout, a ``%s`` slot per value of its ``_RECORDS`` entry, written at
-    ``pad`` (at ``render_text``'s indent ``pad`` if an int); cached per type, basis, pad."""
-    layout, basis, *_ = _RECORDS[type(record)]
-    key = (type(record), basis(record), pad)
-    if key not in _TEMPLATES:
-        written: list[str] = []
-        if isinstance(pad, str):
-            _write_json(_slotted(layout(record)), pad, written)
-            text = "".join(written).replace("%", "%%").replace('"\\u0000"', "\x00")
-        else:  # where a rational is written n/d, one slot
-            _render_lines(_slotted(layout(record)), pad, written)
-            text = "\n".join(written).replace("%", "%%").replace("\x00/\x00", "\x00")
-        _TEMPLATES[key] = text.replace("\x00", "%s")
-    return _TEMPLATES[key]
-
-
-def _slotted(layout):
-    """``layout`` with a sentinel in place of each int, bool and ``id`` or ``text`` string."""
-    if isinstance(layout, dict):
-        return {k: "\x00" if k in ("id", "text") else _slotted(v) for k, v in layout.items()}
-    if isinstance(layout, list):
-        return [_slotted(item) for item in layout]
-    return "\x00" if isinstance(layout, int) else layout
-
-
-def _nums(coords: tuple) -> list:
-    return [n for q in coords for n in (q.numerator, q.denominator)]
-
-
-# record type -> (its layout, the basis that layout depends on, the slots of its structured
-# template and of its text template, in document order); a structured ``%s`` writes an int
-# as int.__repr__ does, a text one writes an exact rational as _fmt_rat does
-_RECORDS = {
-    Fraction: (rational_to_json, lambda q: None,
-               lambda q: (q.numerator, q.denominator),
-               None),  # written inline in text
-    Condition: (condition_to_json, lambda c: None,
-                lambda c: (_ascii(c.id), _ascii(c.text), "true" if c.holds else "false",
-                           c.margin.numerator, c.margin.denominator),
-                lambda c: (c.id, c.text, c.holds, c.margin)),
-    DivisorClass: (divisor_to_json, lambda d: d.surface.basis,
-                   lambda d: (*_nums(d.coords), _ascii(str(d))),
-                   lambda d: (*d.coords, d)),
-    ChernCharacter: (character_to_json, lambda v: v.surface.basis,
-                     lambda v: (v.rank, *_nums(v.c1.coords), _ascii(str(v.c1)),
-                                v.ch2.numerator, v.ch2.denominator, v.c2, _ascii(str(v))),
-                     lambda v: (v.rank, *v.c1.coords, v.c1, v.ch2, v.c2, v)),
-    BadCurve: (bad_curve_to_json, lambda b: b.curve.surface.basis,
-               lambda b: (*_nums(b.curve.coords), _ascii(str(b.curve)), b.chi_twist, b.d,
-                          b.c.numerator, b.c.denominator, "true" if b.passes else "false"),
-               lambda b: (*b.curve.coords, b.curve, b.chi_twist, b.d, b.c, b.passes)),
-}
-_TEMPLATES: dict[tuple, str] = {}  # (record type, basis, pad) -> template
-
-
-def to_json(x) -> dict:
-    """The layout of a record or ``Fraction``; ``default=to_json`` serialises a report."""
-    if type(x) not in _RECORDS:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    return _RECORDS[type(x)][0](x)
 
 
 def render_structured(report: dict) -> bytes:
@@ -451,8 +473,8 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
     else:
         heads = [pad + "-"] * len(node)
     for head, value in zip(heads, node):
-        if type(value) in _RECORDS and type(value) is not Fraction:
-            lines += (head, _template(value, indent + 1) % _RECORDS[type(value)][3](value))
+        if type(value) in _LAYOUTS and type(value) is not Fraction:
+            lines += (head, _filler(value, indent + 1)(value))
         elif isinstance(value, dict) and set(value) == {"num", "den"}:
             lines.append(f"{head} {_fmt_rat(value)}")
         elif isinstance(value, (dict, list, tuple)):

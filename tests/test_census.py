@@ -58,6 +58,7 @@ from amplecheck import (
     classify_global_generation,
     necessary_obstructions,
 )
+from amplecheck import report as rpt
 from amplecheck.rationals import ceil_frac
 from amplecheck.report import render_structured, render_text, run_report
 
@@ -188,6 +189,17 @@ def test_gg_census_matches_golden():
 
 def test_report_census_matches_golden():
     assert report_census() == json.loads(REPORT_GOLDEN.read_text())
+
+
+def test_report_census_fills_a_bounded_template_cache(monkeypatch):
+    """Templates are keyed by record type, pad and shape: which optional fields are
+    present, the basis and the fixed note tuples.  Over the whole report census that is a
+    few dozen keys, and a second pass adds none."""
+    monkeypatch.setattr(rpt, "_TEMPLATES", {})
+    first = report_census()
+    keys = set(rpt._TEMPLATES)
+    assert report_census() == first
+    assert set(rpt._TEMPLATES) == keys and len(keys) <= 44
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from amplecheck import (
     parse_character,
 )
 from amplecheck.characters import parse_log_character
-from amplecheck.report import character_to_json, render_structured
+from amplecheck.report import render_structured, to_json
 from conftest import characters, integral_divisors, surfaces_strategy
 from oracles import (
     character_text,
@@ -49,7 +49,7 @@ class TestConstruction:
     def test_bool_rank_becomes_int(self):
         v = ChernCharacter(True, P2.divisor(1), Fraction(1, 2))
         assert type(v.rank) is int and str(v) == "1:1:1/2"
-        assert render_structured(character_to_json(v)).startswith(b'{\n  "rank": 1,')
+        assert render_structured(to_json(v)).startswith(b'{\n  "rank": 1,')
 
     def test_non_integer_rank_rejected(self):
         for rank in (2.0, Fraction(2)):

@@ -22,16 +22,25 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from amplecheck import (
+    AmpleGGCertificate,
+    AsymptoticCertificate,
     BadCurve,
     ChernCharacter,
     Condition,
     DivisorClass,
+    GGClassification,
+    NonspecialTrace,
+    ObstructionReport,
+    ObstructionVerdict,
     Surface,
+    WbnApplicability,
     enumerate_bad_curves,
     parse_character,
 )
 from amplecheck import report as rpt
+from amplecheck.ampleness import GENERAL_MEMBER_NOTE, STABILITY_NOTE
 from amplecheck.report import (
+    GGSection,
     bad_curves_report,
     gieseker_report,
     parse_structured,
@@ -74,8 +83,9 @@ def test_writer_matches_reference_on_a_built_report():
     ]
     for build, surface, ch, n_bad in cases:
         report = build(surface, parse_character(ch, surface))
-        section = report.get("bad_curves") or report["ample_gg"]["bad_curves"]
-        assert type(section["classes"]) is tuple and len(section["classes"]) == n_bad, ch
+        classes = report["bad_curves"]["classes"] if "bad_curves" in report else (
+            report["ample_gg"].bad_curves)  # the certificate record, as ample_gg_verdict made it
+        assert type(classes) is tuple and len(classes) == n_bad, ch
         assert render_structured(report) == reference(report), ch
 
 
@@ -86,22 +96,22 @@ def _f0_report_with_672_bad_curves():
     return report
 
 
-LAYOUTS = ("divisor_to_json", "character_to_json", "condition_to_json", "bad_curve_to_json",
-           "rational_to_json")
+LAYOUTS = ("to_json", "_layout", "rational_to_json")
 
 
 def _count_layout_calls(monkeypatch) -> tuple[list[str], list[type]]:
-    """Calls of each layout by name, and of the ``_RECORDS`` dispatch table by record type."""
+    """Calls of each layout function by name, and template builds by record type."""
     calls: list[str] = []
     for name in LAYOUTS:
         original = getattr(rpt, name)
         monkeypatch.setattr(
-            rpt, name, lambda x, name=name, original=original: calls.append(name) or original(x)
+            rpt, name, lambda *a, name=name, original=original: calls.append(name) or original(*a)
         )
     table_calls: list[type] = []
-    for cls, (layout, *rest) in list(rpt._RECORDS.items()):
-        counted = lambda x, layout=layout: table_calls.append(type(x)) or layout(x)  # noqa: E731
-        monkeypatch.setitem(rpt._RECORDS, cls, (counted, *rest))
+    original = rpt._compile
+    monkeypatch.setattr(
+        rpt, "_compile", lambda x, pad: table_calls.append(type(x)) or original(x, pad)
+    )
     return calls, table_calls
 
 
@@ -126,13 +136,20 @@ def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
     assert [render_structured(r) for r in reports] == expected
     assert [render_text(r) for r in reports] == texts
     assert calls == table_calls == []
-    # a cold cache lays out each (record type, basis, pad) key once, when first seen
+    # a cold cache lays out each (record type, pad, shape) key once, when first seen
     monkeypatch.setattr(rpt, "_TEMPLATES", {})
     assert [render_structured(r) for r in reports] == expected
     assert Counter(table_calls) == Counter(key[0] for key in rpt._TEMPLATES)
-    assert {Fraction, DivisorClass, ChernCharacter, Condition} <= set(table_calls)
-    # keyed on the surface's basis, not the surface, so F_e of any e shares one entry
-    assert {basis for _, basis, _ in rpt._TEMPLATES} <= {None, ("H",), ("E", "F")}
+    assert {Fraction, DivisorClass, ChernCharacter} <= set(table_calls)
+    # each section is one template, with its conditions, classes and characters spliced in
+    sections = {ObstructionReport, GGSection, AmpleGGCertificate, AsymptoticCertificate}
+    assert sections <= set(table_calls)
+    assert not {Condition, GGClassification, NonspecialTrace} & set(table_calls)
+    # a leaf record's shape is the surface's basis, not the surface, so F_e of any e
+    # shares one entry
+    leaves = (Fraction, DivisorClass, ChernCharacter, BadCurve)
+    shapes = {shape for cls, _, shape in rpt._TEMPLATES if cls in leaves}
+    assert shapes <= {None, ("H",), ("E", "F")}
 
 
 def _count_validated(monkeypatch) -> Counter:
@@ -173,11 +190,11 @@ def test_text_rendering_of_bad_curves_makes_no_dict_per_member(monkeypatch):
     expected = render_text(report)
     calls, table_calls = _count_layout_calls(monkeypatch)
     assert render_text(report) == expected
-    assert "bad_curve_to_json" not in calls and BadCurve not in table_calls
+    assert calls == [] and BadCurve not in table_calls
     # a cold template cache lays out the first bad curve only
     monkeypatch.setattr(rpt, "_TEMPLATES", {})
     assert render_text(report) == expected
-    assert table_calls.count(BadCurve) == 1 and "bad_curve_to_json" not in calls
+    assert table_calls.count(BadCurve) == 1 and calls == []
 
 
 def test_text_rendering_of_bad_curve_records_is_unchanged():
@@ -292,6 +309,91 @@ def test_writer_matches_reference_on_trees_with_records(tree):
 def test_text_of_records_is_the_text_of_their_layouts(tree):
     # the JSON-native form holds every record as its layout and every rational as {num, den}
     assert render_text(tree) == render_text(parse_structured(reference(tree)))
+
+
+# The five certificate records and the global_generation section, each optional field
+# drawn present and absent.  Notes and weak Brill-Noether failures are tuples from the
+# library's fixed sets, as the template key assumes; every other string is drawn freely.
+KERNEL_NOTE = "the kernel discriminant is nonnegative for every n >= n_min"
+NOTES = st.lists(st.sampled_from([STABILITY_NOTE, GENERAL_MEMBER_NOTE, KERNEL_NOTE]),
+                 max_size=3).map(tuple)
+TEXTS = st.text(max_size=12)
+MAYBE_INT = st.none() | st.integers()
+MAYBE_RAT = st.none() | FRACTIONS
+SMALL = st.integers(-50, 50) | st.fractions(-50, 50, max_denominator=50)
+
+
+def conditions():
+    return st.lists(RECORD_KINDS[4](None), max_size=7).map(tuple)
+
+
+def obstruction_reports(surface):
+    return st.builds(ObstructionReport, conditions(), st.sampled_from(list(ObstructionVerdict)),
+                     st.booleans(), st.none() | TEXTS)
+
+
+def classifications(surface):
+    return st.builds(
+        GGClassification, st.booleans(), MAYBE_INT, st.just("") | TEXTS, st.none() | TEXTS,
+        MAYBE_INT, MAYBE_INT, MAYBE_INT, st.none() | st.tuples(st.integers(), st.integers()))
+
+
+def gg_sections(surface):
+    quick = st.builds(lambda key, value: {"tag": "gg-quick-criterion", key: value},
+                      st.sampled_from(["sufficient", "skipped"]), st.booleans() | TEXTS)
+    return st.builds(GGSection, classifications(surface), quick)
+
+
+def nonspecial_traces(surface):
+    return st.builds(NonspecialTrace, st.just(surface), FRACTIONS, MAYBE_RAT, MAYBE_RAT, TEXTS)
+
+
+def ample_certificates(surface):
+    return st.builds(
+        AmpleGGCertificate, characters(surface), conditions(),
+        st.none() | classifications(surface), st.none() | nonspecial_traces(surface),
+        st.lists(RECORD_KINDS[0](surface), max_size=3).map(tuple), st.booleans(),
+        st.none() | st.just("") | TEXTS, NOTES)
+
+
+def asymptotic_certificates(surface):
+    wbn = st.builds(WbnApplicability, st.booleans(), st.booleans(), st.booleans(), st.booleans())
+    return st.builds(
+        AsymptoticCertificate, characters(surface), TEXTS, characters(surface),
+        divisors(surface), st.integers(2, 10**6), divisors(surface, SMALL),  # B, squared
+        FRACTIONS, st.integers(1, 10**6), characters(surface), FRACTIONS, MAYBE_RAT,
+        VALUES, VALUES, divisors(surface, FRACTIONS), st.booleans(), wbn, conditions(), NOTES)
+
+
+SECTION_KINDS = [obstruction_reports, gg_sections, classifications, nonspecial_traces,
+                 ample_certificates, asymptotic_certificates]
+
+
+@st.composite
+def section_trees(draw):
+    """A certificate record, at the top of a report or nested in a dict or list."""
+    record = draw(draw(st.sampled_from(SECTION_KINDS))(draw(st.sampled_from(SURFACES))))
+    return draw(st.sampled_from([{"s": record}, {"s": [record]}, {"a": {"b": record, "c": 1}}]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(section_trees())
+def test_section_records_render_as_their_layouts(tree):
+    assert render_structured(tree) == reference(tree)
+    assert render_text(tree) == render_text(parse_structured(render_structured(tree)))
+
+
+def test_a_report_makes_few_walk_calls(monkeypatch):
+    """Sections are filled from one template each; the walk visits the envelope, the
+    invariant and cohomology dicts, and the quick criterion and bad-curve list."""
+    F2 = Surface.hirzebruch(2)
+    report = run_report(F2, parse_character("2:3,8:2", F2))
+    expected = render_structured(report)  # warm caches
+    calls = []
+    original = rpt._write_json
+    monkeypatch.setattr(rpt, "_write_json", lambda *a: calls.append(1) or original(*a))
+    assert render_structured(report) == expected
+    assert len(calls) <= 29  # 87 when every section was a dict walked node by node
 
 
 OVERSIZED = {  # one field of 4,301 digits, past the interpreter's default limit
