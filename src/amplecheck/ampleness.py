@@ -351,6 +351,13 @@ class AsymptoticCertificate(Record):
     def verdict(self) -> str:
         return f"asymptotically-ample(n_min={self.n_min})"
 
+    @property
+    def b_squared(self) -> Fraction:
+        """``B^2``, as ``(c1 - rank*H)^2 / rank^2`` of the base, in ints."""
+        r, surface = self.base.rank, self.base.surface
+        c = tuple(a - r * x for a, x in zip(self.base.c1.coords, surface.polarization.coords))
+        return Fraction(surface.pair(c, c), r * r)
+
 
 def asymptotic_ample_certificate(
     v: ChernCharacter, s: int = 2, *, direct: bool = False

@@ -191,7 +191,7 @@ def line_bundle_character(d: DivisorClass) -> ChernCharacter:
 
 def _parse_fields(
     text: str, surface: Surface, form: str, c1: str, last: str
-) -> tuple[int, DivisorClass, Fraction]:
+) -> tuple[int, DivisorClass, Rational]:
     """Rank, class and last field of ``r:<c1>:<last>``; errors call the text a ``form``."""
     pieces = text.strip().split(":")
     if len(pieces) != 3:

@@ -38,7 +38,9 @@ A uniform sufficient criterion: if ``nu`` is big and nef and
 with ``(c1.F, c1.E) = (a, b - e*a)`` for ``c1 = aE + bF``.  Nef and big
 are scale-invariant, so they are tested on ``c1`` in place of ``nu``.  A
 margin is built once, as ``Fraction(pairing - threshold, rank)``, and
-equals the slope's distance from its threshold.
+equals the slope's distance from its threshold.  The Fulton-Lazarsfeld
+margin is ``(c1^2 - c2) / (rank*(rank+1))``: put ``2 rank^2 delta =
+(1-rank) c1^2 + 2 rank c2`` into ``nu^2/2 - delta/(rank+1)``.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     surface = v.surface
     r = v.rank
     delta = v.delta
-    fl_margin = fulton_lazarsfeld_margin(r, v.nu, delta)
+    fl_margin = Fraction(v._c1_squared - v.c2, r * (r + 1))  # fulton_lazarsfeld_margin, in ints
     conditions: list[Condition] = [
         Condition("bogomolov", "delta >= 0", delta >= 0, delta),
         Condition(

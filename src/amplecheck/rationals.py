@@ -20,7 +20,7 @@ DIGIT_BUDGET = 2000
 # The only number forms accepted: ASCII digits, so the digits as written
 # are all the digits there are (no exponent, underscore or other script).
 INTEGER = re.compile(r"[+-]?[0-9]+")
-RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def check_digits(text: str, field: str) -> str:
@@ -56,15 +56,16 @@ def ceil_frac(value: Rational) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def parse_rational(text: str, field: str = "rational") -> Fraction:
-    """Parse ``p`` or ``p/q`` in ASCII digits with optional sign; no decimals allowed."""
+def parse_rational(text: str, field: str = "rational") -> Rational:
+    """Parse ``p`` (an ``int``) or ``p/q`` (a ``Fraction``): ASCII digits, optional sign."""
     text = check_digits(text.strip(), field)
     if "." in text:
         raise ValueError(f"decimal notation not accepted (use p/q): {text!r}")
     try:
-        if RATIONAL.fullmatch(text):
-            return Fraction(text)
-    except ZeroDivisionError:
+        if match := RATIONAL.fullmatch(text):
+            p, q = match.groups()
+            return int(p) if q is None else Fraction(int(p), int(q))
+    except ZeroDivisionError:  # a zero denominator
         pass
     raise ValueError(f"malformed rational {text!r}")
 

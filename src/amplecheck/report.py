@@ -223,7 +223,7 @@ _LAYOUTS: dict[type, tuple] = {
         ("tag", "asymptotic-ampleness", CONST), ("mode", "mode", STR),
         ("slope_conditions", "slope_conditions", [Condition]),
         ("base_character", "base", ChernCharacter), ("twist_used", "twist_used", DivisorClass),
-        ("s", "s", INT), ("B", "b", DivisorClass), ("B_squared", "b.self_intersection", RAT),
+        ("s", "s", INT), ("B", "b", DivisorClass), ("B_squared", "b_squared", RAT),
         ("bound", "bound", RAT), ("n_min", "n_min", INT),
         ("kernel", "", (("tag", "kernel-discriminant", CONST),
                         ("character", "kernel", ChernCharacter), ("delta", "delta_kernel", RAT),

@@ -22,6 +22,7 @@ from amplecheck import (
     is_irreducible_curve_class,
     kernel_character,
 )
+from amplecheck.rationals import RATIONAL, check_digits
 
 SCAN_CAP = 10_000
 
@@ -131,6 +132,19 @@ def character_text(surface: Surface, rank: int, coords: tuple[int, ...], c2: int
         square = 2 * a * b - surface.e * a * a
     c1 = ",".join(rational_text(c, 1) for c in coords)
     return f"{rank:d}:{c1}:{rational_text(square - 2 * c2, 2)}"
+
+
+def parse_rational_by_fraction(text: str, field: str = "rational") -> Fraction:
+    """``parse_rational`` through ``Fraction(text)``, which parses the matched text again."""
+    text = check_digits(text.strip(), field)
+    if "." in text:
+        raise ValueError(f"decimal notation not accepted (use p/q): {text!r}")
+    try:
+        if RATIONAL.fullmatch(text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f"malformed rational {text!r}")
 
 
 def h0_by_sum(d) -> int:

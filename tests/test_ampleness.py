@@ -424,6 +424,7 @@ class TestAsymptoticCertificate:
         assert cert.delta_kernel == 1
         assert cert.delta_kernel_prev == -40
         assert cert.kernel == make_character(2, P2.divisor(-34), 287)
+        assert cert.b_squared == cert.b.self_intersection == 81
 
     def test_intro_character_normalized(self):
         cert = asymptotic_ample_certificate(INTRO)
@@ -441,6 +442,7 @@ class TestAsymptoticCertificate:
         cert = asymptotic_ample_certificate(v)
         assert cert.bound == 10 and cert.n_min == 10
         assert cert.b == F1.divisor(Fraction(1, 2), Fraction(1, 2))
+        assert cert.b_squared == cert.b.self_intersection == Fraction(1, 4)
         assert cert.chi_dual_twist == -3
 
     def test_s_independent_success(self):
@@ -451,6 +453,7 @@ class TestAsymptoticCertificate:
             for s in (2, 3, 5):
                 cert = asymptotic_ample_certificate(v, s)
                 assert cert.delta_kernel >= 0 and cert.chi_kernel_dual_twist >= 0
+                assert cert.b_squared == cert.b.self_intersection
                 verdicts.add(cert.mode)
             assert verdicts == {"normalized"}
 

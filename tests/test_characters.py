@@ -19,6 +19,7 @@ from amplecheck import (
     parse_character,
 )
 from amplecheck.characters import parse_log_character
+from amplecheck.rationals import DIGIT_BUDGET, parse_rational
 from amplecheck.report import render_structured, to_json
 from conftest import characters, integral_divisors, surfaces_strategy
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     dual_by_ch2,
     hilbert_polynomial,
     kernel_by_ch2,
+    parse_rational_by_fraction,
     scale_by_ch2,
     sum_by_ch2,
     twist_by_ch2,
@@ -415,6 +417,31 @@ class TestTextualForm:
                 parse_character(text, P2)
             assert str(info.value) == message, text
         assert parse_character(" +2:-3:+1/2 ", P2) == make_character(2, P2.divisor(-3), Fraction(1, 2))
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["", "+", "-", " ", "0", "00", "7", "12", "/", "/0", "/000", "/3", "1.5", "1e3",
+                 "1_0", "\u0663", "\uff11", "9" * (DIGIT_BUDGET - 1), "8" * DIGIT_BUDGET]
+            ),
+            max_size=6,
+        ).map("".join)
+    )
+    @example("-007/000")
+    @example(" +0012/0004 ")
+    @example("1" * (DIGIT_BUDGET + 1))
+    def test_parse_rational_agrees_with_fraction_parsing(self, text):
+        """Built from the match's digits, the value and every error text are those of
+        parsing the text again with ``Fraction``."""
+        try:
+            expected = parse_rational_by_fraction(text, "c1 coordinate")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                parse_rational(text, "c1 coordinate")
+            assert str(info.value) == str(exc)
+        else:
+            got = parse_rational(text, "c1 coordinate")
+            assert got == expected and type(got) is (int if "/" not in text else Fraction)
 
 
 class TestLogarithmicForm:

@@ -139,6 +139,21 @@ class TestFultonLazarsfeld:
         (fl,) = [c for c in necessary_obstructions(v).conditions if c.id == "fulton-lazarsfeld"]
         assert fl.holds == (margin > 0) and fl.margin == margin
 
+    @given(
+        st.sampled_from(SLOPE_SURFACES),
+        st.integers(1, 10**40),
+        st.tuples(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40)),
+        st.integers(-(10**81), 10**81),
+    )
+    def test_closed_form_margin_on_large_characters(self, surface, rank, pair, c2):
+        """The checklist's margin, ``(c1^2 - c2)/(rank*(rank+1))`` in integers, is the
+        margin on the logarithmic invariants."""
+        c1 = surface.divisor(*pair[: len(surface.basis)])
+        v = ChernCharacter(rank, c1, Fraction(c1.self_intersection, 2) - c2)
+        (fl,) = [c for c in necessary_obstructions(v).conditions if c.id == "fulton-lazarsfeld"]
+        assert fl.margin == fulton_lazarsfeld_margin(v.rank, v.nu, v.delta)
+        assert fl.holds == (fl.margin > 0) and type(fl.margin) is Fraction
+
 
 class TestObstructions:
     def test_intro_character_obstructed(self):

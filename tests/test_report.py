@@ -173,6 +173,31 @@ def test_a_report_validates_few_records(monkeypatch):
     assert counts[DivisorClass] <= 9 and counts[ChernCharacter] <= 3
 
 
+def _count_fractions(monkeypatch) -> Counter:
+    """Count the ``Fraction``s constructed through ``Fraction.__new__``."""
+    counts = Counter()
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        counts[Fraction] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return counts
+
+
+@pytest.mark.parametrize(("e", "text", "most"), [(3, "4:1,-5:-29/2", 15), (2, "2:3,8:2", 31)])
+def test_a_report_makes_few_fractions(monkeypatch, e, text, most):
+    """Numbers are parsed once, and the Fulton-Lazarsfeld margin and ``B_squared`` come
+    from integers: the F3 report (hypotheses-fail) made 26 Fractions and the F2 report
+    (certified) 54 before."""
+    surface = Surface.hirzebruch(e)
+    expected = render_structured(run_report(surface, parse_character(text, surface)))
+    counts = _count_fractions(monkeypatch)
+    assert render_structured(run_report(surface, parse_character(text, surface))) == expected
+    assert counts[Fraction] <= most
+
+
 def test_family_members_are_not_validated_one_by_one(monkeypatch):
     F0 = Surface.hirzebruch(0)
     enumerate_bad_curves(parse_character("2:400,3:-209", F0))  # warm caches
