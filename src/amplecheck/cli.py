@@ -26,8 +26,8 @@ amplecheck, not of the input.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import report as rpt
 from .ampleness import ample_gg_verdict, asymptotic_ample_certificate
@@ -48,59 +48,83 @@ def integer(text: str) -> int:
     try:
         check_digits(text, "the value")
     except ValueError as exc:
+        import argparse
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not INTEGER.fullmatch(text.strip()):
         raise ValueError(text)  # argparse reports an invalid integer value
     return int(text)
 
 
-def _add_character_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surface", required=True, help="P2 or F<e>")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ch", help="character r:c1:ch2")
-    group.add_argument("--log-ch", help="character r:nu:delta (logarithmic form)")
+# The grammar read by ``build_parser`` and ``_canonical``: each option's ``add_argument``
+# keywords and each subcommand's options; ``_EXCLUSIVE`` is a required exclusive group.
+_OPTIONS = {
+    "--surface": {"required": True, "help": "P2 or F<e>"},
+    "--ch": {"help": "character r:c1:ch2"},
+    "--log-ch": {"help": "character r:nu:delta (logarithmic form)"},
+    "--format": {"choices": ("text", "structured"), "default": "text",
+                 "help": "output format (default: text)"},
+    "--s": {"type": integer, "default": 2, "help": "kernel rank parameter (>= 2)"},
+    "--direct": {"action": "store_true", "default": False,
+                 "help": "run the multiplier bound on the character as given, without normalizing"},
+    "--d": {"type": integer, "required": True, "help": "cokernel parameter (>= 4)"},
+}
+_EXCLUSIVE = ("--ch", "--log-ch")
+_CHARACTER = ("--surface", *_EXCLUSIVE, "--format")
+_COMMANDS = {
+    name: (*_CHARACTER, "--s", "--direct") if name in ("asymptotic", "report") else _CHARACTER
+    for name in "invariants obstructions gg ample-gg asymptotic bad-curves report".split()
+} | {"gieseker": ("--d", "--format")}
 
 
-def _add_format_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="output format (default: text)",
-    )
+def build_parser():
+    """The ``argparse`` parser of ``_COMMANDS``, for every argv ``_canonical`` declines."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="amplecheck",
-        description="exact positivity verdicts for Chern characters on rational surfaces",
-    )
+    about = "exact positivity verdicts for Chern characters on rational surfaces"
+    parser = argparse.ArgumentParser(prog="amplecheck", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("invariants", "obstructions", "gg", "ample-gg", "asymptotic", "bad-curves", "report"):
+    for name, options in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_character_args(p)
-        _add_format_arg(p)
-        if name in ("asymptotic", "report"):
-            p.add_argument("--s", type=integer, default=2, help="kernel rank parameter (>= 2)")
-            p.add_argument(
-                "--direct",
-                action="store_true",
-                help="run the multiplier bound on the character as given, without normalizing",
-            )
-    p = sub.add_parser("gieseker")
-    p.add_argument("--d", type=integer, required=True, help="cokernel parameter (>= 4)")
-    _add_format_arg(p)
+        group = p.add_mutually_exclusive_group(required=True) if _EXCLUSIVE[0] in options else None
+        for option in options:
+            (group if option in _EXCLUSIVE else p).add_argument(option, **_OPTIONS[option])
     return parser
 
 
-def _parse_inputs(args: argparse.Namespace) -> tuple[Surface, ChernCharacter]:
+def _canonical(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a subcommand and its own options, each
+    spelled in full and given once as ``--option value`` (``--direct`` bare), with no
+    value that starts with ``-`` or that argparse rejects; None for any other argv."""
+    options = _COMMANDS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given, tokens = {}, iter(argv[1:])
+    for option in tokens:
+        if option not in options or option in given:
+            return None
+        kw = _OPTIONS[option]
+        value = True if "action" in kw else next(tokens, "-")  # --direct is a bare flag
+        if value is not True and (value.startswith("-") or value not in kw.get("choices", [value])):
+            return None
+        try:
+            given[option] = kw["type"](value) if "type" in kw else value
+        except Exception:  # integer's ValueError or ArgumentTypeError: argparse reports it
+            return None
+    missing = any(_OPTIONS[o].get("required") and o not in given for o in options)
+    if missing or sum(o in given for o in _EXCLUSIVE) != (_EXCLUSIVE[0] in options):
+        return None
+    fields = {o[2:].replace("-", "_"): given.get(o, _OPTIONS[o].get("default")) for o in options}
+    return SimpleNamespace(command=argv[0], **fields)
+
+
+def _parse_inputs(args) -> tuple[Surface, ChernCharacter]:
     surface = parse_surface(args.surface)
     if args.ch is not None:
         return surface, parse_character(args.ch, surface)
     return surface, parse_log_character(args.log_ch, surface)
 
 
-def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
+def _sections(args, v: ChernCharacter) -> tuple[dict, str]:
     """The sections and the verdict of a one-procedure command."""
     if args.command == "invariants":
         sections = {
@@ -126,7 +150,7 @@ def _sections(args: argparse.Namespace, v: ChernCharacter) -> tuple[dict, str]:
     return {"asymptotic": cert}, cert.verdict
 
 
-def _build_report(args: argparse.Namespace, surface: Surface, v: ChernCharacter) -> dict:
+def _build_report(args, surface: Surface, v: ChernCharacter) -> dict:
     if args.command == "gieseker":
         return rpt.gieseker_report(args.d)
     if args.command == "bad-curves":
@@ -138,11 +162,12 @@ def _build_report(args: argparse.Namespace, surface: Surface, v: ChernCharacter)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
+    args = _canonical(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         surface, v = (None, None) if args.command == "gieseker" else _parse_inputs(args)
     except ValueError as exc:

@@ -1,20 +1,30 @@
 """Immutable records: slotted classes compared, hashed and shown by field.
 
 A record names its fields in ``__slots__``, plus ``"__dict__"`` where
-``lazy`` keeps values.  Only its constructor is compiled, once per class as
-``collections.namedtuple`` does: the ``__init__``, or beside a validating
-``__init__`` the unchecked ``_of``; ``_defaults`` are those of the last
-fields.  ``==`` and ``hash`` both read the fields through ``cls._values``.
-``cls._of(*fields)`` builds results valid by construction; copies and
-pickles rebuild through ``__init__``.
+``lazy`` keeps values.  Only its constructor is compiled, once per template
+and field count, and bound to each class with its field names and setters:
+the ``__init__``, or beside a validating ``__init__`` the unchecked ``_of``;
+``_defaults`` are those of the last fields.  ``==`` and ``hash`` both read
+the fields through ``cls._values``.  ``cls._of(*fields)`` builds results
+valid by construction; copies and pickles rebuild through ``__init__``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import attrgetter
+from types import CodeType, FunctionType
 
 _INIT = "def __init__(self, {fields}):{sets}"
-_OF = "def _of(cls, {fields}):\n    self = object.__new__(cls){sets}\n    return self"
+_OF = "def _of(cls, {fields}):\n    self = _new(cls){sets}\n    return self"
+
+
+@cache
+def _shape(template: str, n: int) -> CodeType:
+    """The code of ``template`` on fields ``f0 .. f<n-1>``, set through ``_set_<i>``."""
+    sets = "".join(f"\n    _set_{i}(self, f{i})" for i in range(n))
+    source = template.format(fields=", ".join(f"f{i}" for i in range(n)), sets=sets)
+    return compile(source, "<record>", "exec").co_consts[0]  # the one def's code
 
 
 class lazy:
@@ -39,14 +49,16 @@ class Record:
         cls._fields = fields = tuple(f for f in cls.__slots__ if f != "__dict__")
         cls._values = attrgetter(*fields)
         cls._setters = [getattr(cls, f).__set__ for f in fields]
-        names = {f"_set_{f}": set_f for f, set_f in zip(fields, cls._setters)}
         validating = "__init__" in cls.__dict__
-        sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
-        exec((_OF if validating else _INIT).format(fields=", ".join(fields), sets=sets), names)
+        code = _shape(_OF if validating else _INIT, len(fields))
+        local = code.co_varnames  # self or cls, the fields, then _of's self
+        code = code.replace(co_varnames=(local[0], *fields, *local[len(fields) + 1:]))
+        names = {f"_set_{i}": set_f for i, set_f in enumerate(cls._setters)}
+        constructor = FunctionType(code, {"_new": object.__new__, **names})
         if validating:
-            cls._of = classmethod(names["_of"])
+            cls._of = classmethod(constructor)
         else:  # the compiled __init__ checks nothing, so it is the trusted path
-            cls.__init__, cls._of = names["__init__"], cls
+            cls.__init__, cls._of = constructor, cls
             cls.__init__.__defaults__ = cls._defaults
 
     def __eq__(self, other) -> bool:

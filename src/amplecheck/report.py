@@ -23,9 +23,8 @@ written, gives it a ``skipped`` entry naming the failing precondition.
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii as _ascii  # json.encoder's C accelerator
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _ascii
 from operator import attrgetter
 
 from .ampleness import (
@@ -455,6 +454,8 @@ def render_structured(report: dict) -> bytes:
 
 
 def parse_structured(payload: bytes) -> dict:
+    import json  # here, so that a process that only writes reports never loads it
+
     return json.loads(payload.decode("ascii"))
 
 

@@ -1,4 +1,6 @@
 import base64
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,10 +14,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from amplecheck import ampleness
-from amplecheck.cli import main
+from amplecheck.cli import _canonical, build_parser, main
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
 from amplecheck import Surface, make_character
-from test_golden import run_cli as run_captured
+from test_golden import CASES, run_cli as run_captured
 
 
 def run_cli(capsysbinary, *argv):
@@ -185,6 +187,123 @@ def test_cli_fuzz_exits_zero_two_or_three(argv):
     assert code in (0, 2, 3), (argv, err)
     assert (code == 0) == (out != b""), (argv, err)
     assert "Traceback" not in err
+
+
+# The canonical fast path of ``main`` against ``build_parser().parse_args``.
+OPTIONS = ("--surface", "--ch", "--log-ch", "--format", "--s", "--direct", "--d")
+OWN = {
+    **{name: ("--surface", "--ch", "--log-ch", "--format") for name in COMMANDS},
+    "asymptotic": ("--surface", "--ch", "--log-ch", "--format", "--s", "--direct"),
+    "report": ("--surface", "--ch", "--log-ch", "--format", "--s", "--direct"),
+    "gieseker": ("--d", "--format"),
+}
+GOOD = {
+    "--surface": ["P2", "F1", "F2"],
+    "--ch": ["2:3,8:2", "2:3:1/2", "2:20:-142"],
+    "--log-ch": ["2:3/2:1/8"],
+    "--format": ["text", "structured"],
+    "--s": ["2", "3", "12"],
+    "--d": ["4", "12"],
+}
+VALUES = st.one_of(
+    st.sampled_from([
+        "Q3", "json", "TEXT", "text ", "", " ", "0", "+4", " 5", "5 ", " -2", "-", "-3",
+        "-1:2:0", "--ch", "-h", "\u0661\u0662", "\u00b2", "4_0", "0x1f", "3.5", "junk",
+        "1" * 2000, "1" * 2001, " " * 2001 + "7",
+    ]),
+    st.text(max_size=3),
+)
+TOKENS = st.one_of(
+    st.sampled_from(OPTIONS),
+    # abbreviations, help and other options
+    st.sampled_from(["--sur", "--c", "--log", "--form", "--di", "-h", "--help", "--", "-s", "--x"]),
+    st.tuples(st.sampled_from(OPTIONS), VALUES).map("=".join),
+    VALUES,
+)
+
+
+@st.composite
+def grammar_argv(draw):
+    """Mostly a subcommand with its required options and some others, in any order; else
+    any options.  At most one option gets any value, the others good ones; then up to two
+    tokens are put in or written over."""
+    command = draw(st.sampled_from([*OWN, "frobnicate", "repor", "-h", "--help", "--surface"]))
+    own = OWN.get(command, OPTIONS)
+    if draw(st.sampled_from([True, True, False])):
+        character = ["--surface", draw(st.sampled_from(own[1:3]))]
+        required = ["--d"] if command == "gieseker" else character
+        others = [o for o in own if o not in ("--d", "--surface", "--ch", "--log-ch")]
+        others = draw(st.lists(st.sampled_from(others), unique=True))
+        options = draw(st.permutations(required + others))
+    else:
+        pool = own if draw(st.booleans()) else OPTIONS
+        options = draw(st.lists(st.sampled_from(pool), max_size=6, unique=draw(st.booleans())))
+    bad = draw(st.sampled_from([None, None, *options]))  # the one option given any value
+    argv = [command]
+    for option in options:
+        argv.append(option)
+        if option != "--direct":
+            argv.append(draw(VALUES if option == bad else st.sampled_from(GOOD[option])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(TOKENS)]
+    return argv
+
+
+def parsed(argv: list[str]) -> dict | None:
+    """``vars`` of argparse's namespace for ``argv``, or None where argparse exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(grammar_argv())
+def test_fast_path_declines_or_agrees_with_argparse(argv):
+    fast = _canonical(argv)
+    assert fast is None or vars(fast) == parsed(argv), argv
+
+
+def test_fast_path_on_the_golden_argvs():
+    """Each golden argv in canonical form that argparse accepts is read directly, to the
+    same namespace; every other one is declined."""
+    for argv in CASES.values():
+        fast, expected = _canonical(argv), parsed(argv)
+        canonical = all(a in OWN.get(argv[0], ()) or not a.startswith("-") for a in argv)
+        assert (None if fast is None else vars(fast)) == (expected if canonical else None), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--surface", "P2", "--surface", "F1", "--ch", "2:3:1/2"],  # a repeat
+        ["report", "--surface", "P2", "--ch", "2:3:1/2", "--direct", "--direct"],
+        ["report", "--surface", "P2", "--ch", "-1:3:1/2"],  # a value that starts with -
+        ["asymptotic", "--surface", "P2", "--ch", "2:20:-142", "--s", "-3"],
+        ["report", "--surface", "P2", "--ch", "2:3:1/2", "--format", "json"],  # not a choice
+        ["report", "--surface", "P2", "--ch=2:3:1/2"],  # = form
+        ["report", "--surf", "P2", "--ch", "2:3:1/2"],  # abbreviation
+        ["report", "--surface", "P2", "--ch", "2:3:1/2", "--d", "4"],  # abbreviates --direct
+        ["report", "--surface", "P2", "--ch", "2:3:1/2", "-h"],
+        ["report", "--surface", "P2", "--ch", "2:3:1/2", "extra"],
+        ["report", "--surface", "P2", "--ch"],
+        ["report", "--surface", "P2"],
+        ["report", "--ch", "2:3:1/2"],
+        ["report", "--surface", "P2", "--ch", "2:3:1/2", "--log-ch", "2:3/2:1/8"],
+        ["gieseker", "--d", "4", "--s", "2"],
+        ["gieseker", "--d", "1" * 2001],
+        ["gieseker", "--d", "1_2"],
+        ["gieseker", "--d", "\u0661\u0662"],
+        ["gieseker", "--format", "text"],
+        ["--help"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_fast_path_declines(argv):
+    assert _canonical(argv) is None
 
 
 class TestExitContract:

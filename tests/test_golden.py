@@ -9,7 +9,8 @@ rejected with exit 2 or 3 (one at least for every precondition the
 procedures check), and full reports whose sections come out ``skipped``.
 ``branches.json`` holds the cases added later, one for each branch of the
 CLI no other test runs; a manifest of its own leaves the files of the
-first corpus as they were.
+first corpus as they were.  ``help.json`` holds ``--help`` of the program
+and of each subcommand at ``COLUMNS=80``, the texts argparse writes.
 
 The files record behaviour, so they are regenerated only when an output
 change is intended, from the root of a checkout::
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -145,6 +147,30 @@ def test_golden(name):
     assert out == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
+HELP = json.loads((GOLDEN / "help.json").read_text())
+COMMANDS = ("invariants", "obstructions", "gg", "ample-gg", "asymptotic", "bad-curves", "gieseker",
+            "report")
+
+
+def test_help_covers_every_subcommand():
+    assert list(HELP["help"]) == ["--help", *(f"{name} --help" for name in COMMANDS)]
+
+
+@pytest.mark.parametrize("argv", list(HELP["help"]))
+def test_help(argv, monkeypatch):
+    """Byte for byte on the Python minor version the texts were captured with.  argparse
+    words and wraps its help a little differently across versions, so on another one the
+    words are compared, with 3.10's ``optional arguments:`` heading read as ``options:``."""
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    code, out, err = run_cli(argv.split())
+    assert (code, err) == (0, "")
+    text, expected = out.decode("utf-8"), HELP["help"][argv]
+    if HELP["python"] != "%d.%d" % sys.version_info[:2]:
+        words = lambda t: t.replace("optional arguments:", "options:").split()  # noqa: E731
+        text, expected = words(text), words(expected)
+    assert text == expected
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.stdout"):
@@ -157,6 +183,11 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.stdout").write_bytes(out)
             manifest.append({"name": name, "argv": argv, "exit": code, "stderr": err})
         path.write_text(json.dumps(manifest, indent=1) + "\n")
+    os.environ["COLUMNS"] = "80"
+    texts = {argv: run_cli(argv.split())[1].decode("utf-8") for argv in HELP["help"]}
+    python = "%d.%d" % sys.version_info[:2]
+    help_golden = {"python": python, "columns": 80, "help": texts}
+    (GOLDEN / "help.json").write_text(json.dumps(help_golden, indent=2) + "\n")
 
 
 if __name__ == "__main__":

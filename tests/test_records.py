@@ -2,6 +2,7 @@
 compared by their fields."""
 
 import copy
+import inspect
 import pickle
 
 import hypothesis.strategies as st
@@ -26,6 +27,7 @@ from amplecheck import (
     wbn_cohomology,
 )
 from amplecheck.records import Record, lazy
+from amplecheck.report import GGSection
 
 F2 = Surface.hirzebruch(2)
 V = parse_character("2:3,8:2", F2)
@@ -143,3 +145,49 @@ def test_records_are_equal_exactly_when_class_and_values_agree(pair):
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
 def test_every_record_compares_through_the_base_class(record):
     assert type(record).__eq__ is Record.__eq__ and type(record).__hash__ is Record.__hash__
+
+
+# Each record class's constructor: names and defaults of ``__init__`` and, where
+# ``__init__`` validates, of the trusted ``_of``.  Written out, so that binding the
+# compiled constructors to the fields cannot rename, reorder or drop a keyword.
+SIGNATURES = {
+    "Surface": ("self, kind, e=0", "kind, e"),
+    "DivisorClass": ("self, surface, coords", "surface, coords"),
+    "ChernCharacter": ("self, rank, c1, ch2", "rank, c1, c2"),
+    "Condition": ("self, id, text, holds, margin", None),
+    "ObstructionReport": ("self, conditions, verdict, stability_assumed, note", None),
+    "GGClassification": (
+        "self, globally_generated, case=None, description='', failed_condition=None, "
+        "chi=None, chi_twist=None, chi_twist_second=None, balanced_split=None", None),
+    "WbnApplicability": ("self, applicable, delta_ok, fiber_ok=True, section_ok=True", None),
+    "CohomologyTriple": ("self, h0, h1, h2", None),
+    "NonspecialTrace": ("self, surface, delta, fiber_margin=None, section_margin=None, note=''",
+                        None),
+    "BadCurve": ("self, curve, chi_twist, d, c", None),
+    "AmpleGGCertificate": (
+        "self, character, slope_conditions, gg, nonspecial, bad_curves, ample_general, "
+        "failure_reason, notes", None),
+    "AsymptoticCertificate": (
+        "self, character, mode, base, twist_used, s, b, bound, n_min, kernel, delta_kernel, "
+        "delta_kernel_prev, chi_dual_twist, chi_kernel_dual_twist, kernel_twist_nu, "
+        "kernel_twist_gg, wbn_kernel, slope_conditions, notes", None),
+    "GGSection": ("self, classification, quick_criterion", None),
+}
+
+
+def _parameters(function) -> str:
+    return ", ".join(
+        p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+        for p in inspect.signature(function).parameters.values()
+    )
+
+
+@pytest.mark.parametrize("cls", [*map(type, RECORDS), GGSection], ids=lambda c: c.__name__)
+def test_constructor_signatures_are_pinned(cls):
+    init, of = SIGNATURES[cls.__name__]
+    assert _parameters(cls.__init__) == init
+    assert (None if cls._of is cls else _parameters(cls._of)) == of
+
+
+def test_every_record_signature_is_pinned():
+    assert {cls.__name__ for cls in [*map(type, RECORDS), GGSection]} == set(SIGNATURES)

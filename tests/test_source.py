@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "amplecheck"
 
@@ -68,6 +70,37 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
     ).stdout
     assert out.strip() == "[]"
+
+
+def _imports_of_child(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``python -S -X importtime *args`` on the checkout, with the modules it imported."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    lines = [line for line in done.stderr.decode().splitlines() if line.startswith("import time:")]
+    return done, {line.rpartition("|")[2].strip() for line in lines}
+
+
+@pytest.mark.parametrize(
+    "ch, declined",
+    [(["--ch", "2:3,8:2"], False), (["--ch=2:3,8:2"], True)],
+    ids=["canonical", "declined"],
+)
+def test_cli_process_loads_argparse_only_for_a_declined_argv(ch, declined):
+    """A request in canonical form is read without ``argparse``; one in any other form, here
+    ``--ch=``, goes through it; both write the golden bytes, and neither loads ``json``."""
+    argv = ["report", "--surface", "F2", *ch, "--format", "structured"]
+    done, imported = _imports_of_child("-m", "amplecheck.cli", *argv)
+    golden = ROOT / "tests" / "golden" / "report_surface_F2_ch_2_3_8_2_format_structured.stdout"
+    assert (done.returncode, done.stdout) == (0, golden.read_bytes())
+    assert ("argparse" in imported, "json" in imported) == (declined, False)
+
+
+def test_cli_import_leaves_out_argparse_and_json():
+    done, imported = _imports_of_child("-c", "import amplecheck.cli")
+    assert done.returncode == 0 and "amplecheck.cli" in imported
+    assert not {"argparse", "json"} & imported
 
 
 def _unread_imports(path: Path) -> list[str]:
