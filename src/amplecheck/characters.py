@@ -46,7 +46,7 @@ from .surfaces import DivisorClass, Surface
 
 def _adjunction_form(surface: Surface, x: tuple[int, ...]) -> int:
     """``x^2 - x.K`` of an integral class; even, equal to ``2*(P(x) - 1)``."""
-    return surface.pair(x, x) - surface.pair(x, surface.canonical_coords)
+    return surface.pair(x, x) - surface.pair(x, surface.canonical.coords)
 
 
 class ChernCharacter(Record):

@@ -68,8 +68,3 @@ def parse_rational(text: str, field: str = "rational") -> Rational:
     except ZeroDivisionError:  # a zero denominator
         pass
     raise ValueError(f"malformed rational {text!r}")
-
-
-def rational_to_json(value: Rational) -> dict[str, int]:
-    q = exact(value)
-    return {"num": q.numerator, "den": q.denominator}

@@ -9,9 +9,10 @@ wherever a layout is shown.  ``to_json`` lays each out by its table in
 ``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
 appears), so ``json.dumps(report, default=to_json)`` serialises a report and
 ``parse_structured(render_structured(report))`` is its JSON-native form.
-The renderers write each record by filling one cached template, made from
-the same table with its nested records spliced in.  Each section carries a
-``tag`` naming the criterion that backs its verdict, from ``VERDICT_TAGS``.
+``render_structured`` writes each record by filling one cached template,
+made from the same table with its nested records spliced in;
+``render_text`` walks the layouts.  Each section carries a ``tag`` naming
+the criterion that backs its verdict, from ``VERDICT_TAGS``.
 
 Every report, of the full pipeline or of one command, is wrapped by
 ``build_report``: ``schema_version``, ``command``, ``surface`` and
@@ -47,7 +48,6 @@ from .positivity import (
     gg_quick_criterion,
     necessary_obstructions,
 )
-from .rationals import rational_to_json
 from .records import Record
 from .surfaces import DivisorClass, Surface
 
@@ -178,23 +178,24 @@ def gieseker_report(d: int) -> dict:
 
 # Rows are (key, part, kind).  ``part`` reads the value from the object the table lays out:
 # an attribute path, "" for the object itself, an index or the builtin ``str``; in a CONST
-# row it is the value.  INT, BOOL and STR values fill a slot; RAT is written {num, den},
-# COORDS a tuple of those; STRS, a tuple of strings from a fixed set, is template text; WALK
-# is written by the walk, whatever it holds.  A record type is its own table spliced in, a
-# tuple of rows a nested dict, ``[Condition]`` a tuple of Condition records.  A key ending
-# in "?" is left out when its value is None (a STR value: when it is empty).
-CONST, INT, BOOL, STR, RAT, COORDS, STRS, WALK = (
-    "const", "int", "bool", "str", "rat", "coords", "strs", "walk")
+# row it is the value.  INT, BOOL and STR values fill a slot; COORDS is a tuple of
+# rationals, each laid out as a Fraction; STRS, a tuple of strings from a fixed set, is
+# template text; WALK is written by the walk, whatever it holds.  A record type (Fraction
+# for a rational, held as an int or a Fraction) is its own table spliced in, a tuple of rows
+# a nested dict, ``[Condition]`` a tuple of Condition records.  A key ending in "?" is left
+# out when its value is None (a STR value: when it is empty).
+CONST, INT, BOOL, STR, COORDS, STRS, WALK = (
+    "const", "int", "bool", "str", "coords", "strs", "walk")
 _LAYOUTS: dict[type, tuple] = {
     Fraction: (("num", "numerator", INT), ("den", "denominator", INT)),
     Condition: (("id", "id", STR), ("text", "text", STR), ("holds", "holds", BOOL),
-                ("margin", "margin", RAT)),
+                ("margin", "margin", Fraction)),
     DivisorClass: (("basis", "surface.basis", STRS), ("coords", "coords", COORDS),
                    ("text", str, STR)),
-    ChernCharacter: (("rank", "rank", INT), ("c1", "c1", DivisorClass), ("ch2", "ch2", RAT),
+    ChernCharacter: (("rank", "rank", INT), ("c1", "c1", DivisorClass), ("ch2", "ch2", Fraction),
                      ("c2", "c2", INT), ("text", str, STR)),
     BadCurve: (("tag", "dimension-count", CONST), ("curve", "curve", DivisorClass),
-               ("chi_twist", "chi_twist", INT), ("d", "d", INT), ("c", "c", RAT),
+               ("chi_twist", "chi_twist", INT), ("d", "d", INT), ("c", "c", Fraction),
                ("passes", "passes", BOOL)),
     ObstructionReport: (
         ("tag", "ampleness-obstructions", CONST), ("stability_assumed", "stability_assumed", BOOL),
@@ -207,8 +208,9 @@ _LAYOUTS: dict[type, tuple] = {
         ("chi_twist?", "chi_twist", INT), ("chi_twist_second?", "chi_twist_second", INT),
         ("balanced_split?", "balanced_split", (("a", 0, INT), ("m", 1, INT)))),
     NonspecialTrace: (
-        ("tag", "nonspecial-twists", CONST), ("delta", "delta", RAT),
-        ("fiber_margin?", "fiber_margin", RAT), ("section_margin?", "section_margin", RAT),
+        ("tag", "nonspecial-twists", CONST), ("delta", "delta", Fraction),
+        ("fiber_margin?", "fiber_margin", Fraction),
+        ("section_margin?", "section_margin", Fraction),
         ("note", "note", STR), ("holds", "holds", BOOL)),
     AmpleGGCertificate: (
         ("tag", "ample-globally-generated", CONST),
@@ -222,10 +224,11 @@ _LAYOUTS: dict[type, tuple] = {
         ("tag", "asymptotic-ampleness", CONST), ("mode", "mode", STR),
         ("slope_conditions", "slope_conditions", [Condition]),
         ("base_character", "base", ChernCharacter), ("twist_used", "twist_used", DivisorClass),
-        ("s", "s", INT), ("B", "b", DivisorClass), ("B_squared", "b_squared", RAT),
-        ("bound", "bound", RAT), ("n_min", "n_min", INT),
+        ("s", "s", INT), ("B", "b", DivisorClass), ("B_squared", "b_squared", Fraction),
+        ("bound", "bound", Fraction), ("n_min", "n_min", INT),
         ("kernel", "", (("tag", "kernel-discriminant", CONST),
-                        ("character", "kernel", ChernCharacter), ("delta", "delta_kernel", RAT),
+                        ("character", "kernel", ChernCharacter),
+                        ("delta", "delta_kernel", Fraction),
                         ("delta_at_previous_n", "delta_kernel_prev", WALK))),
         ("chi_dual_twist", "chi_dual_twist", INT),
         ("chi_kernel_dual_twist", "chi_kernel_dual_twist", INT),
@@ -270,14 +273,12 @@ def _code(expr: str, part) -> str:
 def _layout(rows, obj) -> dict:
     out: dict = {}
     for key, _, kind, value in _present(rows, obj):
-        if kind == RAT:
-            value = rational_to_json(value)
-        elif kind == COORDS:
-            value = [rational_to_json(q) for q in value]
+        if kind == COORDS:
+            value = [_layout(_LAYOUTS[Fraction], q) for q in value]
         elif kind == STRS:
             value = list(value)
-        elif type(kind) is tuple:
-            value = _layout(kind, value)
+        elif kind is Fraction or type(kind) is tuple:  # an integral rational may be an int
+            value = _layout(_LAYOUTS.get(kind, kind), value)
         out[key] = value
     return out
 
@@ -313,33 +314,26 @@ def _shape(cls: type):
     return shape
 
 
-def _sketch(rows, obj, expr: str, pad, slots: list[str]) -> dict:
+def _sketch(rows, obj, expr: str, pad: str, slots: list[str]) -> dict:
     """The layout of ``obj`` with a sentinel in each slot, whose code (reading the filled
     record ``r`` through ``expr``) goes on ``slots`` in document order.  ``pad`` is the pad
-    of the layout's line if a str, or the indent of its keys in text."""
-    text = type(pad) is int
-    inner = pad + 1 if text else pad + "  "
+    of the layout's line."""
+    inner = pad + "  "
     out: dict = {}
     for key, part, kind, value in _present(rows, obj):
         code = _code(expr, part)
         if kind in (INT, BOOL, STR):
             value = "\x00"
-            slots.append(code if text or kind == INT else f"_ascii({code})" if kind == STR
+            slots.append(code if kind == INT else f"_ascii({code})" if kind == STR
                          else f"('true' if {code} else 'false')")
-        elif kind in (RAT, COORDS):
-            codes = [code] if kind == RAT else [f"{code}[{i}]" for i in range(len(value))]
-            for c in codes:
-                slots.extend([c] if text else [f"{c}.numerator", f"{c}.denominator"])
-            value = [{"num": "\x00", "den": "\x00"} for _ in codes]
-            value = value[0] if kind == RAT else value
         elif kind == STRS:
             value = list(value)
         elif kind == WALK:
-            value = "\x01"
-            slots.append(f"_walked({code}, {(pad if text else inner)!r})")
-        elif type(kind) is list:
-            item = inner + 1 if text else inner + "  "
-            value = [_sketch(_LAYOUTS[kind[0]], x, f"{code}[{i}]", item, slots)
+            value = "\x00"
+            slots.append(f"_walked({code}, {inner!r})")
+        elif kind == COORDS or type(kind) is list:
+            item = _LAYOUTS[Fraction if kind == COORDS else kind[0]]
+            value = [_sketch(item, x, f"{code}[{i}]", inner + "  ", slots)
                      for i, x in enumerate(value)]
         elif kind != CONST:
             value = _sketch(_LAYOUTS.get(kind, kind), value, code, inner, slots)
@@ -347,25 +341,19 @@ def _sketch(rows, obj, expr: str, pad, slots: list[str]) -> dict:
     return out
 
 
-def _compile(record, pad):
+def _compile(record, pad: str):
     """``record``'s filler at ``pad``: its template, and one expression of its slots compiled
     from the tables' parts (a record's values are only ever arguments, never code)."""
     slots: list[str] = []
     sketch = _sketch(_LAYOUTS[type(record)], record, "r", pad, slots)
     written: list[str] = []
-    if type(pad) is str:
-        _write_json(sketch, pad, written)
-        template = "".join(written).replace("%", "%%").replace('"\\u0001"', '"\\u0000"')
-        template = template.replace('"\\u0000"', "%s")
-    else:  # where a rational is written n/d, one slot
-        _render_lines(sketch, pad, written)
-        template = "\n".join(written).replace("%", "%%").replace(" \x01", "\x00")
-        template = template.replace("\x00/\x00", "\x00").replace("\x00", "%s")
+    _write_json(sketch, pad, written)
+    template = "".join(written).replace("%", "%%").replace('"\\u0000"', "%s")
     code = f"lambda r: _t % ({''.join(s + ', ' for s in slots)})"
     return eval(code, {"_t": template, "_ascii": _ascii, "_walked": _walked})
 
 
-def _filler(record, pad):
+def _filler(record, pad: str):
     """The cached function writing ``record`` at ``pad``; keyed by type, pad and shape."""
     cls = type(record)
     key = (cls, pad, (_SHAPES.get(cls) or _shape(cls))(record))
@@ -375,14 +363,11 @@ def _filler(record, pad):
     return fill
 
 
-def _walked(value, pad) -> str:
-    """``value`` as the walk writes it after its key (in text: after a ``key:`` at ``pad``)."""
+def _walked(value, pad: str) -> str:
+    """``value`` as the walk writes it after its key, on a line at ``pad``."""
     out: list[str] = []
-    if type(pad) is str:
-        _write_json(value, pad, out)
-        return "".join(out)
-    _render_lines({"-": value}, pad, out)
-    return "\n".join(out)[2 * pad + 2:]
+    _write_json(value, pad, out)
+    return "".join(out)
 
 
 def _write_json(node, pad: str, out: list[str]) -> None:
@@ -437,7 +422,7 @@ def _write_json(node, pad: str, out: list[str]) -> None:
     elif type(node) in _LAYOUTS:
         out.append(_filler(node, pad)(node))
     else:
-        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+        to_json(node)  # not a record: raises the TypeError of json.dumps
 
 
 def render_structured(report: dict) -> bytes:
@@ -474,9 +459,9 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
     else:
         heads = [pad + "-"] * len(node)
     for head, value in zip(heads, node):
-        if type(value) in _LAYOUTS and type(value) is not Fraction:
-            lines += (head, _filler(value, indent + 1)(value))
-        elif isinstance(value, dict) and set(value) == {"num", "den"}:
+        if type(value) in _LAYOUTS:
+            value = to_json(value)
+        if isinstance(value, dict) and set(value) == {"num", "den"}:
             lines.append(f"{head} {_fmt_rat(value)}")
         elif isinstance(value, (dict, list, tuple)):
             lines.append(head)

@@ -110,16 +110,12 @@ class Surface(Record):
             return self.divisor(1)
         return self.divisor(0, 1)
 
-    @property
-    def canonical_coords(self) -> tuple[int, ...]:
-        """Integer coordinates of the canonical class K."""
-        if self.is_plane:
-            return (-3,)
-        return (-2, -(self.e + 2))
-
     @lazy
     def canonical(self) -> "DivisorClass":
-        return self.divisor(*self.canonical_coords)
+        """The canonical class K: ``-3H``, or ``-2E - (e+2)F``."""
+        if self.is_plane:
+            return self.divisor(-3)
+        return self.divisor(-2, -(self.e + 2))
 
     def pair(self, a: tuple[Rational, ...], b: tuple[Rational, ...]) -> Rational:
         if self.is_plane:

@@ -199,7 +199,7 @@ def test_report_census_fills_a_bounded_template_cache(monkeypatch):
     first = report_census()
     keys = set(rpt._TEMPLATES)
     assert report_census() == first
-    assert set(rpt._TEMPLATES) == keys and len(keys) <= 44
+    assert set(rpt._TEMPLATES) == keys and len(keys) <= 23
 
 
 if __name__ == "__main__":

@@ -96,7 +96,7 @@ def _f0_report_with_672_bad_curves():
     return report
 
 
-LAYOUTS = ("to_json", "_layout", "rational_to_json")
+LAYOUTS = ("to_json", "_layout")
 
 
 def _count_layout_calls(monkeypatch) -> tuple[list[str], list[type]]:
@@ -131,10 +131,8 @@ def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
     surface = Surface.hirzebruch(2)
     reports = [run_report(surface, parse_character("2:3,8:2", surface)), gieseker_report(12)]
     expected = [render_structured(r) for r in reports]  # the warm-up
-    texts = [render_text(r) for r in reports]
     calls, table_calls = _count_layout_calls(monkeypatch)
     assert [render_structured(r) for r in reports] == expected
-    assert [render_text(r) for r in reports] == texts
     assert calls == table_calls == []
     # a cold cache lays out each (record type, pad, shape) key once, when first seen
     monkeypatch.setattr(rpt, "_TEMPLATES", {})
@@ -208,18 +206,6 @@ def test_family_members_are_not_validated_one_by_one(monkeypatch):
         bad = enumerate_bad_curves(parse_character(f"2:{2 * x},3:-{x + 9}", F0))
         made.append((len(bad), counts[DivisorClass]))
     assert made[0][0] < made[1][0] and made[0][1] == made[1][1] <= 4
-
-
-def test_text_rendering_of_bad_curves_makes_no_dict_per_member(monkeypatch):
-    report = _f0_report_with_672_bad_curves()
-    expected = render_text(report)
-    calls, table_calls = _count_layout_calls(monkeypatch)
-    assert render_text(report) == expected
-    assert calls == [] and BadCurve not in table_calls
-    # a cold template cache lays out the first bad curve only
-    monkeypatch.setattr(rpt, "_TEMPLATES", {})
-    assert render_text(report) == expected
-    assert table_calls.count(BadCurve) == 1 and calls == []
 
 
 def test_text_rendering_of_bad_curve_records_is_unchanged():

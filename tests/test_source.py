@@ -97,6 +97,26 @@ def test_cli_process_loads_argparse_only_for_a_declined_argv(ch, declined):
     assert ("argparse" in imported, "json" in imported) == (declined, False)
 
 
+@pytest.mark.parametrize(
+    "fmt, compiled", [([], False), (["--format", "structured"], True)], ids=["text", "structured"])
+def test_only_a_structured_cli_process_compiles_templates(fmt, compiled):
+    """``render_text`` walks the layouts, so a text request compiles no template and no shape
+    function; a structured one compiles both."""
+    argv = ["report", "--surface", "F2", "--ch", "2:3,8:2", *fmt]
+    probe = ("import sys; from amplecheck import cli, report; "
+             f"code = cli.main({argv!r}); "
+             "print(code, len(report._TEMPLATES), len(report._SHAPES), file=sys.stderr)")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    name = "structured" if compiled else "text"
+    golden = ROOT / "tests" / "golden" / f"report_surface_F2_ch_2_3_8_2_format_{name}.stdout"
+    assert (done.returncode, done.stdout) == (0, golden.read_bytes())
+    code, templates, shapes = map(int, done.stderr.split())
+    assert code == 0 and (templates > 0, shapes > 0) == (compiled, compiled)
+
+
 def test_cli_import_leaves_out_argparse_and_json():
     done, imported = _imports_of_child("-c", "import amplecheck.cli")
     assert done.returncode == 0 and "amplecheck.cli" in imported
