@@ -35,7 +35,7 @@ from .characters import ChernCharacter, parse_character, parse_log_character
 from .errors import CertificateError, EnumerationLimitError, PreconditionError
 from .positivity import classify_global_generation, necessary_obstructions
 from .rationals import INTEGER, check_digits
-from .surfaces import Surface, parse_surface
+from .surfaces import parse_surface
 
 EXIT_OK = 0
 EXIT_DEFECT = 1
@@ -117,11 +117,11 @@ def _canonical(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **fields)
 
 
-def _parse_inputs(args) -> tuple[Surface, ChernCharacter]:
+def _parse_inputs(args) -> ChernCharacter:
     surface = parse_surface(args.surface)
     if args.ch is not None:
-        return surface, parse_character(args.ch, surface)
-    return surface, parse_log_character(args.log_ch, surface)
+        return parse_character(args.ch, surface)
+    return parse_log_character(args.log_ch, surface)
 
 
 def _sections(args, v: ChernCharacter) -> tuple[dict, str]:
@@ -150,15 +150,15 @@ def _sections(args, v: ChernCharacter) -> tuple[dict, str]:
     return {"asymptotic": cert}, cert.verdict
 
 
-def _build_report(args, surface: Surface, v: ChernCharacter) -> dict:
+def _build_report(args, v: ChernCharacter) -> dict:
     if args.command == "gieseker":
         return rpt.gieseker_report(args.d)
     if args.command == "bad-curves":
-        return rpt.bad_curves_report(surface, v)
+        return rpt.bad_curves_report(v.surface, v)
     if args.command == "report":
-        return rpt.run_report(surface, v, s=args.s, direct=args.direct)
+        return rpt.run_report(v.surface, v, s=args.s, direct=args.direct)
     sections, verdict = _sections(args, v)
-    return rpt.build_report(args.command, surface, v, sections, verdict)
+    return rpt.build_report(args.command, v, sections, verdict)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -169,12 +169,12 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        surface, v = (None, None) if args.command == "gieseker" else _parse_inputs(args)
+        v = None if args.command == "gieseker" else _parse_inputs(args)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = _build_report(args, surface, v)
+        report = _build_report(args, v)
         structured = args.format == "structured"
         out = rpt.render_structured(report) if structured else rpt.render_text(report)
     except (PreconditionError, EnumerationLimitError) as exc:

@@ -9,17 +9,19 @@ wherever a layout is shown.  ``to_json`` lays each out by its table in
 ``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
 appears), so ``json.dumps(report, default=to_json)`` serialises a report and
 ``parse_structured(render_structured(report))`` is its JSON-native form.
-``render_structured`` writes each record by filling one cached template,
-made from the same table with its nested records spliced in;
-``render_text`` walks the layouts.  Each section carries a ``tag`` naming
-the criterion that backs its verdict, from ``VERDICT_TAGS``.
+``render_structured`` writes each record by filling one cached template:
+``_layout``'s own output for that record, with a sentinel in each slot, so
+one walk of the table makes both; ``render_text`` walks the layouts.  Each
+section carries a ``tag`` naming the criterion that backs its verdict, from
+``VERDICT_TAGS``.
 
 Every report, of the full pipeline or of one command, is wrapped by
-``build_report``: ``schema_version``, ``command``, ``surface`` and
-``character`` first, then the sections, then ``verdict`` last, which
-``render_text`` writes as its final ``verdict:`` line.  A section whose
-preconditions fail is not omitted: ``_section``, the one place this rule is
-written, gives it a ``skipped`` entry naming the failing precondition.
+``build_report``: ``schema_version``, ``command``, ``surface`` (the
+character's) and ``character`` first, then the sections, then ``verdict``
+last, which ``render_text`` writes as its final ``verdict:`` line.  A
+section whose preconditions fail is not omitted: ``_section``, the one
+place this rule is written, gives it a ``skipped`` entry naming the failing
+precondition.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .ampleness import (
 )
 from .characters import ChernCharacter
 from .cohomology import NonspecialTrace, wbn_applicable, wbn_cohomology
-from .errors import PreconditionError
+from .errors import PreconditionError, SurfaceMismatchError
 from .positivity import (
     Condition,
     GGClassification,
@@ -118,23 +120,22 @@ def classified_gg_section(v: ChernCharacter, gg: GGClassification) -> GGSection:
 
 
 def build_report(
-    command: str,
-    surface: Surface,
-    v: ChernCharacter,
-    sections: dict,
-    verdict: str,
-    *,
-    d: int | None = None,
+    command: str, v: ChernCharacter, sections: dict, verdict: str, *, d: int | None = None
 ) -> dict:
-    """The envelope every command's report shares, with the verdict last."""
+    """The envelope every command's report shares, on ``v``'s surface, with the verdict last."""
     report: dict = {"schema_version": SCHEMA_VERSION, "command": command}
     if d is not None:
         report["d"] = d
-    report["surface"] = surface.name
+    report["surface"] = v.surface.name
     report["character"] = v
     report.update(sections)
     report["verdict"] = verdict
     return report
+
+
+def _check_surface(surface: Surface, v: ChernCharacter) -> None:
+    if surface != v.surface:
+        raise SurfaceMismatchError(f"a report on {surface} of a character on {v.surface}")
 
 
 def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool = False) -> dict:
@@ -143,6 +144,7 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
     The ampleness certificate carries the global-generation classification
     whenever it got that far, and the ``global_generation`` section reuses it.
     """
+    _check_surface(surface, v)
     ample = ample_gg_verdict(v)
     sections = {
         "invariants": invariants_section(v),
@@ -157,23 +159,24 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
             "asymptotic-ampleness", lambda: asymptotic_ample_certificate(v, s, direct=direct)),
         "warnings": ["stability of the input character is assumed, not verified"],
     }
-    return build_report("report", surface, v, sections, ample.verdict)
+    return build_report("report", v, sections, ample.verdict)
 
 
 def bad_curves_report(surface: Surface, v: ChernCharacter) -> dict:
+    _check_surface(surface, v)
     bad = enumerate_bad_curves(v)
     section = {"tag": "bad-curves", "classes": bad}
     verdict = f"{len(bad)} bad curve class(es); " + (
         "all dimension counts pass" if all(b.passes for b in bad) else "some dimension count fails"
     )
-    return build_report("bad-curves", surface, v, {"bad_curves": section}, verdict)
+    return build_report("bad-curves", v, {"bad_curves": section}, verdict)
 
 
 def gieseker_report(d: int) -> dict:
     v = gieseker_character(d)
     cert = asymptotic_ample_certificate(v, 2, direct=True)
     sections = {"invariants": invariants_section(v), "asymptotic": cert}
-    return build_report("gieseker", v.surface, v, sections, cert.verdict, d=d)
+    return build_report("gieseker", v, sections, cert.verdict, d=d)
 
 
 # Rows are (key, part, kind).  ``part`` reads the value from the object the table lays out:
@@ -253,16 +256,6 @@ def _get(obj, part):
     return obj[part] if type(part) is int else attrgetter(part)(obj) if part else obj
 
 
-def _present(rows, obj):
-    """Each row of ``rows`` present in ``obj``, with its value and its key's "?" dropped."""
-    for key, part, kind in rows:
-        value = part if kind == CONST else _get(obj, part)
-        if not key.endswith("?"):
-            yield key, part, kind, value
-        elif value if kind == STR else value is not None:
-            yield key[:-1], part, kind, value
-
-
 def _code(expr: str, part) -> str:
     """The code reading ``part`` of the object that the code ``expr`` reads."""
     if callable(part):
@@ -270,15 +263,34 @@ def _code(expr: str, part) -> str:
     return f"{expr}[{part}]" if type(part) is int else f"{expr}.{part}" if part else expr
 
 
-def _layout(rows, obj) -> dict:
+def _layout(rows, obj, expr: str = "r", pad: str = "", slots: list[str] | None = None) -> dict:
+    """The JSON-native layout of ``obj`` by ``rows``, WALK values left as they are; given
+    ``slots``, its template's sketch: a sentinel in each slot, whose code (reading the filled
+    record ``r`` through ``expr``) goes on ``slots`` in document order.  ``pad`` is the pad
+    of the layout's line."""
+    inner = pad + "  "
     out: dict = {}
-    for key, _, kind, value in _present(rows, obj):
-        if kind == COORDS:
-            value = [_layout(_LAYOUTS[Fraction], q) for q in value]
-        elif kind == STRS:
+    for key, part, kind in rows:
+        value = part if kind == CONST else _get(obj, part)
+        if key[-1] == "?":
+            if not value if kind == STR else value is None:
+                continue
+            key = key[:-1]
+        code = _code(expr, part) if slots is not None else expr  # a slot's code, if sketched
+        if kind == STRS:
             value = list(value)
-        elif kind is Fraction or type(kind) is tuple:  # an integral rational may be an int
-            value = _layout(_LAYOUTS.get(kind, kind), value)
+        elif kind in (INT, BOOL, STR, WALK):
+            if slots is not None:
+                value = "\x00"
+                slots.append(code if kind == INT else f"_ascii({code})" if kind == STR
+                             else f"('true' if {code} else 'false')" if kind == BOOL
+                             else f"_walked({code}, {inner!r})")
+        elif kind == COORDS or type(kind) is list:
+            item = _LAYOUTS[Fraction if kind == COORDS else kind[0]]
+            value = [_layout(item, x, f"{code}[{i}]", inner + "  ", slots)
+                     for i, x in enumerate(value)]
+        elif kind != CONST:  # a record (a rational may be an int) or a nested dict
+            value = _layout(_LAYOUTS.get(kind, kind), value, code, inner, slots)
         out[key] = value
     return out
 
@@ -314,41 +326,12 @@ def _shape(cls: type):
     return shape
 
 
-def _sketch(rows, obj, expr: str, pad: str, slots: list[str]) -> dict:
-    """The layout of ``obj`` with a sentinel in each slot, whose code (reading the filled
-    record ``r`` through ``expr``) goes on ``slots`` in document order.  ``pad`` is the pad
-    of the layout's line."""
-    inner = pad + "  "
-    out: dict = {}
-    for key, part, kind, value in _present(rows, obj):
-        code = _code(expr, part)
-        if kind in (INT, BOOL, STR):
-            value = "\x00"
-            slots.append(code if kind == INT else f"_ascii({code})" if kind == STR
-                         else f"('true' if {code} else 'false')")
-        elif kind == STRS:
-            value = list(value)
-        elif kind == WALK:
-            value = "\x00"
-            slots.append(f"_walked({code}, {inner!r})")
-        elif kind == COORDS or type(kind) is list:
-            item = _LAYOUTS[Fraction if kind == COORDS else kind[0]]
-            value = [_sketch(item, x, f"{code}[{i}]", inner + "  ", slots)
-                     for i, x in enumerate(value)]
-        elif kind != CONST:
-            value = _sketch(_LAYOUTS.get(kind, kind), value, code, inner, slots)
-        out[key] = value
-    return out
-
-
 def _compile(record, pad: str):
     """``record``'s filler at ``pad``: its template, and one expression of its slots compiled
     from the tables' parts (a record's values are only ever arguments, never code)."""
     slots: list[str] = []
-    sketch = _sketch(_LAYOUTS[type(record)], record, "r", pad, slots)
-    written: list[str] = []
-    _write_json(sketch, pad, written)
-    template = "".join(written).replace("%", "%%").replace('"\\u0000"', "%s")
+    sketch = _walked(_layout(_LAYOUTS[type(record)], record, "r", pad, slots), pad)
+    template = sketch.replace("%", "%%").replace('"\\u0000"', "%s")
     code = f"lambda r: _t % ({''.join(s + ', ' for s in slots)})"
     return eval(code, {"_t": template, "_ascii": _ascii, "_walked": _walked})
 

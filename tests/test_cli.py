@@ -597,12 +597,12 @@ json.dump({"debug": __debug__, "cases": cases}, sys.stdout)
 """
 
 
-def test_golden_corpus_under_optimize():
-    """The golden corpus holds byte for byte with ``assert`` statements stripped."""
+def _replay_optimized(python: str) -> None:
+    """Replay the golden corpus under ``python -O`` and compare it byte for byte."""
     src = str(TESTS.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_REPLAY, *GOLDEN_MANIFESTS],
+        [python, "-O", "-c", OPTIMIZED_REPLAY, *GOLDEN_MANIFESTS],
         capture_output=True, env=env, cwd=TESTS, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
@@ -619,3 +619,25 @@ def test_golden_corpus_under_optimize():
         assert err == entry["stderr"], entry["name"]
         expected = (TESTS / "golden" / f"{entry['name']}.stdout").read_bytes()
         assert base64.b64decode(out) == expected, entry["name"]
+
+
+def test_golden_corpus_under_optimize():
+    """The golden corpus holds byte for byte with ``assert`` statements stripped."""
+    _replay_optimized(sys.executable)
+
+
+def _patch_level(python: Path) -> int:
+    patch = python.parent.parent.name.split(".")[2]
+    return int(patch) if patch.isdigit() else -1
+
+
+@pytest.mark.parametrize("minor", [m for m in (10, 11, 12, 13) if m != sys.version_info[1]])
+def test_golden_corpus_under_optimize_on_other_interpreters(minor):
+    """The same replay on every other CPython the README promises, found as pyenv
+    installs them: the ``eval``'d report templates and ``_json``'s accelerator are
+    version-specific, and a release must not change a byte."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    found = list(root.glob(f"versions/3.{minor}.*/bin/python"))
+    if not found:
+        pytest.skip(f"no CPython 3.{minor} under {root}/versions")
+    _replay_optimized(str(max(found, key=_patch_level)))

@@ -33,6 +33,7 @@ from amplecheck import (
     ObstructionReport,
     ObstructionVerdict,
     Surface,
+    SurfaceMismatchError,
     WbnApplicability,
     enumerate_bad_curves,
     parse_character,
@@ -215,6 +216,26 @@ def test_text_rendering_of_bad_curve_records_is_unchanged():
     assert hashlib.sha256(text).hexdigest() == (
         "21985dbca38c0e112667aefd2d237479cc3146e9c138b06016139c6e02870f3b"
     )
+
+
+def test_to_json_lays_out_nested_records():
+    """``to_json`` gives the JSON-native layout, nested records and rationals included."""
+    F2 = Surface.hirzebruch(2)
+    v = parse_character("2:3,8:2", F2)
+    for record in (v, v.c1, run_report(F2, v)["obstructions"]):
+        assert to_json(record) == parse_structured(render_structured({"r": record}))["r"]
+
+
+def test_a_report_names_the_surface_of_its_character():
+    """A report on one surface of a character on another is refused, not written with
+    the first surface's name above the second's character and verdicts."""
+    F1, F2 = Surface.hirzebruch(1), Surface.hirzebruch(2)
+    v = parse_character("2:3,8:2", F2)
+    for build in (run_report, bad_curves_report):
+        with pytest.raises(SurfaceMismatchError, match="F1 .* F2"):
+            build(F1, v)
+        assert build(F2, v)["surface"] == "F2"
+    assert rpt.build_report("gg", v, {}, "none")["surface"] == "F2"
 
 
 SCALARS = (
