@@ -1,4 +1,3 @@
-import base64
 import contextlib
 import io
 import json
@@ -17,7 +16,9 @@ from amplecheck import ampleness
 from amplecheck.cli import _canonical, build_parser, main
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
 from amplecheck import Surface, make_character
-from test_golden import CASES, run_cli as run_captured
+from replay import run_cli as run_captured
+from test_acceptance import CORPUS
+from test_golden import CASES
 
 
 def run_cli(capsysbinary, *argv):
@@ -425,39 +426,7 @@ class TestInputDigitBudget:
         )
 
 
-CORPUS = [
-    ("invariants", "P2", "2:3:3/2"),
-    ("invariants", "F3", "3:4,13:3"),
-    ("obstructions", "P2", "2:3:1/2"),
-    ("obstructions", "F1", "2:2,4:3"),
-    ("gg", "P2", "3:0:0"),
-    ("gg", "P2", "2:3:3/2"),
-    ("gg", "F2", "2:0,3:0"),
-    ("gg", "F1", "2:2,2:-2"),
-    ("ample-gg", "P2", "2:4:0"),
-    ("ample-gg", "P2", "2:3:1/2"),
-    ("ample-gg", "F1", "2:3,5:5/2"),
-    ("ample-gg", "F2", "2:3,8:2"),
-    ("asymptotic", "P2", "2:3:1/2"),
-    ("asymptotic", "P2", "2:20:-142"),
-    ("asymptotic", "F1", "2:3,5:5/2"),
-    ("asymptotic", "F0", "2:3,3:1"),
-    ("bad-curves", "P2", "2:4:0"),
-    ("bad-curves", "F1", "2:3,5:5/2"),
-    ("report", "P2", "2:3:1/2"),
-    ("report", "F2", "2:3,8:2"),
-]
-
-
 class TestStructuredOutput:
-    def test_corpus_is_deterministic(self, capsysbinary):
-        for command, surface, ch in CORPUS:
-            argv = (command, "--surface", surface, "--ch", ch, "--format", "structured")
-            code1, out1, _ = run_cli(capsysbinary, *argv)
-            code2, out2, _ = run_cli(capsysbinary, *argv)
-            assert code1 == code2 == 0, argv
-            assert out1 == out2
-
     def test_round_trip(self, capsysbinary):
         code, out, _ = run_cli(
             capsysbinary,
@@ -566,64 +535,19 @@ def test_run_report_is_pure():
     assert render_structured(run_report(surface, v)) == render_structured(run_report(surface, v))
 
 
-TESTS = Path(__file__).resolve().parent
-GOLDEN_MANIFESTS = ("cases.json", "branches.json")
-
-# Replays every golden case of the manifests named in ``sys.argv`` in one
-# ``python -O`` process (``assert`` stripped) and prints each outcome as JSON,
-# stdout base64-encoded.  Output is captured
-# as ``test_golden.run_cli`` does; importing that module would pull in pytest
-# and hypothesis, which take longer to import than the replay takes to run.
-OPTIMIZED_REPLAY = """
-import base64, io, json, sys
-from pathlib import Path
-from amplecheck.cli import main
-cases = {}
-real = sys.stdout, sys.stderr
-for entry in (e for name in sys.argv[1:] for e in json.loads(Path("golden", name).read_text())):
-    out, err = io.BytesIO(), io.BytesIO()
-    sys.stdout = io.TextIOWrapper(out, encoding="utf-8")
-    sys.stderr = io.TextIOWrapper(err, encoding="utf-8")
-    try:
-        code = main(list(entry["argv"]))
-        sys.stdout.flush()
-        sys.stderr.flush()
-        cases[entry["name"]] = [
-            code, base64.b64encode(out.getvalue()).decode("ascii"), err.getvalue().decode("utf-8")
-        ]
-    finally:
-        sys.stdout, sys.stderr = real
-json.dump({"debug": __debug__, "cases": cases}, sys.stdout)
-"""
-
-
-def _replay_optimized(python: str) -> None:
-    """Replay the golden corpus under ``python -O`` and compare it byte for byte."""
-    src = str(TESTS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [python, "-O", "-c", OPTIMIZED_REPLAY, *GOLDEN_MANIFESTS],
-        capture_output=True, env=env, cwd=TESTS, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    replay = json.loads(proc.stdout)
-    assert replay["debug"] is False
-    manifest = [
-        entry for name in GOLDEN_MANIFESTS
-        for entry in json.loads((TESTS / "golden" / name).read_text())
-    ]
-    assert len(replay["cases"]) == len(manifest) > 0
-    for entry in manifest:
-        code, out, err = replay["cases"][entry["name"]]
-        assert code == entry["exit"], entry["name"]
-        assert err == entry["stderr"], entry["name"]
-        expected = (TESTS / "golden" / f"{entry['name']}.stdout").read_bytes()
-        assert base64.b64decode(out) == expected, entry["name"]
+def _replay(python: str) -> None:
+    """``tests/replay.py`` under ``python -O``: the frozen corpus holds with ``assert`` stripped."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    proc = subprocess.run([python, "-O", str(tests / "replay.py")], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith(" 0 failures, __debug__ False\n"), proc.stdout
 
 
 def test_golden_corpus_under_optimize():
-    """The golden corpus holds byte for byte with ``assert`` statements stripped."""
-    _replay_optimized(sys.executable)
+    """The frozen corpus holds byte for byte with ``assert`` statements stripped."""
+    _replay(sys.executable)
 
 
 def _patch_level(python: Path) -> int:
@@ -640,4 +564,4 @@ def test_golden_corpus_under_optimize_on_other_interpreters(minor):
     found = list(root.glob(f"versions/3.{minor}.*/bin/python"))
     if not found:
         pytest.skip(f"no CPython 3.{minor} under {root}/versions")
-    _replay_optimized(str(max(found, key=_patch_level)))
+    _replay(str(max(found, key=_patch_level)))

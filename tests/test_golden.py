@@ -1,16 +1,17 @@
 """Golden corpus: the CLI's stdout bytes, stderr text and exit code, frozen.
 
 Every case in ``CASES`` runs ``amplecheck.cli.main`` in-process and is
-compared byte for byte with ``tests/golden/<name>.stdout`` and with the
-exit code and stderr recorded in its manifest, ``tests/golden/cases.json``
-or ``tests/golden/branches.json``.  The corpus covers the 20-case
-acceptance corpus and ``gieseker --d 4..50`` in both formats, inputs
-rejected with exit 2 or 3 (one at least for every precondition the
-procedures check), and full reports whose sections come out ``skipped``.
-``branches.json`` holds the cases added later, one for each branch of the
-CLI no other test runs; a manifest of its own leaves the files of the
-first corpus as they were.  ``help.json`` holds ``--help`` of the program
-and of each subcommand at ``COLUMNS=80``, the texts argparse writes.
+compared byte for byte with ``tests/golden/<name>.stdout`` and with the exit
+code and stderr recorded in its manifest, ``tests/golden/cases.json`` or
+``tests/golden/branches.json``, by ``tests/replay.py``, which replays the
+whole corpus without pytest.  The corpus covers the 20-case acceptance
+corpus and ``gieseker --d 4..50`` in both formats, inputs rejected with
+exit 2 or 3 (one at least for every precondition the procedures check), and
+full reports whose sections come out ``skipped``.  ``branches.json`` holds
+the cases added later, one for each branch of the CLI no other test runs; a
+manifest of its own leaves the files of the first corpus as they were.
+``help.json`` holds ``--help`` of the program and of each subcommand at
+``COLUMNS=80``, the texts argparse writes.
 
 The files record behaviour, so they are regenerated only when an output
 change is intended, from the root of a checkout::
@@ -23,19 +24,17 @@ diff before committing it.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
+import shutil
 import sys
-from pathlib import Path
 
 import pytest
 
-from amplecheck.cli import main
+import replay
+from replay import GOLDEN, run_cli
 from test_acceptance import CORPUS
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 FORMATS = ("text", "structured")
 
@@ -104,50 +103,28 @@ def case_name(argv: list[str]) -> str:
     return re.sub(r"[^A-Za-z0-9-]+", "_", " ".join(arg.lstrip("-") for arg in argv))
 
 
-MANIFESTS = {GOLDEN / "cases.json": _cases(), GOLDEN / "branches.json": BRANCHES}
+MANIFESTS = dict(zip(replay.MANIFESTS, (_cases(), BRANCHES)))
 CASES = {case_name(argv): argv for argvs in MANIFESTS.values() for argv in argvs}
 assert len(CASES) == sum(map(len, MANIFESTS.values())), "two cases share a file name"
 
 
-def run_cli(argv: list[str]) -> tuple[int, bytes, str]:
-    """Run ``main(argv)`` with stdout and stderr captured as in a process."""
-    out, err = io.BytesIO(), io.BytesIO()
-    saved = sys.stdout, sys.stderr
-    sys.stdout = io.TextIOWrapper(out, encoding="utf-8")
-    sys.stderr = io.TextIOWrapper(err, encoding="utf-8")
-    try:
-        code = main(list(argv))
-        sys.stdout.flush()
-        sys.stderr.flush()
-        return code, out.getvalue(), err.getvalue().decode("utf-8")
-    finally:
-        sys.stdout, sys.stderr = saved
-
-
-def _manifest() -> dict:
-    return {
-        entry["name"]: entry for path in MANIFESTS for entry in json.loads(path.read_text())
-    }
+MANIFEST = {entry["name"]: entry for entry in replay.manifest()}
 
 
 def test_corpus_files_match_case_list():
-    assert list(_manifest()) == list(CASES)
+    assert list(MANIFEST) == list(CASES)
     assert {p.stem for p in GOLDEN.glob("*.stdout")} == set(CASES)
-    assert sum(_manifest()[name]["exit"] != 0 for name in CASES) >= 12
+    assert sum(entry["exit"] != 0 for entry in MANIFEST.values()) >= 12
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden(name):
-    expected = _manifest()[name]
-    argv = CASES[name]
-    assert expected["argv"] == argv
-    code, out, err = run_cli(argv)
-    assert code == expected["exit"]
-    assert err == expected["stderr"]
-    assert out == (GOLDEN / f"{name}.stdout").read_bytes()
+    expected = MANIFEST[name]
+    assert expected["argv"] == CASES[name]
+    assert replay.case_failures(expected) == []
 
 
-HELP = json.loads((GOLDEN / "help.json").read_text())
+HELP = replay.help_golden()
 COMMANDS = ("invariants", "obstructions", "gg", "ample-gg", "asymptotic", "bad-curves", "gieseker",
             "report")
 
@@ -157,34 +134,46 @@ def test_help_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("argv", list(HELP["help"]))
-def test_help(argv, monkeypatch):
-    """Byte for byte on the Python minor version the texts were captured with.  argparse
-    words and wraps its help a little differently across versions, so on another one the
-    words are compared, with 3.10's ``optional arguments:`` heading read as ``options:``."""
-    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
-    code, out, err = run_cli(argv.split())
-    assert (code, err) == (0, "")
-    text, expected = out.decode("utf-8"), HELP["help"][argv]
-    if HELP["python"] != "%d.%d" % sys.version_info[:2]:
-        words = lambda t: t.replace("optional arguments:", "options:").split()  # noqa: E731
-        text, expected = words(text), words(expected)
-    assert text == expected
+def test_help(argv):
+    """Byte for byte on the Python minor version the texts were captured with, word for
+    word on another one (``replay.help_failures``), which leaves ``COLUMNS`` as it was."""
+    before = dict(os.environ), sys.stdout, sys.stderr
+    assert replay.help_failures(argv) == []
+    assert (dict(os.environ), sys.stdout, sys.stderr) == before
+
+
+def test_replay_names_the_case_and_the_file_that_differ(tmp_path, monkeypatch):
+    """On a copy of the corpus with one stdout byte flipped and one census sha256
+    altered, the replay's functions give one failure line each, naming them."""
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    name = "report_surface_P2_ch_2_3_1_2_format_structured"
+    stdout = bytearray((golden / f"{name}.stdout").read_bytes())
+    stdout[100] ^= 1
+    (golden / f"{name}.stdout").write_bytes(stdout)
+    census = json.loads((golden / "gg_census.json").read_text())
+    (golden / "gg_census.json").write_text(json.dumps(dict(census, sha256="0" * 64)))
+    monkeypatch.setattr(replay, "GOLDEN", golden)
+    failures = [line for entry in replay.manifest() for line in replay.case_failures(entry)]
+    assert failures == [f"{name}.stdout: differs at byte 100 of {len(stdout)}"]
+    assert replay.census_failures("gg_census.json", census) == [
+        f"gg_census.json: sha256 {census['sha256']!r}, golden {'0' * 64!r}"
+    ]
 
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.stdout"):
         stale.unlink()
-    for path, argvs in MANIFESTS.items():
+    for file, argvs in MANIFESTS.items():
         manifest = []
         for argv in argvs:
             name = case_name(argv)
             code, out, err = run_cli(argv)
             (GOLDEN / f"{name}.stdout").write_bytes(out)
             manifest.append({"name": name, "argv": argv, "exit": code, "stderr": err})
-        path.write_text(json.dumps(manifest, indent=1) + "\n")
-    os.environ["COLUMNS"] = "80"
-    texts = {argv: run_cli(argv.split())[1].decode("utf-8") for argv in HELP["help"]}
+        (GOLDEN / file).write_text(json.dumps(manifest, indent=1) + "\n")
+    texts = {argv: run_cli(argv.split(), columns=80)[1].decode("utf-8") for argv in HELP["help"]}
     python = "%d.%d" % sys.version_info[:2]
     help_golden = {"python": python, "columns": 80, "help": texts}
     (GOLDEN / "help.json").write_text(json.dumps(help_golden, indent=2) + "\n")

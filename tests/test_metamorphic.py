@@ -1,4 +1,8 @@
-"""Metamorphic relations: verdicts that must not move under a symmetry of the input.
+"""Metamorphic relations: what verdicts and invariants must do under a symmetry, a twist
+or the dual of the input.
+
+Each relation below follows from the geometry, whatever closed forms the
+library uses, so none of them shares a formula with the code it checks.
 
 ``F0 = P1 x P1`` has an automorphism swapping its two factors.  It exchanges
 the two rulings, so it maps the section class ``E`` to the fiber class ``F``
@@ -10,10 +14,26 @@ generated or ample bundle to one of the same kind.  So every verdict of the
 library on the first character must be the verdict on the second, and the
 bad curves of the second are those of the first with coordinates swapped,
 with the same twisted chi and dimension count.
+
+On P2 and F0-F5, for a character ``v`` and each nef generator ``L`` of the
+surface (``H`` on the plane; ``E + eF`` and ``F`` on ``F_e``):
+
+- ample-general at ``v`` implies ample-general at ``v(L)``: an ample bundle
+  tensored with a nef line bundle is ample, and twisting is an isomorphism
+  of moduli spaces that keeps stability, so it maps the general bundle to
+  the general bundle;
+- globally generated at ``v`` implies globally generated at ``v(L)``: the
+  nef line bundles of these surfaces are globally generated, and a tensor
+  product of globally generated bundles is globally generated;
+- ``chi(v) = chi(v^* (x) K)``: Serre duality, ``h^i(V) = h^(2-i)(V^* (x) K)``;
+- ``delta = nu^2/2 - ch2/rank`` does not change under a twist or the dual: a
+  twist by ``D`` adds ``nu.D + D^2/2`` to both terms, and the dual negates
+  ``nu`` and keeps ``ch2``.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +50,7 @@ from amplecheck import (
 )
 
 F0 = Surface.hirzebruch(0)
+SURFACES = (Surface.projective_plane(), *map(Surface.hirzebruch, range(6)))
 
 
 def _character(rank: int, a: int, b: int, c2: int) -> ChernCharacter:
@@ -83,3 +104,53 @@ def test_f0_ruling_swap_leaves_verdicts_unchanged():
 
     check()
     assert outcomes["ample-general"] >= 200 and outcomes["with bad curves"] >= 100, outcomes
+
+
+def _nef_generators(surface: Surface) -> tuple:
+    return (surface.divisor(1),) if surface.is_plane else (surface.divisor(1, surface.e),
+                                                            surface.divisor(0, 1))
+
+
+def _globally_generated(v: ChernCharacter) -> bool:
+    try:
+        return classify_global_generation(v).globally_generated
+    except PreconditionError:
+        return False
+
+
+def near_bogomolov(rng: random.Random) -> ChernCharacter:
+    """A character on P2 or F0-F5 of rank 2-12, ``c1`` coordinates in -10..10^3 and
+    ``c2`` from 2 below to 5 above the Bogomolov bound ``2 rank c2 >= (rank - 1) c1^2``."""
+    surface = rng.choice(SURFACES)
+    rank = rng.randint(2, 12)
+    c1 = surface.divisor(*(rng.randint(-10, 10**3) for _ in surface.basis))
+    square = int(c1.self_intersection)
+    bogomolov = -(-(rank - 1) * square // (2 * rank))
+    return ChernCharacter(rank, c1, Fraction(square, 2) - bogomolov - rng.randint(-2, 5))
+
+
+def test_nef_twists_keep_ample_general_and_globally_generated():
+    rng, premises = random.Random(13), Counter()
+    for _ in range(3000):
+        v = near_bogomolov(rng)
+        ample, gg = ample_gg_verdict(v).ample_general, _globally_generated(v)
+        for line in _nef_generators(v.surface):
+            w = v.twist(line)
+            assert not ample or ample_gg_verdict(w).ample_general, (v, line)
+            assert not gg or _globally_generated(w), (v, line)
+        premises["ample-general"] += ample
+        premises["globally generated"] += gg
+    assert min(premises["ample-general"], premises["globally generated"]) >= 200, premises
+
+
+def test_serre_duality_and_delta_under_twist_and_dual():
+    """Every draw is a premise of both relations."""
+    rng = random.Random(14)
+    for _ in range(1000):
+        v = near_bogomolov(rng)
+        surface = v.surface
+        serre_dual = v.dual().twist(surface.canonical)
+        assert v.euler_characteristic() == serre_dual.euler_characteristic(), v
+        assert v.dual().delta == v.delta, v
+        for d in (*_nef_generators(surface), surface.canonical):
+            assert v.twist(d).delta == v.delta, (v, d)
