@@ -1,6 +1,5 @@
-"""Command-line front end.
-
-Subcommands map to the decision procedures one-to-one::
+"""Command-line front end: it parses the argv and the character, asks
+``report.command_report`` for the subcommand's report once and renders it::
 
     amplecheck invariants  --surface P2 --ch 2:3:3/2
     amplecheck obstructions --surface P2 --ch 2:3:1/2
@@ -30,10 +29,8 @@ import sys
 from types import SimpleNamespace
 
 from . import report as rpt
-from .ampleness import ample_gg_verdict, asymptotic_ample_certificate
 from .characters import ChernCharacter, parse_character, parse_log_character
 from .errors import CertificateError, EnumerationLimitError, PreconditionError
-from .positivity import classify_global_generation, necessary_obstructions
 from .rationals import INTEGER, check_digits
 from .surfaces import parse_surface
 
@@ -124,43 +121,6 @@ def _parse_inputs(args) -> ChernCharacter:
     return parse_log_character(args.log_ch, surface)
 
 
-def _sections(args, v: ChernCharacter) -> tuple[dict, str]:
-    """The sections and the verdict of a one-procedure command."""
-    if args.command == "invariants":
-        sections = {
-            "invariants": rpt.invariants_section(v),
-            "general_cohomology": rpt.cohomology_section(v),
-        }
-        return sections, "computed"
-    if args.command == "obstructions":
-        obstructions = necessary_obstructions(v)
-        return {"obstructions": obstructions}, obstructions.verdict.value
-    if args.command == "gg":
-        gg = classify_global_generation(v)
-        verdict = (
-            f"globally-generated(case {gg.case})"
-            if gg.globally_generated
-            else f"not-globally-generated: {gg.failed_condition}"
-        )
-        return {"global_generation": rpt.classified_gg_section(v, gg)}, verdict
-    if args.command == "ample-gg":
-        cert = ample_gg_verdict(v)
-        return {"ample_gg": cert}, cert.verdict
-    cert = asymptotic_ample_certificate(v, args.s, direct=args.direct)  # the one left: asymptotic
-    return {"asymptotic": cert}, cert.verdict
-
-
-def _build_report(args, v: ChernCharacter) -> dict:
-    if args.command == "gieseker":
-        return rpt.gieseker_report(args.d)
-    if args.command == "bad-curves":
-        return rpt.bad_curves_report(v.surface, v)
-    if args.command == "report":
-        return rpt.run_report(v.surface, v, s=args.s, direct=args.direct)
-    sections, verdict = _sections(args, v)
-    return rpt.build_report(args.command, v, sections, verdict)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _canonical(sys.argv[1:] if argv is None else argv)
     if args is None:
@@ -174,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = _build_report(args, v)
+        options = {o: getattr(args, o) for o in ("s", "direct", "d") if hasattr(args, o)}
+        report = rpt.command_report(args.command, v, **options)
         structured = args.format == "structured"
         out = rpt.render_structured(report) if structured else rpt.render_text(report)
     except (PreconditionError, EnumerationLimitError) as exc:

@@ -15,13 +15,13 @@ one walk of the table makes both; ``render_text`` walks the layouts.  Each
 section carries a ``tag`` naming the criterion that backs its verdict, from
 ``VERDICT_TAGS``.
 
-Every report, of the full pipeline or of one command, is wrapped by
-``build_report``: ``schema_version``, ``command``, ``surface`` (the
-character's) and ``character`` first, then the sections, then ``verdict``
-last, which ``render_text`` writes as its final ``verdict:`` line.  A
-section whose preconditions fail is not omitted: ``_section``, the one
-place this rule is written, gives it a ``skipped`` entry naming the failing
-precondition.
+``command_report`` picks each CLI subcommand's sections and verdict, and
+every report is wrapped by ``build_report``: ``schema_version``,
+``command``, ``surface`` (the character's) and ``character`` first, then
+the sections, then ``verdict`` last, which ``render_text`` writes as its
+final ``verdict:`` line.  A section whose preconditions fail is not
+omitted: ``_section``, the one place this rule is written, gives it a
+``skipped`` entry naming the failing precondition.
 """
 
 from __future__ import annotations
@@ -89,20 +89,19 @@ def invariants_section(v: ChernCharacter) -> dict:
 
 
 def cohomology_section(v: ChernCharacter) -> dict:
-    applicability = wbn_applicable(v)
-    if not applicability:
+    def build() -> dict:
+        applicability = wbn_applicable(v)
+        if not applicability:
+            raise PreconditionError("hypotheses fail: " + ", ".join(applicability.failures))
+        triple = wbn_cohomology(v)
         return {
             "tag": "weak-brill-noether",
-            "skipped": "hypotheses fail: " + ", ".join(applicability.failures),
+            "general_bundle": "cohomology of the general prioritary bundle",
+            "h0": triple.h0,
+            "h1": triple.h1,
+            "h2": triple.h2,
         }
-    triple = wbn_cohomology(v)
-    return {
-        "tag": "weak-brill-noether",
-        "general_bundle": "cohomology of the general prioritary bundle",
-        "h0": triple.h0,
-        "h1": triple.h1,
-        "h2": triple.h2,
-    }
+    return _section("weak-brill-noether", build)
 
 
 def _section(tag: str, build) -> dict:
@@ -177,6 +176,38 @@ def gieseker_report(d: int) -> dict:
     cert = asymptotic_ample_certificate(v, 2, direct=True)
     sections = {"invariants": invariants_section(v), "asymptotic": cert}
     return build_report("gieseker", v, sections, cert.verdict, d=d)
+
+
+def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
+                   direct: bool = False, d: int | None = None) -> dict:
+    """The report of the CLI subcommand ``command`` on ``v``, or on ``d`` for ``gieseker``
+    (``v`` None).  It raises what the procedure raises: ``PreconditionError``,
+    ``EnumerationLimitError`` or ``CertificateError``."""
+    if command == "gieseker":
+        return gieseker_report(d)
+    if command == "bad-curves":
+        return bad_curves_report(v.surface, v)
+    if command == "report":
+        return run_report(v.surface, v, s=s, direct=direct)
+    if command == "invariants":
+        sections = {"invariants": invariants_section(v),
+                    "general_cohomology": cohomology_section(v)}
+        return build_report(command, v, sections, "computed")
+    if command == "obstructions":
+        key, section = "obstructions", necessary_obstructions(v)
+        verdict = section.verdict.value
+    elif command == "gg":
+        gg = classify_global_generation(v)
+        key, section = "global_generation", classified_gg_section(v, gg)
+        verdict = (f"globally-generated(case {gg.case})" if gg.globally_generated
+                   else f"not-globally-generated: {gg.failed_condition}")
+    elif command == "ample-gg":
+        key, section = "ample_gg", ample_gg_verdict(v)
+        verdict = section.verdict
+    else:  # the one left: asymptotic
+        key, section = "asymptotic", asymptotic_ample_certificate(v, s, direct=direct)
+        verdict = section.verdict
+    return build_report(command, v, {key: section}, verdict)
 
 
 # Rows are (key, part, kind).  ``part`` reads the value from the object the table lays out:
@@ -427,12 +458,6 @@ def parse_structured(payload: bytes) -> dict:
     return json.loads(payload.decode("ascii"))
 
 
-def _fmt_rat(value: dict) -> str:
-    if value["den"] == 1:
-        return str(value["num"])
-    return f"{value['num']}/{value['den']}"
-
-
 def _render_lines(node, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(node, dict):
@@ -445,7 +470,8 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
         if type(value) in _LAYOUTS:
             value = to_json(value)
         if isinstance(value, dict) and set(value) == {"num", "den"}:
-            lines.append(f"{head} {_fmt_rat(value)}")
+            den = "" if value["den"] == 1 else f"/{value['den']}"
+            lines.append(f"{head} {value['num']}{den}")
         elif isinstance(value, (dict, list, tuple)):
             lines.append(head)
             _render_lines(value, indent + 1, lines)

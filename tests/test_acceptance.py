@@ -27,7 +27,6 @@ from amplecheck import (
     wbn_applicable,
     wbn_cohomology,
 )
-from amplecheck.cli import main
 from conftest import (
     ALL_SURFACES,
     random_divisor,
@@ -42,6 +41,7 @@ from oracles import (
     matches_bad_curve_shape,
     naive_family_cutoff,
 )
+from replay import run_cli
 
 P2 = Surface.projective_plane()
 HIRZEBRUCH = [s for s in ALL_SURFACES if not s.is_plane]
@@ -272,24 +272,21 @@ CORPUS = [
 ]
 
 
-def test_criterion_9_cli_determinism(capsysbinary):
+def test_criterion_9_cli_determinism():
     outputs = []
     for _ in range(2):
         run_outputs = []
         for command, surface, ch in CORPUS:
-            code = main([command, "--surface", surface, "--ch", ch, "--format", "structured"])
-            captured = capsysbinary.readouterr()
+            code, out, _ = run_cli([command, "--surface", surface, "--ch", ch,
+                                    "--format", "structured"])
             assert code == 0
-            json.loads(captured.out)  # well-formed
-            run_outputs.append(captured.out)
+            json.loads(out)  # well-formed
+            run_outputs.append(out)
         outputs.append(run_outputs)
     assert outputs[0] == outputs[1]
 
     # exit-status contract
-    assert main(["invariants", "--surface", "F2", "--ch", "2:3,5:1/3"]) == 2
-    capsysbinary.readouterr()
-    assert main(["asymptotic", "--surface", "P2", "--ch", "2:2:0"]) == 3
-    capsysbinary.readouterr()
-    assert main(["report", "--surface", "P2", "--ch", "2:4:0"]) == 0
-    capsysbinary.readouterr()
+    assert run_cli(["invariants", "--surface", "F2", "--ch", "2:3,5:1/3"])[0] == 2
+    assert run_cli(["asymptotic", "--surface", "P2", "--ch", "2:2:0"])[0] == 3
+    assert run_cli(["report", "--surface", "P2", "--ch", "2:4:0"])[0] == 0
     _report(9, "structured output byte-identical on the 20-case corpus; exit codes 0/2/3")

@@ -46,6 +46,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from amplecheck import (
@@ -183,17 +184,28 @@ def test_gg_census_matches_golden():
     assert replay.census_failures("gg_census.json", gg_census()) == []
 
 
+@cache
+def fresh_report_census() -> tuple[dict, dict]:
+    """The report census built once from an empty template cache: its summary and a
+    copy of the cache it filled.  The module's own cache is put back afterwards."""
+    saved, rpt._TEMPLATES = rpt._TEMPLATES, {}
+    try:
+        return report_census(), dict(rpt._TEMPLATES)
+    finally:
+        rpt._TEMPLATES = saved
+
+
 def test_report_census_matches_golden():
-    assert replay.census_failures("report_census.json", report_census()) == []
+    assert replay.census_failures("report_census.json", fresh_report_census()[0]) == []
 
 
 def test_report_census_fills_a_bounded_template_cache(monkeypatch):
     """Templates are keyed by record type, pad and shape: which optional fields are
     present, the basis and the fixed note tuples.  Over the whole report census that is a
     few dozen keys, and a second pass adds none."""
-    monkeypatch.setattr(rpt, "_TEMPLATES", {})
-    first = report_census()
-    keys = set(rpt._TEMPLATES)
+    first, templates = fresh_report_census()
+    keys = set(templates)
+    monkeypatch.setattr(rpt, "_TEMPLATES", dict(templates))
     assert report_census() == first
     assert set(rpt._TEMPLATES) == keys and len(keys) <= 23
 

@@ -13,84 +13,68 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from amplecheck import ampleness
-from amplecheck.cli import _canonical, build_parser, main
+from amplecheck.cli import _canonical, build_parser
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
 from amplecheck import Surface, make_character
-from replay import run_cli as run_captured
+from replay import run_cli
 from test_acceptance import CORPUS
 from test_golden import CASES
 
 
-def run_cli(capsysbinary, *argv):
-    code = main(list(argv))
-    captured = capsysbinary.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestParsing:
-    def test_plane_character(self, capsysbinary):
-        code, out, _ = run_cli(
-            capsysbinary, "invariants", "--surface", "P2", "--ch", "2:3:3/2"
-        )
+    def test_plane_character(self):
+        code, out, _ = run_cli(["invariants", "--surface", "P2", "--ch", "2:3:3/2"])
         assert code == 0
         assert b"delta: 3/8" in out
 
-    def test_hirzebruch_character(self, capsysbinary):
-        code, out, _ = run_cli(
-            capsysbinary, "invariants", "--surface", "F1", "--ch", "2:3,5:5/2"
-        )
+    def test_hirzebruch_character(self):
+        code, out, _ = run_cli(["invariants", "--surface", "F1", "--ch", "2:3,5:5/2"])
         assert code == 0
         assert b"11/8" in out  # delta
 
-    def test_logarithmic_form(self, capsysbinary):
-        code, out, _ = run_cli(
-            capsysbinary, "obstructions", "--surface", "P2", "--log-ch", "2:3/2:7/8"
-        )
+    def test_logarithmic_form(self):
+        code, out, _ = run_cli(["obstructions", "--surface", "P2", "--log-ch", "2:3/2:7/8"])
         assert code == 0
         assert b"2:3:1/2" in out
 
-    def test_integrality_error_is_parse_error(self, capsysbinary):
-        code, _, err = run_cli(
-            capsysbinary, "invariants", "--surface", "F2", "--ch", "2:3,5:1/3"
-        )
+    def test_integrality_error_is_parse_error(self):
+        code, _, err = run_cli(["invariants", "--surface", "F2", "--ch", "2:3,5:1/3"])
         assert code == 2
-        assert b"integer" in err
+        assert "integer" in err
 
-    def test_malformed_surface(self, capsysbinary):
-        code, _, err = run_cli(capsysbinary, "invariants", "--surface", "Q7", "--ch", "2:3:0")
+    def test_malformed_surface(self):
+        code, _, err = run_cli(["invariants", "--surface", "Q7", "--ch", "2:3:0"])
         assert code == 2
 
-    def test_malformed_character(self, capsysbinary):
-        code, _, _ = run_cli(capsysbinary, "invariants", "--surface", "P2", "--ch", "nope")
+    def test_malformed_character(self):
+        code, _, _ = run_cli(["invariants", "--surface", "P2", "--ch", "nope"])
         assert code == 2
 
-    def test_unknown_subcommand(self, capsysbinary):
-        assert main(["frobnicate"]) == 2
+    def test_unknown_subcommand(self):
+        assert run_cli(["frobnicate"])[0] == 2
 
-    def test_float_notation_rejected(self, capsysbinary):
-        code, _, _ = run_cli(capsysbinary, "invariants", "--surface", "P2", "--ch", "2:3:1.5")
+    def test_float_notation_rejected(self):
+        code, _, _ = run_cli(["invariants", "--surface", "P2", "--ch", "2:3:1.5"])
         assert code == 2
 
-    def test_log_ch_must_clear_denominators(self, capsysbinary):
-        code, _, err = run_cli(
-            capsysbinary, "invariants", "--surface", "P2", "--log-ch", "2:1/3:0"
-        )
+    def test_log_ch_must_clear_denominators(self):
+        code, _, err = run_cli(["invariants", "--surface", "P2", "--log-ch", "2:1/3:0"])
         assert code == 2
-        assert b"denominators" in err
+        assert "denominators" in err
 
 
 class TestNumberForms:
     """Numbers are ``p`` or ``p/q`` in ASCII digits; any other form exits 2 at once."""
 
     @pytest.mark.parametrize("token", ["1e2000000", "1e20000000"])
-    def test_exponent_is_rejected_before_it_is_expanded(self, capsysbinary, token):
+    def test_exponent_is_rejected_before_it_is_expanded(self, token):
         # Fraction() used to expand these: 5.6 s to exit 2 for the first, and
         # the second was still running after 60 s
         start = time.perf_counter()
-        code, out, err = run_cli(capsysbinary, "report", "--surface", "P2", "--ch", f"2:{token}:0")
+        code, out, err = run_cli(["report", "--surface", "P2", "--ch", f"2:{token}:0"])
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, b"")
-        assert err == f"input error: malformed rational '{token}'\n".encode()
+        assert err == f"input error: malformed rational '{token}'\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -106,22 +90,20 @@ class TestNumberForms:
             (["--ch", "2:3:1.5e3"], "input error: decimal notation not accepted (use p/q): '1.5e3'"),
         ],
     )
-    def test_loose_forms_exit_two(self, capsysbinary, argv, message):
-        code, out, err = run_cli(capsysbinary, "invariants", "--surface", "P2", *argv)
+    def test_loose_forms_exit_two(self, argv, message):
+        code, out, err = run_cli(["invariants", "--surface", "P2", *argv])
         assert (code, out) == (2, b"")
-        assert err == f"{message}\n".encode()
+        assert err == f"{message}\n"
 
-    def test_loose_surfaces_and_integers_exit_two(self, capsysbinary):
-        code, _, err = run_cli(
-            capsysbinary, "invariants", "--surface", "F\u0661", "--ch", "2:1,1:0"
-        )
+    def test_loose_surfaces_and_integers_exit_two(self):
+        code, _, err = run_cli(["invariants", "--surface", "F\u0661", "--ch", "2:1,1:0"])
         assert code == 2
-        assert err == "input error: malformed surface 'F\u0661': expected 'P2' or 'F<e>'\n".encode()
+        assert err == "input error: malformed surface 'F\u0661': expected 'P2' or 'F<e>'\n"
         for argv in (["gieseker", "--d", "1_2"], ["gieseker", "--d", "\u0661\u0662"],
                      ["asymptotic", "--surface", "P2", "--ch", "2:20:-142", "--s", "1_0"]):
-            code, out, err = run_cli(capsysbinary, *argv)
+            code, out, err = run_cli(argv)
             assert (code, out) == (2, b"")
-            assert f"invalid integer value: {argv[-1]!r}".encode() in err
+            assert f"invalid integer value: {argv[-1]!r}" in err
 
 
 COMMANDS = ("invariants", "obstructions", "gg", "ample-gg", "asymptotic", "bad-curves", "report")
@@ -184,7 +166,7 @@ def cli_argv(draw):
 @given(cli_argv())
 def test_cli_fuzz_exits_zero_two_or_three(argv):
     """Every argv ends in 0, 2 or 3, within the deadline, with no exception escaping."""
-    code, out, err = run_captured(argv)
+    code, out, err = run_cli(argv)
     assert code in (0, 2, 3), (argv, err)
     assert (code == 0) == (out != b""), (argv, err)
     assert "Traceback" not in err
@@ -308,51 +290,45 @@ def test_fast_path_declines(argv):
 
 
 class TestExitContract:
-    def test_completed_report_is_zero(self, capsysbinary):
-        code, _, _ = run_cli(capsysbinary, "report", "--surface", "P2", "--ch", "2:4:0")
+    def test_completed_report_is_zero(self):
+        code, _, _ = run_cli(["report", "--surface", "P2", "--ch", "2:4:0"])
         assert code == 0
 
-    def test_precondition_is_three(self, capsysbinary):
+    def test_precondition_is_three(self):
         # nu.H = 1 violates the asymptotic slope hypothesis
-        code, _, err = run_cli(
-            capsysbinary, "asymptotic", "--surface", "P2", "--ch", "2:2:0"
-        )
+        code, _, err = run_cli(["asymptotic", "--surface", "P2", "--ch", "2:2:0"])
         assert code == 3
-        assert b"precondition" in err
+        assert "precondition" in err
 
-    def test_gg_precondition_is_three(self, capsysbinary):
+    def test_gg_precondition_is_three(self):
         # delta = -1/2 < 0
-        code, _, _ = run_cli(capsysbinary, "gg", "--surface", "P2", "--ch", "2:0:1")
+        code, _, _ = run_cli(["gg", "--surface", "P2", "--ch", "2:0:1"])
         assert code == 3
 
-    def test_bad_curves_precondition_is_three(self, capsysbinary):
-        code, _, _ = run_cli(
-            capsysbinary, "bad-curves", "--surface", "P2", "--ch", "2:3:3/2"
-        )
+    def test_bad_curves_precondition_is_three(self):
+        code, _, _ = run_cli(["bad-curves", "--surface", "P2", "--ch", "2:3:3/2"])
         assert code == 3
 
-    def test_bad_curve_cap_is_three(self, capsysbinary):
+    def test_bad_curve_cap_is_three(self):
         # one family of this F0 character has 100004 bad members
-        code, out, err = run_cli(
-            capsysbinary, "bad-curves", "--surface", "F0", "--ch", "2:600000,3:-300009"
-        )
+        code, out, err = run_cli(["bad-curves", "--surface", "F0", "--ch", "2:600000,3:-300009"])
         assert (code, out) == (3, b"")
         assert err == (
-            b"precondition error: 100004 bad members in one family exceeds the cap 100000\n"
+            "precondition error: 100004 bad members in one family exceeds the cap 100000\n"
         )
 
-    def test_failed_obligation_is_one(self, capsysbinary, monkeypatch):
+    def test_failed_obligation_is_one(self, monkeypatch):
         # a failed proof obligation is a defect of amplecheck, not of the input
         obligation = ampleness._obligation
         monkeypatch.setattr(
             ampleness, "_obligation", lambda holds, text, v: obligation(False, text, v)
         )
         code, out, err = run_cli(
-            capsysbinary, "asymptotic", "--surface", "P2", "--ch", "2:20:-142", "--direct"
+            ["asymptotic", "--surface", "P2", "--ch", "2:20:-142", "--direct"]
         )
         assert (code, out) == (1, b"")
-        assert err.startswith(b"certificate error: certificate obligation fails for 2:20:-142: ")
-        assert b"Traceback" not in err
+        assert err.startswith("certificate error: certificate obligation fails for 2:20:-142: ")
+        assert "Traceback" not in err
 
 
 ONE_AND_2200_ZEROS = "1" + "0" * 2200
@@ -362,27 +338,26 @@ ONE_AND_3000_ZEROS = "1" + "0" * 3000
 class TestInputDigitBudget:
     """Inputs over ``DIGIT_BUDGET`` digits exit 2 with the field and the limit named."""
 
-    def test_coordinate_of_2201_digits(self, capsysbinary):
+    def test_coordinate_of_2201_digits(self):
         # used to end in a traceback: c2 has about 4400 digits, past the
         # interpreter's integer-to-string limit, and was rendered outside the try
         for fmt in ("text", "structured"):
             code, out, err = run_cli(
-                capsysbinary, "invariants", "--surface", "P2",
-                "--ch", f"2:{ONE_AND_2200_ZEROS}:0", "--format", fmt,
+                ["invariants", "--surface", "P2", "--ch", f"2:{ONE_AND_2200_ZEROS}:0",
+                 "--format", fmt]
             )
             assert (code, out) == (2, b"")
-            assert err == b"input error: c1 coordinate has more than 2000 digits, the input limit\n"
+            assert err == "input error: c1 coordinate has more than 2000 digits, the input limit\n"
 
-    def test_s_of_3001_digits(self, capsysbinary):
+    def test_s_of_3001_digits(self):
         # used to end in a traceback when the kernel character was rendered
         code, out, err = run_cli(
-            capsysbinary, "asymptotic", "--surface", "P2", "--ch", "2:20:-142",
-            "--s", ONE_AND_3000_ZEROS,
+            ["asymptotic", "--surface", "P2", "--ch", "2:20:-142", "--s", ONE_AND_3000_ZEROS]
         )
         assert (code, out) == (2, b"")
-        assert err.endswith(b"argument --s: the value has more than 2000 digits, the input limit\n")
+        assert err.endswith("argument --s: the value has more than 2000 digits, the input limit\n")
 
-    def test_every_field_is_budgeted(self, capsysbinary):
+    def test_every_field_is_budgeted(self):
         big = ONE_AND_2200_ZEROS
         cases = [
             (["invariants", "--surface", "P2", "--ch", f"{big}:0:0"], "rank"),
@@ -394,17 +369,17 @@ class TestInputDigitBudget:
             (["gieseker", "--d", big], "argument --d: the value"),
         ]
         for argv, field in cases:
-            code, out, err = run_cli(capsysbinary, *argv)
+            code, out, err = run_cli(argv)
             assert (code, out) == (2, b""), argv[:3]
-            assert f"{field} has more than 2000 digits, the input limit".encode() in err
+            assert f"{field} has more than 2000 digits, the input limit" in err
 
-    def test_budget_is_inclusive(self, capsysbinary):
+    def test_budget_is_inclusive(self):
         code, out, _ = run_cli(
-            capsysbinary, "invariants", "--surface", "P2", "--ch", "2:" + "1" * 1999 + "0:0"
+            ["invariants", "--surface", "P2", "--ch", "2:" + "1" * 1999 + "0:0"]
         )
         assert code == 0 and b"verdict: computed" in out
 
-    def test_oversized_derived_value_is_an_input_error(self, capsysbinary):
+    def test_oversized_derived_value_is_an_input_error(self):
         # every field is within the budget, but the kernel's c2 outgrows the
         # interpreter's integer-to-string limit while the report is rendered
         if not hasattr(sys, "set_int_max_str_digits"):
@@ -414,29 +389,27 @@ class TestInputDigitBudget:
         try:
             nines = "9" * 1999
             code, out, err = run_cli(
-                capsysbinary, "report", "--surface", "P2", "--ch", f"2:{nines}8:-{nines}",
-                "--s", nines,
+                ["report", "--surface", "P2", "--ch", f"2:{nines}8:-{nines}", "--s", nines]
             )
         finally:
             sys.set_int_max_str_digits(saved)
         assert (code, out) == (2, b"")
         assert err == (
-            b"input error: a derived value of the report exceeds the interpreter's "
-            b"limit of 4300 digits for integer-to-string conversion\n"
+            "input error: a derived value of the report exceeds the interpreter's "
+            "limit of 4300 digits for integer-to-string conversion\n"
         )
 
 
 class TestStructuredOutput:
-    def test_round_trip(self, capsysbinary):
+    def test_round_trip(self):
         code, out, _ = run_cli(
-            capsysbinary,
-            "report", "--surface", "P2", "--ch", "2:4:0", "--format", "structured",
+            ["report", "--surface", "P2", "--ch", "2:4:0", "--format", "structured"]
         )
         assert code == 0
         report = parse_structured(out)
         assert render_structured(report) == out
 
-    def test_no_floats_anywhere(self, capsysbinary):
+    def test_no_floats_anywhere(self):
         def walk(node):
             assert not isinstance(node, float)
             if isinstance(node, dict):
@@ -448,19 +421,16 @@ class TestStructuredOutput:
 
         for command, surface, ch in CORPUS:
             code, out, _ = run_cli(
-                capsysbinary, command, "--surface", surface, "--ch", ch,
-                "--format", "structured",
+                [command, "--surface", surface, "--ch", ch, "--format", "structured"]
             )
             assert code == 0
             walk(json.loads(out))
 
-    def test_schema_version_present(self, capsysbinary):
-        _, out, _ = run_cli(
-            capsysbinary, "gieseker", "--d", "12", "--format", "structured"
-        )
+    def test_schema_version_present(self):
+        _, out, _ = run_cli(["gieseker", "--d", "12", "--format", "structured"])
         assert json.loads(out)["schema_version"] == "1"
 
-    def test_tags_come_from_the_published_set(self, capsysbinary):
+    def test_tags_come_from_the_published_set(self):
         tags = set()
 
         def collect(node):
@@ -475,8 +445,7 @@ class TestStructuredOutput:
 
         for command, surface, ch in CORPUS:
             _, out, _ = run_cli(
-                capsysbinary, command, "--surface", surface, "--ch", ch,
-                "--format", "structured",
+                [command, "--surface", surface, "--ch", ch, "--format", "structured"]
             )
             collect(json.loads(out))
         assert tags <= VERDICT_TAGS
@@ -484,24 +453,23 @@ class TestStructuredOutput:
 
 
 class TestTextOutput:
-    def test_verdict_line_exactly_once(self, capsysbinary):
+    def test_verdict_line_exactly_once(self):
         for command, surface, ch in CORPUS:
-            code, out, _ = run_cli(capsysbinary, command, "--surface", surface, "--ch", ch)
+            code, out, _ = run_cli([command, "--surface", surface, "--ch", ch])
             assert code == 0
             lines = out.decode().splitlines()
             assert sum(1 for line in lines if line.startswith("verdict:")) == 1
 
-    def test_no_decimal_notation(self, capsysbinary):
+    def test_no_decimal_notation(self):
         import re
 
         for command, surface, ch in CORPUS:
-            _, out, _ = run_cli(capsysbinary, command, "--surface", surface, "--ch", ch)
+            _, out, _ = run_cli([command, "--surface", surface, "--ch", ch])
             assert not re.search(rb"\d+\.\d+", out)
 
-    def test_report_narrative_for_intro_character(self, capsysbinary):
+    def test_report_narrative_for_intro_character(self):
         _, out, _ = run_cli(
-            capsysbinary, "report", "--surface", "P2", "--ch", "2:3:1/2",
-            "--format", "structured",
+            ["report", "--surface", "P2", "--ch", "2:3:1/2", "--format", "structured"]
         )
         report = json.loads(out)
         conditions = {c["id"]: c["holds"] for c in report["obstructions"]["conditions"]}
@@ -511,20 +479,20 @@ class TestTextOutput:
         assert report["asymptotic"]["n_min"] == 6
         assert report["verdict"] == "hypotheses-fail"
 
-    def test_report_worked_example_is_ample(self, capsysbinary):
-        code, out, _ = run_cli(capsysbinary, "report", "--surface", "P2", "--ch", "2:4:0")
+    def test_report_worked_example_is_ample(self):
+        code, out, _ = run_cli(["report", "--surface", "P2", "--ch", "2:4:0"])
         assert code == 0
         assert out.decode().strip().endswith("verdict: ample-general")
 
 
 class TestGiesekerCommand:
-    def test_n_min_two(self, capsysbinary):
-        code, out, _ = run_cli(capsysbinary, "gieseker", "--d", "12")
+    def test_n_min_two(self):
+        code, out, _ = run_cli(["gieseker", "--d", "12"])
         assert code == 0
         assert b"verdict: asymptotically-ample(n_min=2)" in out
 
-    def test_small_d_rejected(self, capsysbinary):
-        code, _, _ = run_cli(capsysbinary, "gieseker", "--d", "3")
+    def test_small_d_rejected(self):
+        code, _, _ = run_cli(["gieseker", "--d", "3"])
         assert code == 3
 
 
@@ -536,11 +504,12 @@ def test_run_report_is_pure():
 
 
 def _replay(python: str) -> None:
-    """``tests/replay.py`` under ``python -O``: the frozen corpus holds with ``assert`` stripped."""
+    """``tests/replay.py`` under ``python -O -W error``: the frozen corpus holds with
+    ``assert`` stripped, and no warning is raised on the way."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
-    proc = subprocess.run([python, "-O", str(tests / "replay.py")], capture_output=True,
-                          text=True, env=env, timeout=120)
+    argv = [python, "-O", "-W", "error", str(tests / "replay.py")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith(" 0 failures, __debug__ False\n"), proc.stdout
 

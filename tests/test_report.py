@@ -32,6 +32,7 @@ from amplecheck import (
     NonspecialTrace,
     ObstructionReport,
     ObstructionVerdict,
+    PreconditionError,
     Surface,
     SurfaceMismatchError,
     WbnApplicability,
@@ -50,6 +51,7 @@ from amplecheck.report import (
     run_report,
     to_json,
 )
+import replay
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "cases.json").read_text())
@@ -236,6 +238,33 @@ def test_a_report_names_the_surface_of_its_character():
             build(F1, v)
         assert build(F2, v)["surface"] == "F2"
     assert rpt.build_report("gg", v, {}, "none")["surface"] == "F2"
+
+
+@pytest.mark.parametrize("command, ch, options, name", [
+    ("invariants", "2:3:3/2", {}, "invariants_surface_P2_ch_2_3_3_2"),
+    ("obstructions", "2:3:1/2", {}, "obstructions_surface_P2_ch_2_3_1_2"),
+    ("gg", "3:0:0", {}, "gg_surface_P2_ch_3_0_0"),
+    ("ample-gg", "2:4:0", {}, "ample-gg_surface_P2_ch_2_4_0"),
+    ("asymptotic", "2:3:1/2", {}, "asymptotic_surface_P2_ch_2_3_1_2"),
+    ("bad-curves", "2:4:0", {}, "bad-curves_surface_P2_ch_2_4_0"),
+    ("report", "2:3:1/2", {}, "report_surface_P2_ch_2_3_1_2"),
+    ("gieseker", None, {"d": 4}, "gieseker_d_4"),
+])
+def test_command_report_writes_the_golden_report(command, ch, options, name):
+    """Each command's report comes from ``command_report`` alone: rendered without the
+    CLI, it is the command's golden structured case."""
+    v = ch and parse_character(ch, Surface.projective_plane())
+    out = render_structured(rpt.command_report(command, v, **options))
+    assert out == (GOLDEN / f"{name}_format_structured.stdout").read_bytes()
+
+
+def test_command_report_raises_the_cli_precondition():
+    """A failed precondition leaves ``command_report`` as the error the CLI prints."""
+    case = next(c for c in replay.manifest() if c["name"] == "asymptotic_surface_P2_ch_2_2_0_s_1")
+    v = parse_character("2:2:0", Surface.projective_plane())
+    with pytest.raises(PreconditionError) as raised:
+        rpt.command_report("asymptotic", v, s=1)
+    assert (case["exit"], f"precondition error: {raised.value}\n") == (3, case["stderr"])
 
 
 SCALARS = (

@@ -123,6 +123,20 @@ def test_cli_import_leaves_out_argparse_and_json():
     assert not {"argparse", "json"} & imported
 
 
+def test_cli_imports_no_procedure():
+    """``cli`` parses, asks ``report.command_report`` for the report and renders it; which
+    procedures a command runs is decided in ``report``, so ``cli`` imports none."""
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    names = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+    ]
+    found = [n for n in names if {"ampleness", "positivity", "cohomology"} & set(n.split("."))]
+    assert not found, f"cli imports {found}"
+
+
 def _unread_imports(path: Path) -> list[str]:
     """``file:line name`` for each name an import binds in ``path`` but no
     expression reads."""
