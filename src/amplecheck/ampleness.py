@@ -73,7 +73,7 @@ from .positivity import (
     slope_conditions,
 )
 from .rationals import ceil_frac
-from .records import Record
+from .records import Record, lazy
 from .surfaces import (
     DivisorClass,
     Surface,
@@ -345,13 +345,14 @@ class AsymptoticCertificate(Record):
         "wbn_kernel",             # for u*(H-L)
         "slope_conditions",
         "notes",
+        "__dict__",
     )
 
     @property
     def verdict(self) -> str:
         return f"asymptotically-ample(n_min={self.n_min})"
 
-    @property
+    @lazy
     def b_squared(self) -> Fraction:
         """``B^2``, as ``(c1 - rank*H)^2 / rank^2`` of the base, in ints."""
         r, surface = self.base.rank, self.base.surface

@@ -1,27 +1,27 @@
 """Report assembly: one deterministic, exactly-rational view of all verdicts.
 
-A report is a dict built in a fixed key order.  Its values are JSON-native,
-or they are the library's records and rationals as they are: each section
-is a certificate record (``ObstructionReport``, ``GGSection``,
-``AmpleGGCertificate``, ``AsymptoticCertificate``), read by attribute as in
-``report["asymptotic"].n_min``, and records such as ``ChernCharacter`` sit
-wherever a layout is shown.  ``to_json`` lays each out by its table in
-``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
-appears), so ``json.dumps(report, default=to_json)`` serialises a report and
+A report is a ``Report`` record: the envelope, and one section or None in each
+of ``SECTIONS``.  A section is a record (``Invariants``, ``CohomologyTriple``,
+``ObstructionReport``, ``GGSection``, ``AmpleGGCertificate``,
+``AsymptoticCertificate``), the ``bad_curves`` tuple of ``BadCurve``s or the
+``warnings`` tuple, read by attribute as in ``report.asymptotic.n_min``; a
+section whose preconditions fail is not omitted: ``_section``, the one place
+this rule is written, gives it a ``Skipped`` entry naming the failing
+precondition.  ``to_json`` lays out each record by its table in ``_LAYOUTS``,
+a rational as ``{"num", "den"}`` (no floating point value ever appears), so
+``json.dumps(report, default=to_json)`` serialises a report and
 ``parse_structured(render_structured(report))`` is its JSON-native form.
-``render_structured`` writes each record by filling one cached template:
-``_layout``'s own output for that record, with a sentinel in each slot, so
-one walk of the table makes both; ``render_text`` walks the layouts.  Each
-section carries a ``tag`` naming the criterion that backs its verdict, from
-``VERDICT_TAGS``.
+``render_structured`` writes a record by filling one cached template:
+``_layout``'s own output for that record, with a sentinel in each slot, so one
+walk of the table makes both; a whole report is one fill, its sections spliced
+in.  ``render_text`` walks the layouts.  Each section carries a ``tag`` naming
+the criterion that backs its verdict, from ``VERDICT_TAGS``.
 
-``command_report`` picks each CLI subcommand's sections and verdict, and
-every report is wrapped by ``build_report``: ``schema_version``,
-``command``, ``surface`` (the character's) and ``character`` first, then
-the sections, then ``verdict`` last, which ``render_text`` writes as its
-final ``verdict:`` line.  A section whose preconditions fail is not
-omitted: ``_section``, the one place this rule is written, gives it a
-``skipped`` entry naming the failing precondition.
+``command_report`` picks each CLI subcommand's sections and verdict.  The
+envelope writes ``schema_version``, ``command``, ``d`` (``gieseker`` only),
+``surface`` (the character's) and ``character`` first, then the sections in
+the order of ``SECTIONS``, then ``verdict`` last, which ``render_text``
+writes as its final ``verdict:`` line.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .ampleness import (
     gieseker_character,
 )
 from .characters import ChernCharacter
-from .cohomology import NonspecialTrace, wbn_applicable, wbn_cohomology
+from .cohomology import CohomologyTriple, NonspecialTrace, wbn_applicable, wbn_cohomology
 from .errors import PreconditionError, SurfaceMismatchError
 from .positivity import (
     Condition,
@@ -70,6 +70,25 @@ VERDICT_TAGS = frozenset(
         "kernel-discriminant",
     }
 )
+SECTIONS = ("invariants", "general_cohomology", "obstructions", "global_generation", "ample_gg",
+            "asymptotic", "bad_curves", "warnings")
+
+
+class Report(Record):
+    """A command's report on ``character``, with each of ``SECTIONS`` it has."""
+
+    __slots__ = ("command", "character", "verdict", "d", *SECTIONS)
+    _defaults = (None,) * (1 + len(SECTIONS))
+
+
+class Skipped(Record):
+    """The ``tag`` section's entry when its preconditions fail: the failing one."""
+
+    __slots__ = ("tag", "skipped")
+
+
+class Invariants(Record):
+    __slots__ = ("mu", "nu", "delta", "euler_characteristic")
 
 
 class GGSection(Record):
@@ -78,58 +97,35 @@ class GGSection(Record):
     __slots__ = ("classification", "quick_criterion")
 
 
-def invariants_section(v: ChernCharacter) -> dict:
-    return {
-        "tag": "riemann-roch",
-        "mu": v.mu,
-        "nu": v.nu,
-        "delta": v.delta,
-        "euler_characteristic": v.euler_characteristic(),
-    }
+class QuickCriterion(Record):
+    __slots__ = ("sufficient",)
 
 
-def cohomology_section(v: ChernCharacter) -> dict:
-    def build() -> dict:
+def invariants_section(v: ChernCharacter) -> Invariants:
+    return Invariants(v.mu, v.nu, v.delta, v.euler_characteristic())
+
+
+def cohomology_section(v: ChernCharacter) -> CohomologyTriple | Skipped:
+    def build() -> CohomologyTriple:
         applicability = wbn_applicable(v)
         if not applicability:
             raise PreconditionError("hypotheses fail: " + ", ".join(applicability.failures))
-        triple = wbn_cohomology(v)
-        return {
-            "tag": "weak-brill-noether",
-            "general_bundle": "cohomology of the general prioritary bundle",
-            "h0": triple.h0,
-            "h1": triple.h1,
-            "h2": triple.h2,
-        }
+        return wbn_cohomology(v)
     return _section("weak-brill-noether", build)
 
 
-def _section(tag: str, build) -> dict:
-    """``build()``, or the ``tag`` section's ``skipped`` entry if a precondition fails."""
+def _section(tag: str, build):
+    """``build()``, or the ``tag`` section's ``Skipped`` entry if a precondition fails."""
     try:
         return build()
     except PreconditionError as exc:
-        return {"tag": tag, "skipped": str(exc)}
+        return Skipped(tag, str(exc))
 
 
 def classified_gg_section(v: ChernCharacter, gg: GGClassification) -> GGSection:
     """The ``global_generation`` section of ``v`` from its classification ``gg``."""
-    return GGSection(gg, _section("gg-quick-criterion", lambda: {
-        "tag": "gg-quick-criterion", "sufficient": gg_quick_criterion(v)}))
-
-
-def build_report(
-    command: str, v: ChernCharacter, sections: dict, verdict: str, *, d: int | None = None
-) -> dict:
-    """The envelope every command's report shares, on ``v``'s surface, with the verdict last."""
-    report: dict = {"schema_version": SCHEMA_VERSION, "command": command}
-    if d is not None:
-        report["d"] = d
-    report["surface"] = v.surface.name
-    report["character"] = v
-    report.update(sections)
-    report["verdict"] = verdict
-    return report
+    return GGSection(gg, _section(
+        "gg-quick-criterion", lambda: QuickCriterion(gg_quick_criterion(v))))
 
 
 def _check_surface(surface: Surface, v: ChernCharacter) -> None:
@@ -137,7 +133,7 @@ def _check_surface(surface: Surface, v: ChernCharacter) -> None:
         raise SurfaceMismatchError(f"a report on {surface} of a character on {v.surface}")
 
 
-def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool = False) -> dict:
+def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool = False) -> Report:
     """The full pipeline: invariants, obstructions, gg, ampleness, asymptotics.
 
     The ampleness certificate carries the global-generation classification
@@ -145,41 +141,36 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
     """
     _check_surface(surface, v)
     ample = ample_gg_verdict(v)
-    sections = {
-        "invariants": invariants_section(v),
-        "general_cohomology": cohomology_section(v),
-        "obstructions": necessary_obstructions(v),
-        "global_generation": _section(
+    return Report(
+        "report", v, ample.verdict, invariants=invariants_section(v),
+        general_cohomology=cohomology_section(v), obstructions=necessary_obstructions(v),
+        global_generation=_section(
             "gg-classification",
-            lambda: classified_gg_section(v, ample.gg or classify_global_generation(v)),
-        ),
-        "ample_gg": ample,
-        "asymptotic": _section(
+            lambda: classified_gg_section(v, ample.gg or classify_global_generation(v))),
+        ample_gg=ample,
+        asymptotic=_section(
             "asymptotic-ampleness", lambda: asymptotic_ample_certificate(v, s, direct=direct)),
-        "warnings": ["stability of the input character is assumed, not verified"],
-    }
-    return build_report("report", v, sections, ample.verdict)
+        warnings=("stability of the input character is assumed, not verified",))
 
 
-def bad_curves_report(surface: Surface, v: ChernCharacter) -> dict:
+def bad_curves_report(surface: Surface, v: ChernCharacter) -> Report:
     _check_surface(surface, v)
     bad = enumerate_bad_curves(v)
-    section = {"tag": "bad-curves", "classes": bad}
     verdict = f"{len(bad)} bad curve class(es); " + (
         "all dimension counts pass" if all(b.passes for b in bad) else "some dimension count fails"
     )
-    return build_report("bad-curves", v, {"bad_curves": section}, verdict)
+    return Report("bad-curves", v, verdict, bad_curves=bad)
 
 
-def gieseker_report(d: int) -> dict:
+def gieseker_report(d: int) -> Report:
     v = gieseker_character(d)
     cert = asymptotic_ample_certificate(v, 2, direct=True)
-    sections = {"invariants": invariants_section(v), "asymptotic": cert}
-    return build_report("gieseker", v, sections, cert.verdict, d=d)
+    return Report("gieseker", v, cert.verdict, d=d, invariants=invariants_section(v),
+                  asymptotic=cert)
 
 
 def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
-                   direct: bool = False, d: int | None = None) -> dict:
+                   direct: bool = False, d: int | None = None) -> Report:
     """The report of the CLI subcommand ``command`` on ``v``, or on ``d`` for ``gieseker``
     (``v`` None).  It raises what the procedure raises: ``PreconditionError``,
     ``EnumerationLimitError`` or ``CertificateError``."""
@@ -190,9 +181,8 @@ def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
     if command == "report":
         return run_report(v.surface, v, s=s, direct=direct)
     if command == "invariants":
-        sections = {"invariants": invariants_section(v),
-                    "general_cohomology": cohomology_section(v)}
-        return build_report(command, v, sections, "computed")
+        return Report(command, v, "computed", invariants=invariants_section(v),
+                      general_cohomology=cohomology_section(v))
     if command == "obstructions":
         key, section = "obstructions", necessary_obstructions(v)
         verdict = section.verdict.value
@@ -207,7 +197,7 @@ def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
     else:  # the one left: asymptotic
         key, section = "asymptotic", asymptotic_ample_certificate(v, s, direct=direct)
         verdict = section.verdict
-    return build_report(command, v, {key: section}, verdict)
+    return Report(command, v, verdict, **{key: section})
 
 
 # Rows are (key, part, kind).  ``part`` reads the value from the object the table lays out:
@@ -216,10 +206,12 @@ def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
 # rationals, each laid out as a Fraction; STRS, a tuple of strings from a fixed set, is
 # template text; WALK is written by the walk, whatever it holds.  A record type (Fraction
 # for a rational, held as an int or a Fraction) is its own table spliced in, a tuple of rows
-# a nested dict, ``[Condition]`` a tuple of Condition records.  A key ending in "?" is left
-# out when its value is None (a STR value: when it is empty).
-CONST, INT, BOOL, STR, COORDS, STRS, WALK = (
-    "const", "int", "bool", "str", "coords", "strs", "walk")
+# a nested dict, ``[Condition]`` a tuple of Condition records; an ANY value is laid out by
+# its own type's table.  A key ending in "?" is left out when its value is None (a STR
+# value: when it is empty).
+CONST, INT, BOOL, STR, COORDS, STRS, WALK, ANY = (
+    "const", "int", "bool", "str", "coords", "strs", "walk", "any")
+_BAD_CURVES = (("tag", "bad-curves", CONST), ("classes", "", WALK))  # of a BadCurve tuple
 _LAYOUTS: dict[type, tuple] = {
     Fraction: (("num", "numerator", INT), ("den", "denominator", INT)),
     Condition: (("id", "id", STR), ("text", "text", STR), ("holds", "holds", BOOL),
@@ -251,7 +243,7 @@ _LAYOUTS: dict[type, tuple] = {
         ("slope_conditions", "slope_conditions", [Condition]),
         ("global_generation?", "gg", GGClassification),
         ("nonspecial_twists?", "nonspecial", NonspecialTrace),
-        ("bad_curves", "", (("tag", "bad-curves", CONST), ("classes", "bad_curves", WALK))),
+        ("bad_curves", "bad_curves", _BAD_CURVES),
         ("verdict", "verdict", STR), ("failure_reason?", "failure_reason", STR),
         ("notes", "notes", STRS)),
     AsymptoticCertificate: (
@@ -272,11 +264,26 @@ _LAYOUTS: dict[type, tuple] = {
         ("wbn_kernel_dual_twist", "wbn_kernel",
          (("applicable", "applicable", BOOL), ("failures", "failures", STRS))),
         ("notes", "notes", STRS), ("verdict", "verdict", STR)),
+    Skipped: (("tag", "tag", STR), ("skipped", "skipped", STR)),
+    Invariants: (
+        ("tag", "riemann-roch", CONST), ("mu", "mu", Fraction), ("nu", "nu", DivisorClass),
+        ("delta", "delta", Fraction), ("euler_characteristic", "euler_characteristic", INT)),
+    CohomologyTriple: (
+        ("tag", "weak-brill-noether", CONST),
+        ("general_bundle", "cohomology of the general prioritary bundle", CONST),
+        ("h0", "h0", INT), ("h1", "h1", INT), ("h2", "h2", INT)),
+    QuickCriterion: (("tag", "gg-quick-criterion", CONST), ("sufficient", "sufficient", BOOL)),
+    Report: (
+        ("schema_version", SCHEMA_VERSION, CONST), ("command", "command", STR), ("d?", "d", INT),
+        ("surface", "character.surface.name", STR), ("character", "character", ChernCharacter),
+        *((f"{key}?", key, ANY) for key in SECTIONS[:-2]),  # the sections held as records
+        ("bad_curves?", "bad_curves", _BAD_CURVES), ("warnings?", "warnings", STRS),
+        ("verdict", "verdict", STR)),
 }
 _LAYOUTS[GGSection] = (  # the classification's rows, read through it, and the criterion
     *((k, p if kind == CONST else f"classification.{p}", kind)
       for k, p, kind in _LAYOUTS[GGClassification]),
-    ("quick_criterion", "quick_criterion", WALK))
+    ("quick_criterion", "quick_criterion", ANY))
 _SHAPES: dict[type, object] = {}  # record type -> its compiled shape function
 _TEMPLATES: dict[tuple, object] = {}  # (record type, pad, shape) -> its compiled filler
 
@@ -321,7 +328,8 @@ def _layout(rows, obj, expr: str = "r", pad: str = "", slots: list[str] | None =
             value = [_layout(item, x, f"{code}[{i}]", inner + "  ", slots)
                      for i, x in enumerate(value)]
         elif kind != CONST:  # a record (a rational may be an int) or a nested dict
-            value = _layout(_LAYOUTS.get(kind, kind), value, code, inner, slots)
+            rows = _LAYOUTS[type(value)] if kind == ANY else _LAYOUTS.get(kind, kind)
+            value = _layout(rows, value, code, inner, slots)
         out[key] = value
     return out
 
@@ -335,12 +343,14 @@ def to_json(x) -> dict:
 
 def _shape_code(rows, expr: str) -> list[str]:
     """The code of what else than type and pad picks a template: whether each "?" row is
-    present, each STRS tuple, the length of each record tuple, and so on in nested rows."""
+    present, each STRS tuple, the length of each record tuple, each ANY value's ``_key``,
+    and so on in nested rows."""
     out = []
     for key, part, kind in rows:
         code = _code(expr, part)
         inner = ([code] if kind == STRS else [f"len({code})"] if type(kind) is list
-                 else [] if type(kind) is str else _shape_code(_LAYOUTS.get(kind, kind), code))
+                 else [f"_key({code})"] if kind == ANY else [] if type(kind) is str
+                 else _shape_code(_LAYOUTS.get(kind, kind), code))
         if key.endswith("?"):
             absent = f"not {code}" if kind == STR else f"{code} is None"
             out.append(f"{absent} or ({', '.join(inner)},)" if inner else absent)
@@ -350,11 +360,18 @@ def _shape_code(rows, expr: str) -> list[str]:
 
 
 def _shape(cls: type):
-    """``cls``'s compiled shape function: a record's basis, for the leaf records."""
+    """``cls``'s compiled shape function: a record's basis, for the leaf records; a record
+    of one shape compiles none."""
     code = _shape_code(_LAYOUTS[cls], "r")
-    body = code[0] if len(code) == 1 else f"({', '.join(code)},)" if code else "None"
-    _SHAPES[cls] = shape = eval(f"lambda r: {body}", {})
+    body = code[0] if len(code) == 1 else f"({', '.join(code)},)"
+    _SHAPES[cls] = shape = eval(f"lambda r: {body}", {"_key": _key}) if code else lambda r: None
     return shape
+
+
+def _key(record) -> tuple:
+    """``record``'s type and shape, which with a pad key its template."""
+    cls = type(record)
+    return cls, (_SHAPES.get(cls) or _shape(cls))(record)
 
 
 def _compile(record, pad: str):
@@ -369,8 +386,8 @@ def _compile(record, pad: str):
 
 def _filler(record, pad: str):
     """The cached function writing ``record`` at ``pad``; keyed by type, pad and shape."""
-    cls = type(record)
-    key = (cls, pad, (_SHAPES.get(cls) or _shape(cls))(record))
+    cls, shape = _key(record)
+    key = (cls, pad, shape)
     fill = _TEMPLATES.get(key)
     if fill is None:
         fill = _TEMPLATES[key] = _compile(record, pad)
@@ -439,7 +456,7 @@ def _write_json(node, pad: str, out: list[str]) -> None:
         to_json(node)  # not a record: raises the TypeError of json.dumps
 
 
-def render_structured(report: dict) -> bytes:
+def render_structured(report) -> bytes:
     """Stable machine-readable rendering; deterministic field order.
 
     The bytes are those of ``json.dumps(report, indent=2, ensure_ascii=True,
@@ -479,8 +496,8 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
             lines.append(f"{head} {value}")
 
 
-def render_text(report: dict) -> str:
+def render_text(report) -> str:
     """Human-readable rendering with exactly one final verdict line."""
     lines: list[str] = []
-    _render_lines(report, 0, lines)
+    _render_lines(to_json(report) if type(report) in _LAYOUTS else report, 0, lines)
     return "\n".join(lines) + "\n"

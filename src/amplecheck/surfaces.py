@@ -201,10 +201,11 @@ class DivisorClass(Record):
     def __str__(self) -> str:
         out = ""
         for c, name in zip(self.coords, self.surface.basis):
-            if c:
-                term = (name if c == 1 else f"-{name}" if c == -1
-                        else f"{c}{name}" if c.denominator == 1 else f"({c}){name}")
-                out += f" - {term[1:]}" if out and term[0] == "-" else f" + {term}" if out else term
+            text = str(c)  # decided on its digits: no Fraction comparison, int or not
+            if text != "0":
+                term = (name if text == "1" else "-" + name if text == "-1"
+                        else text + name if "/" not in text else f"({text}){name}")
+                out += (" - " + term[1:] if term[0] == "-" else " + " + term) if out else term
         return out or "0"
 
 

@@ -118,6 +118,26 @@ def rational_text(numerator: int, denominator: int) -> str:
     return f"{p:d}" if q == 1 else f"{p:d}/{q:d}"
 
 
+def divisor_text(names: tuple[str, ...], coords: list[tuple[int, int]]) -> str:
+    """A class ``sum (p/q) name`` as people write it, from the ``(p, q)`` pairs: zero terms
+    left out, a unit coefficient as the bare name (``-E``), an integral one before it
+    (``3E``), a fractional one in parentheses (``(-3/2)E``); a later term's minus sign, if
+    it is outside parentheses, becomes `` - ``; and ``0`` when every term is zero."""
+    terms = []
+    for (p, q), name in zip(coords, names):
+        if p:
+            value = rational_text(p, q)
+            if "/" in value:
+                terms.append(("+", f"({value}){name}"))
+            else:
+                sign, size = ("-", value[1:]) if value[0] == "-" else ("+", value)
+                terms.append((sign, name if size == "1" else size + name))
+    if not terms:
+        return "0"
+    (sign, first), *rest = terms
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
+
+
 def character_text(surface: Surface, rank: int, coords: tuple[int, ...], c2: int) -> str:
     """The canonical ``r:c1:ch2`` of ``(rank, c1, c2)``, with ``ch2 = (c1^2 - 2*c2)/2``.
 

@@ -50,6 +50,7 @@ from functools import cache
 from itertools import islice
 
 from amplecheck import (
+    BadCurve,
     ChernCharacter,
     PreconditionError,
     Surface,
@@ -201,13 +202,17 @@ def test_report_census_matches_golden():
 
 def test_report_census_fills_a_bounded_template_cache(monkeypatch):
     """Templates are keyed by record type, pad and shape: which optional fields are
-    present, the basis and the fixed note tuples.  Over the whole report census that is a
-    few dozen keys, and a second pass adds none."""
+    present, which record each section row holds, the basis and the fixed note tuples.  A
+    whole report is one template, so the keys over the report census are its 22 distinct
+    report shapes, plus the records written from WALK slots: ``BadCurve`` on each of the
+    two bases (``H``; ``E``, ``F``) and the ``Fraction`` of ``delta_at_previous_n``, 25 in
+    all.  A second pass adds none."""
     first, templates = fresh_report_census()
     keys = set(templates)
     monkeypatch.setattr(rpt, "_TEMPLATES", dict(templates))
     assert report_census() == first
-    assert set(rpt._TEMPLATES) == keys and len(keys) <= 23
+    assert set(rpt._TEMPLATES) == keys and len(keys) == 25
+    assert Counter(cls for cls, _, _ in keys) == {rpt.Report: 22, BadCurve: 2, Fraction: 1}
 
 
 if __name__ == "__main__":

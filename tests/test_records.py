@@ -27,7 +27,7 @@ from amplecheck import (
     wbn_cohomology,
 )
 from amplecheck.records import Record, lazy
-from amplecheck.report import GGSection
+from amplecheck.report import GGSection, Invariants, QuickCriterion, Report, Skipped, run_report
 
 F2 = Surface.hirzebruch(2)
 V = parse_character("2:3,8:2", F2)
@@ -70,6 +70,12 @@ def test_copies_and_pickles_are_equal(record):
     for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(again) is type(record)
         assert again == record and hash(again) == hash(record)
+
+
+def test_a_report_copies_and_pickles_equal():
+    report = run_report(F2, V)
+    for again in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(again) is Report and again == report and hash(again) == hash(report)
 
 
 def test_records_of_different_classes_are_never_equal():
@@ -172,7 +178,15 @@ SIGNATURES = {
         "delta_kernel_prev, chi_dual_twist, chi_kernel_dual_twist, kernel_twist_nu, "
         "kernel_twist_gg, wbn_kernel, slope_conditions, notes", None),
     "GGSection": ("self, classification, quick_criterion", None),
+    "Report": (
+        "self, command, character, verdict, d=None, invariants=None, general_cohomology=None, "
+        "obstructions=None, global_generation=None, ample_gg=None, asymptotic=None, "
+        "bad_curves=None, warnings=None", None),
+    "Skipped": ("self, tag, skipped", None),
+    "Invariants": ("self, mu, nu, delta, euler_characteristic", None),
+    "QuickCriterion": ("self, sufficient", None),
 }
+REPORT_RECORDS = (GGSection, Report, Skipped, Invariants, QuickCriterion)  # report's own
 
 
 def _parameters(function) -> str:
@@ -182,7 +196,7 @@ def _parameters(function) -> str:
     )
 
 
-@pytest.mark.parametrize("cls", [*map(type, RECORDS), GGSection], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [*map(type, RECORDS), *REPORT_RECORDS], ids=lambda c: c.__name__)
 def test_constructor_signatures_are_pinned(cls):
     init, of = SIGNATURES[cls.__name__]
     assert _parameters(cls.__init__) == init
@@ -190,4 +204,4 @@ def test_constructor_signatures_are_pinned(cls):
 
 
 def test_every_record_signature_is_pinned():
-    assert {cls.__name__ for cls in [*map(type, RECORDS), GGSection]} == set(SIGNATURES)
+    assert {cls.__name__ for cls in [*map(type, RECORDS), *REPORT_RECORDS]} == set(SIGNATURES)

@@ -26,6 +26,7 @@ from amplecheck import (
     AsymptoticCertificate,
     BadCurve,
     ChernCharacter,
+    CohomologyTriple,
     Condition,
     DivisorClass,
     GGClassification,
@@ -42,7 +43,13 @@ from amplecheck import (
 from amplecheck import report as rpt
 from amplecheck.ampleness import GENERAL_MEMBER_NOTE, STABILITY_NOTE
 from amplecheck.report import (
+    SECTIONS,
+    VERDICT_TAGS,
     GGSection,
+    Invariants,
+    QuickCriterion,
+    Report,
+    Skipped,
     bad_curves_report,
     gieseker_report,
     parse_structured,
@@ -86,8 +93,8 @@ def test_writer_matches_reference_on_a_built_report():
     ]
     for build, surface, ch, n_bad in cases:
         report = build(surface, parse_character(ch, surface))
-        classes = report["bad_curves"]["classes"] if "bad_curves" in report else (
-            report["ample_gg"].bad_curves)  # the certificate record, as ample_gg_verdict made it
+        classes = report.bad_curves if report.bad_curves is not None else (
+            report.ample_gg.bad_curves)  # the certificate record, as ample_gg_verdict made it
         assert type(classes) is tuple and len(classes) == n_bad, ch
         assert render_structured(report) == reference(report), ch
 
@@ -95,7 +102,7 @@ def test_writer_matches_reference_on_a_built_report():
 def _f0_report_with_672_bad_curves():
     surface = Surface.hirzebruch(0)
     report = bad_curves_report(surface, parse_character("2:4000,3:-2009", surface))
-    assert len(report["bad_curves"]["classes"]) == 672
+    assert len(report.bad_curves) == 672
     return report
 
 
@@ -124,10 +131,11 @@ def test_bad_curves_are_written_without_per_member_dicts(monkeypatch):
     calls, table_calls = _count_layout_calls(monkeypatch)
     assert render_structured(report) == expected
     assert calls == table_calls == []
-    # a cold template cache costs one layout of each record type, not one per member
+    # a cold template cache costs one layout of the report and one of the members' type,
+    # not one per member
     monkeypatch.setattr(rpt, "_TEMPLATES", {})
     assert render_structured(report) == expected
-    assert Counter(table_calls) == Counter([ChernCharacter, BadCurve])
+    assert Counter(table_calls) == Counter([Report, BadCurve])
 
 
 def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
@@ -141,11 +149,12 @@ def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
     monkeypatch.setattr(rpt, "_TEMPLATES", {})
     assert [render_structured(r) for r in reports] == expected
     assert Counter(table_calls) == Counter(key[0] for key in rpt._TEMPLATES)
-    assert {Fraction, DivisorClass, ChernCharacter} <= set(table_calls)
-    # each section is one template, with its conditions, classes and characters spliced in
+    # each report is one template, with its sections, conditions and characters spliced in;
+    # only the records of WALK slots, bad curves and delta_at_previous_n, have their own
+    assert set(table_calls) == {Report, BadCurve, Fraction}
     sections = {ObstructionReport, GGSection, AmpleGGCertificate, AsymptoticCertificate}
-    assert sections <= set(table_calls)
-    assert not {Condition, GGClassification, NonspecialTrace} & set(table_calls)
+    assert not {Condition, GGClassification, NonspecialTrace, DivisorClass, ChernCharacter,
+                *sections} & set(table_calls)
     # a leaf record's shape is the surface's basis, not the surface, so F_e of any e
     # shares one entry
     leaves = (Fraction, DivisorClass, ChernCharacter, BadCurve)
@@ -199,6 +208,21 @@ def test_a_report_makes_few_fractions(monkeypatch, e, text, most):
     assert counts[Fraction] <= most
 
 
+def test_b_squared_is_computed_once_per_report(monkeypatch):
+    """``B_squared`` is lazy: its ``num`` and ``den`` slots, and a second render, read one
+    value (each slot rebuilt it before, 2 per render)."""
+    F2 = Surface.hirzebruch(2)
+    v = parse_character("2:3,8:2", F2)
+    render_structured(run_report(F2, v))  # warm caches
+    lazy_b_squared, calls = AsymptoticCertificate.__dict__["b_squared"], []
+    compute = lazy_b_squared.func
+    monkeypatch.setattr(lazy_b_squared, "func", lambda cert: calls.append(1) or compute(cert))
+    for report in [run_report(F2, v) for _ in range(3)]:
+        assert render_structured(report) == render_structured(report)
+        assert report.asymptotic.b_squared == Fraction(1, 2)
+    assert len(calls) == 3
+
+
 def test_family_members_are_not_validated_one_by_one(monkeypatch):
     F0 = Surface.hirzebruch(0)
     enumerate_bad_curves(parse_character("2:400,3:-209", F0))  # warm caches
@@ -224,7 +248,7 @@ def test_to_json_lays_out_nested_records():
     """``to_json`` gives the JSON-native layout, nested records and rationals included."""
     F2 = Surface.hirzebruch(2)
     v = parse_character("2:3,8:2", F2)
-    for record in (v, v.c1, run_report(F2, v)["obstructions"]):
+    for record in (v, v.c1, run_report(F2, v).obstructions):
         assert to_json(record) == parse_structured(render_structured({"r": record}))["r"]
 
 
@@ -236,8 +260,8 @@ def test_a_report_names_the_surface_of_its_character():
     for build in (run_report, bad_curves_report):
         with pytest.raises(SurfaceMismatchError, match="F1 .* F2"):
             build(F1, v)
-        assert build(F2, v)["surface"] == "F2"
-    assert rpt.build_report("gg", v, {}, "none")["surface"] == "F2"
+        assert to_json(build(F2, v))["surface"] == "F2"
+    assert to_json(Report("gg", v, "none"))["surface"] == "F2"
 
 
 @pytest.mark.parametrize("command, ch, options, name", [
@@ -372,9 +396,10 @@ def test_text_of_records_is_the_text_of_their_layouts(tree):
     assert render_text(tree) == render_text(parse_structured(reference(tree)))
 
 
-# The five certificate records and the global_generation section, each optional field
-# drawn present and absent.  Notes and weak Brill-Noether failures are tuples from the
-# library's fixed sets, as the template key assumes; every other string is drawn freely.
+# The five certificate records, the section records of a report and its envelope, each
+# optional field drawn present and absent, and a Skipped entry in each section row.  Notes,
+# weak Brill-Noether failures and warnings are tuples from the library's fixed sets, as the
+# template key assumes; every other string is drawn freely.
 KERNEL_NOTE = "the kernel discriminant is nonnegative for every n >= n_min"
 NOTES = st.lists(st.sampled_from([STABILITY_NOTE, GENERAL_MEMBER_NOTE, KERNEL_NOTE]),
                  max_size=3).map(tuple)
@@ -399,10 +424,25 @@ def classifications(surface):
         MAYBE_INT, MAYBE_INT, MAYBE_INT, st.none() | st.tuples(st.integers(), st.integers()))
 
 
+def skips(surface):
+    return st.builds(Skipped, st.sampled_from(sorted(VERDICT_TAGS)) | TEXTS, TEXTS)
+
+
+def invariants(surface):
+    return st.builds(Invariants, SMALL | FRACTIONS, divisors(surface, SMALL), SMALL | FRACTIONS,
+                     VALUES)
+
+
+def cohomologies(surface):
+    return st.builds(CohomologyTriple, VALUES, VALUES, VALUES)
+
+
+def quick_criteria(surface):
+    return st.builds(QuickCriterion, st.booleans())
+
+
 def gg_sections(surface):
-    quick = st.builds(lambda key, value: {"tag": "gg-quick-criterion", key: value},
-                      st.sampled_from(["sufficient", "skipped"]), st.booleans() | TEXTS)
-    return st.builds(GGSection, classifications(surface), quick)
+    return st.builds(GGSection, classifications(surface), quick_criteria(surface) | skips(surface))
 
 
 def nonspecial_traces(surface):
@@ -427,7 +467,11 @@ def asymptotic_certificates(surface):
 
 
 SECTION_KINDS = [obstruction_reports, gg_sections, classifications, nonspecial_traces,
-                 ample_certificates, asymptotic_certificates]
+                 ample_certificates, asymptotic_certificates, skips, invariants, cohomologies,
+                 quick_criteria]
+ROW_KINDS = dict(zip(SECTIONS, [invariants, cohomologies, obstruction_reports, gg_sections,
+                                ample_certificates, asymptotic_certificates]))
+WARNING = "stability of the input character is assumed, not verified"
 
 
 @st.composite
@@ -444,9 +488,35 @@ def test_section_records_render_as_their_layouts(tree):
     assert render_text(tree) == render_text(parse_structured(render_structured(tree)))
 
 
+@st.composite
+def reports(draw):
+    """A report on one surface: each section row absent, its record or a Skipped entry."""
+    surface = draw(st.sampled_from(SURFACES))
+    sections = {key: draw(st.none() | kind(surface) | skips(surface))
+                for key, kind in ROW_KINDS.items()}
+    bad = st.lists(RECORD_KINDS[0](surface), max_size=3).map(tuple)
+    warnings = st.lists(st.just(WARNING), max_size=2).map(tuple)
+    return Report(draw(TEXTS), draw(characters(surface)), draw(TEXTS), draw(MAYBE_INT),
+                  bad_curves=draw(st.none() | bad), warnings=draw(st.none() | warnings),
+                  **sections)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports())
+def test_reports_render_as_their_layouts(report):
+    """The envelope is one record: one fill writes the whole report, in the key order of
+    ``json.dumps`` on its layout."""
+    assert render_structured(report) == reference(report)
+    assert render_text(report) == render_text(parse_structured(render_structured(report)))
+    d = ["d"] if report.d is not None else []
+    sections = [key for key in SECTIONS if getattr(report, key) is not None]
+    keys = ["schema_version", "command", *d, "surface", "character", *sections, "verdict"]
+    assert list(parse_structured(render_structured(report))) == keys
+
+
 def test_a_report_makes_few_walk_calls(monkeypatch):
-    """Sections are filled from one template each; the walk visits the envelope, the
-    invariant and cohomology dicts, and the quick criterion and bad-curve list."""
+    """The report is filled from one template; the walk writes only its WALK slots, the
+    bad-curve list and ``delta_at_previous_n``: 3 calls."""
     F2 = Surface.hirzebruch(2)
     report = run_report(F2, parse_character("2:3,8:2", F2))
     expected = render_structured(report)  # warm caches
@@ -454,7 +524,7 @@ def test_a_report_makes_few_walk_calls(monkeypatch):
     original = rpt._write_json
     monkeypatch.setattr(rpt, "_write_json", lambda *a: calls.append(1) or original(*a))
     assert render_structured(report) == expected
-    assert len(calls) <= 29  # 87 when every section was a dict walked node by node
+    assert len(calls) <= 10  # 29 when the envelope and 87 when every section were walked
 
 
 OVERSIZED = {  # one field of 4,301 digits, past the interpreter's default limit

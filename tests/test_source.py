@@ -117,6 +117,28 @@ def test_only_a_structured_cli_process_compiles_templates(fmt, compiled):
     assert code == 0 and (templates > 0, shapes > 0) == (compiled, compiled)
 
 
+def test_a_structured_cli_request_compiles_few_templates():
+    """The report is one record, filled from one spliced template, so a structured F2
+    ``report`` request makes 10 ``eval`` compiles: 3 templates (the report, and the bad
+    curves and ``delta_at_previous_n`` of its WALK slots) and 7 shape functions (the
+    report, 5 of its section records and ``BadCurve``; ``CohomologyTriple``,
+    ``QuickCriterion`` and ``Fraction`` have one shape and compile none).  It made 17 when
+    the envelope was walked and each section had its own template."""
+    argv = ["report", "--surface", "F2", "--ch", "2:3,8:2", "--format", "structured"]
+    probe = ("import sys; from amplecheck import cli, report; compiles = []; "
+             "report.eval = lambda *a: compiles.append(1) or eval(*a); "
+             f"code = cli.main({argv!r}); "
+             "print(code, len(compiles), len(report._TEMPLATES), len(report._SHAPES), "
+             "file=sys.stderr)")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    golden = ROOT / "tests" / "golden" / "report_surface_F2_ch_2_3_8_2_format_structured.stdout"
+    assert (done.returncode, done.stdout) == (0, golden.read_bytes())
+    assert list(map(int, done.stderr.split())) == [0, 10, 3, 10]
+
+
 def test_cli_import_leaves_out_argparse_and_json():
     done, imported = _imports_of_child("-c", "import amplecheck.cli")
     assert done.returncode == 0 and "amplecheck.cli" in imported

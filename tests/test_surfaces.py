@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,7 @@ from amplecheck import (
 )
 from amplecheck import surfaces
 from conftest import ALL_SURFACES, integral_divisors, surfaces_strategy
-from oracles import hilbert_polynomial, is_effective
+from oracles import divisor_text, hilbert_polynomial, is_effective
 
 P2 = Surface.projective_plane()
 F0 = Surface.hirzebruch(0)
@@ -142,6 +143,20 @@ def rational_divisors(draw):
     surface = draw(st.sampled_from(WIDE_SURFACES))
     coord = st.fractions(min_value=-40, max_value=40, max_denominator=3)
     return tuple(surface.divisor(*[draw(coord) for _ in surface.basis]) for _ in range(2))
+
+
+# zero, +-1, other ints and fractions, as (p, q); 6/3 and -4/2 are integral
+TEXT_GRID = [(0, 1), (1, 1), (-1, 1), (2, 1), (-7, 1), (6, 3), (-4, 2), (1, 2), (-1, 2),
+             (-3, 2), (5, 3), (-12, 5)]
+
+
+@pytest.mark.parametrize("surface", [P2, F0, F1, F3], ids=str)
+def test_divisor_text_matches_an_independent_formatter(surface):
+    """``str`` writes each class as the oracle does, on every pair of grid coordinates."""
+    names = ("H",) if surface.is_plane else ("E", "F")
+    for coords in product(TEXT_GRID, repeat=len(names)):
+        d = surface.divisor(*(Fraction(p, q) for p, q in coords))
+        assert str(d) == divisor_text(names, coords), coords
 
 
 class TestTrustedArithmetic:
