@@ -335,8 +335,7 @@ class AsymptoticCertificate(Record):
         "b",                      # nu(base) - H, big and nef
         "bound",                  # exact rational multiplier bound
         "n_min",
-        "kernel",                 # u at n = n_min
-        "delta_kernel",           # >= 0
+        "kernel",                 # u at n = n_min, delta >= 0
         "delta_kernel_prev",      # < 0 when n_min > 1, else None
         "chi_dual_twist",         # chi(base*(H-L)) <= 0
         "chi_kernel_dual_twist",  # chi(u*(H-L)) = -n_min * chi_dual_twist >= 0
@@ -392,8 +391,7 @@ def asymptotic_ample_certificate(
     bound = multiplier_lower_bound(base, s)
     n_min = max(1, ceil_frac(bound))
     kernel = kernel_character(base, n_min, s)
-    delta_kernel = kernel.delta
-    _obligation(delta_kernel >= 0, "kernel delta >= 0 at n_min", base)
+    _obligation(kernel.delta >= 0, "kernel delta >= 0 at n_min", base)
     delta_prev = None
     if n_min > 1:
         delta_prev = kernel_character(base, n_min - 1, s).delta
@@ -432,7 +430,6 @@ def asymptotic_ample_certificate(
         bound,
         n_min,
         kernel,
-        delta_kernel,
         delta_prev,
         chi_dual_twist,
         chi_kernel_dual_twist,

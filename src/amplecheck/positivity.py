@@ -303,12 +303,10 @@ def gg_quick_criterion(v: ChernCharacter) -> bool:
     """Sufficient criterion: ``chi(v(-L)) >= 0`` forces global generation.
 
     One-sided: False means the criterion is silent, not that the general
-    bundle fails to be globally generated.  Requires ``delta >= 0``,
-    rank >= 2 and ``nu`` big and nef.
+    bundle fails to be globally generated.  Requires the classification's
+    hypotheses and ``nu`` big and nef.
     """
-    if v.rank < 2:
-        raise PreconditionError(f"the criterion needs rank >= 2, got {v.rank}")
-    require_nonnegative_delta(v)
+    _require_gg_hypotheses(v)
     if not is_big_and_nef(v.c1):
         raise PreconditionError(f"nu = {v.nu} is not big and nef")
     return v.twisted_chi(-v.surface.fiber_class) >= 0

@@ -1,21 +1,23 @@
 """Report assembly: one deterministic, exactly-rational view of all verdicts.
 
 A report is a ``Report`` record: the envelope, and one section or None in each
-of ``SECTIONS``.  A section is a record (``Invariants``, ``CohomologyTriple``,
-``ObstructionReport``, ``GGSection``, ``AmpleGGCertificate``,
-``AsymptoticCertificate``), the ``bad_curves`` tuple of ``BadCurve``s or the
-``warnings`` tuple, read by attribute as in ``report.asymptotic.n_min``; a
-section whose preconditions fail is not omitted: ``_section``, the one place
-this rule is written, gives it a ``Skipped`` entry naming the failing
-precondition.  ``to_json`` lays out each record by its table in ``_LAYOUTS``,
-a rational as ``{"num", "den"}`` (no floating point value ever appears), so
-``json.dumps(report, default=to_json)`` serialises a report and
+of ``SECTIONS``.  A section is the character itself (``invariants``, laid out
+by its ``mu``, ``nu``, ``delta`` and Euler characteristic), a record
+(``CohomologyTriple``, ``ObstructionReport``, ``GGSection``,
+``AmpleGGCertificate``, ``AsymptoticCertificate``), the ``bad_curves`` tuple of
+``BadCurve``s or the ``warnings`` tuple, read by attribute as in
+``report.asymptotic.n_min``; a section whose preconditions fail is not omitted:
+``_section``, the one place this rule is written, gives it a ``Skipped`` entry
+naming the failing precondition.  ``to_json`` lays out each record by its table
+in ``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
+appears), so ``json.dumps(report, default=to_json)`` serialises a report and
 ``parse_structured(render_structured(report))`` is its JSON-native form.
 ``render_structured`` writes a record by filling one cached template:
 ``_layout``'s own output for that record, with a sentinel in each slot, so one
 walk of the table makes both; a whole report is one fill, its sections spliced
 in.  ``render_text`` walks the layouts.  Each section carries a ``tag`` naming
-the criterion that backs its verdict, from ``VERDICT_TAGS``.
+the criterion that backs its verdict; ``VERDICT_TAGS`` collects them from the
+tables.
 
 ``command_report`` picks each CLI subcommand's sections and verdict.  The
 envelope writes ``schema_version``, ``command``, ``d`` (``gieseker`` only),
@@ -55,21 +57,6 @@ from .surfaces import DivisorClass, Surface
 
 SCHEMA_VERSION = "1"
 
-VERDICT_TAGS = frozenset(
-    {
-        "riemann-roch",
-        "weak-brill-noether",
-        "ampleness-obstructions",
-        "gg-classification",
-        "gg-quick-criterion",
-        "nonspecial-twists",
-        "bad-curves",
-        "dimension-count",
-        "ample-globally-generated",
-        "asymptotic-ampleness",
-        "kernel-discriminant",
-    }
-)
 SECTIONS = ("invariants", "general_cohomology", "obstructions", "global_generation", "ample_gg",
             "asymptotic", "bad_curves", "warnings")
 
@@ -87,10 +74,6 @@ class Skipped(Record):
     __slots__ = ("tag", "skipped")
 
 
-class Invariants(Record):
-    __slots__ = ("mu", "nu", "delta", "euler_characteristic")
-
-
 class GGSection(Record):
     """The ``global_generation`` section: a classification and its quick criterion's entry."""
 
@@ -99,10 +82,6 @@ class GGSection(Record):
 
 class QuickCriterion(Record):
     __slots__ = ("sufficient",)
-
-
-def invariants_section(v: ChernCharacter) -> Invariants:
-    return Invariants(v.mu, v.nu, v.delta, v.euler_characteristic())
 
 
 def cohomology_section(v: ChernCharacter) -> CohomologyTriple | Skipped:
@@ -142,7 +121,7 @@ def run_report(surface: Surface, v: ChernCharacter, *, s: int = 2, direct: bool 
     _check_surface(surface, v)
     ample = ample_gg_verdict(v)
     return Report(
-        "report", v, ample.verdict, invariants=invariants_section(v),
+        "report", v, ample.verdict, invariants=v,
         general_cohomology=cohomology_section(v), obstructions=necessary_obstructions(v),
         global_generation=_section(
             "gg-classification",
@@ -165,8 +144,7 @@ def bad_curves_report(surface: Surface, v: ChernCharacter) -> Report:
 def gieseker_report(d: int) -> Report:
     v = gieseker_character(d)
     cert = asymptotic_ample_certificate(v, 2, direct=True)
-    return Report("gieseker", v, cert.verdict, d=d, invariants=invariants_section(v),
-                  asymptotic=cert)
+    return Report("gieseker", v, cert.verdict, d=d, invariants=v, asymptotic=cert)
 
 
 def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
@@ -181,7 +159,7 @@ def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
     if command == "report":
         return run_report(v.surface, v, s=s, direct=direct)
     if command == "invariants":
-        return Report(command, v, "computed", invariants=invariants_section(v),
+        return Report(command, v, "computed", invariants=v,
                       general_cohomology=cohomology_section(v))
     if command == "obstructions":
         key, section = "obstructions", necessary_obstructions(v)
@@ -212,6 +190,9 @@ def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
 CONST, INT, BOOL, STR, COORDS, STRS, WALK, ANY = (
     "const", "int", "bool", "str", "coords", "strs", "walk", "any")
 _BAD_CURVES = (("tag", "bad-curves", CONST), ("classes", "", WALK))  # of a BadCurve tuple
+_INVARIANTS = (("tag", "riemann-roch", CONST), ("mu", "mu", Fraction),  # of a character
+               ("nu", "nu", DivisorClass), ("delta", "delta", Fraction),
+               ("euler_characteristic", "_chi", INT))
 _LAYOUTS: dict[type, tuple] = {
     Fraction: (("num", "numerator", INT), ("den", "denominator", INT)),
     Condition: (("id", "id", STR), ("text", "text", STR), ("holds", "holds", BOOL),
@@ -254,7 +235,7 @@ _LAYOUTS: dict[type, tuple] = {
         ("bound", "bound", Fraction), ("n_min", "n_min", INT),
         ("kernel", "", (("tag", "kernel-discriminant", CONST),
                         ("character", "kernel", ChernCharacter),
-                        ("delta", "delta_kernel", Fraction),
+                        ("delta", "kernel.delta", Fraction),
                         ("delta_at_previous_n", "delta_kernel_prev", WALK))),
         ("chi_dual_twist", "chi_dual_twist", INT),
         ("chi_kernel_dual_twist", "chi_kernel_dual_twist", INT),
@@ -265,9 +246,6 @@ _LAYOUTS: dict[type, tuple] = {
          (("applicable", "applicable", BOOL), ("failures", "failures", STRS))),
         ("notes", "notes", STRS), ("verdict", "verdict", STR)),
     Skipped: (("tag", "tag", STR), ("skipped", "skipped", STR)),
-    Invariants: (
-        ("tag", "riemann-roch", CONST), ("mu", "mu", Fraction), ("nu", "nu", DivisorClass),
-        ("delta", "delta", Fraction), ("euler_characteristic", "euler_characteristic", INT)),
     CohomologyTriple: (
         ("tag", "weak-brill-noether", CONST),
         ("general_bundle", "cohomology of the general prioritary bundle", CONST),
@@ -276,7 +254,8 @@ _LAYOUTS: dict[type, tuple] = {
     Report: (
         ("schema_version", SCHEMA_VERSION, CONST), ("command", "command", STR), ("d?", "d", INT),
         ("surface", "character.surface.name", STR), ("character", "character", ChernCharacter),
-        *((f"{key}?", key, ANY) for key in SECTIONS[:-2]),  # the sections held as records
+        ("invariants?", "invariants", _INVARIANTS),
+        *((f"{key}?", key, ANY) for key in SECTIONS[1:-2]),  # the sections held as records
         ("bad_curves?", "bad_curves", _BAD_CURVES), ("warnings?", "warnings", STRS),
         ("verdict", "verdict", STR)),
 }
@@ -284,6 +263,16 @@ _LAYOUTS[GGSection] = (  # the classification's rows, read through it, and the c
     *((k, p if kind == CONST else f"classification.{p}", kind)
       for k, p, kind in _LAYOUTS[GGClassification]),
     ("quick_criterion", "quick_criterion", ANY))
+
+
+def _tags(rows) -> set[str]:
+    """The CONST ``tag`` values of ``rows`` and of the row tables nested in them."""
+    return {tag for key, part, kind in rows
+            for tag in ([part] if key == "tag" and kind == CONST
+                        else _tags(kind) if type(kind) is tuple else ())}
+
+
+VERDICT_TAGS = frozenset().union(*map(_tags, _LAYOUTS.values()))
 _SHAPES: dict[type, object] = {}  # record type -> its compiled shape function
 _TEMPLATES: dict[tuple, object] = {}  # (record type, pad, shape) -> its compiled filler
 

@@ -421,7 +421,7 @@ class TestAsymptoticCertificate:
         assert cert.bound == Fraction(161, 81)
         assert cert.n_min == 2
         assert cert.chi_dual_twist == -170
-        assert cert.delta_kernel == 1
+        assert cert.kernel.delta == 1
         assert cert.delta_kernel_prev == -40
         assert cert.kernel == make_character(2, P2.divisor(-34), 287)
         assert cert.b_squared == cert.b.self_intersection == 81
@@ -431,7 +431,7 @@ class TestAsymptoticCertificate:
         assert cert.mode == "normalized"
         assert cert.bound == 6 and cert.n_min == 6
         assert cert.chi_dual_twist == -2
-        assert cert.delta_kernel == 0
+        assert cert.kernel.delta == 0
         assert cert.delta_kernel_prev == Fraction(-5, 8)
         assert cert.chi_kernel_dual_twist == 12
         assert cert.kernel_twist_gg
@@ -452,7 +452,7 @@ class TestAsymptoticCertificate:
             verdicts = set()
             for s in (2, 3, 5):
                 cert = asymptotic_ample_certificate(v, s)
-                assert cert.delta_kernel >= 0 and cert.chi_kernel_dual_twist >= 0
+                assert cert.kernel.delta >= 0 and cert.chi_kernel_dual_twist >= 0
                 assert cert.b_squared == cert.b.self_intersection
                 verdicts.add(cert.mode)
             assert verdicts == {"normalized"}

@@ -18,7 +18,7 @@ from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured,
 from amplecheck import Surface, make_character
 from replay import run_cli
 from test_acceptance import CORPUS
-from test_golden import CASES
+from test_golden import CASES, SKIPPED_SECTIONS
 
 
 class TestParsing:
@@ -431,12 +431,16 @@ class TestStructuredOutput:
         assert json.loads(out)["schema_version"] == "1"
 
     def test_tags_come_from_the_published_set(self):
-        tags = set()
+        """The corpus and the reports that skip sections: every tag a section or a
+        ``skipped`` entry carries is one of the tags the layouts publish."""
+        tags, skipped = set(), set()
 
         def collect(node):
             if isinstance(node, dict):
                 if "tag" in node:
                     tags.add(node["tag"])
+                    if "skipped" in node:
+                        skipped.add(node["tag"])
                 for value in node.values():
                     collect(value)
             elif isinstance(node, list):
@@ -448,8 +452,12 @@ class TestStructuredOutput:
                 [command, "--surface", surface, "--ch", ch, "--format", "structured"]
             )
             collect(json.loads(out))
+        for argv in SKIPPED_SECTIONS:
+            collect(json.loads(run_cli(argv)[1]))
         assert tags <= VERDICT_TAGS
         assert "riemann-roch" in tags and "asymptotic-ampleness" in tags
+        assert skipped == {"weak-brill-noether", "gg-classification", "gg-quick-criterion",
+                           "asymptotic-ampleness"}  # the four sections ``_section`` may skip
 
 
 class TestTextOutput:

@@ -21,6 +21,8 @@ from amplecheck import (
     make_character,
     necessary_obstructions,
     nonspecial_all_twists,
+    parse_character,
+    parse_surface,
     slope_conditions,
     tangent_bundle_character,
     wbn_applicable,
@@ -340,6 +342,23 @@ class TestQuickCriterion:
                     assert classify_global_generation(v).globally_generated
                     confirmed += 1
         assert confirmed > 100
+
+
+@pytest.mark.parametrize(
+    "surface, ch, message",
+    [
+        ("P2", "1:1:1/2", "global generation is classified for rank >= 2, got 1"),
+        ("P2", "2:0:1", DELTA_TEXT),
+        ("F2", "2:-1,0:-1", "nu = (-1/2)E is not nef on F2"),
+        ("F0", "2:0,3:0", "nu = (3/2)F is not big and nef"),
+        ("P2", "2:-1:-1/2", "nu = (-1/2)H is not big and nef"),
+    ],
+)
+def test_quick_criterion_gate_messages(surface, ch, message):
+    """The criterion's gate is the classification's, then bigness and nefness of ``nu``."""
+    with pytest.raises(PreconditionError) as exc:
+        gg_quick_criterion(parse_character(ch, parse_surface(surface)))
+    assert str(exc.value) == message
 
 
 def test_tangent_character_helper():

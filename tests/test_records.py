@@ -27,7 +27,7 @@ from amplecheck import (
     wbn_cohomology,
 )
 from amplecheck.records import Record, lazy
-from amplecheck.report import GGSection, Invariants, QuickCriterion, Report, Skipped, run_report
+from amplecheck.report import GGSection, QuickCriterion, Report, Skipped, run_report
 
 F2 = Surface.hirzebruch(2)
 V = parse_character("2:3,8:2", F2)
@@ -174,7 +174,7 @@ SIGNATURES = {
         "self, character, slope_conditions, gg, nonspecial, bad_curves, ample_general, "
         "failure_reason, notes", None),
     "AsymptoticCertificate": (
-        "self, character, mode, base, twist_used, s, b, bound, n_min, kernel, delta_kernel, "
+        "self, character, mode, base, twist_used, s, b, bound, n_min, kernel, "
         "delta_kernel_prev, chi_dual_twist, chi_kernel_dual_twist, kernel_twist_nu, "
         "kernel_twist_gg, wbn_kernel, slope_conditions, notes", None),
     "GGSection": ("self, classification, quick_criterion", None),
@@ -183,10 +183,9 @@ SIGNATURES = {
         "obstructions=None, global_generation=None, ample_gg=None, asymptotic=None, "
         "bad_curves=None, warnings=None", None),
     "Skipped": ("self, tag, skipped", None),
-    "Invariants": ("self, mu, nu, delta, euler_characteristic", None),
     "QuickCriterion": ("self, sufficient", None),
 }
-REPORT_RECORDS = (GGSection, Report, Skipped, Invariants, QuickCriterion)  # report's own
+REPORT_RECORDS = (GGSection, Report, Skipped, QuickCriterion)  # report's own
 
 
 def _parameters(function) -> str:

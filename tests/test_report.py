@@ -46,7 +46,6 @@ from amplecheck.report import (
     SECTIONS,
     VERDICT_TAGS,
     GGSection,
-    Invariants,
     QuickCriterion,
     Report,
     Skipped,
@@ -397,9 +396,10 @@ def test_text_of_records_is_the_text_of_their_layouts(tree):
 
 
 # The five certificate records, the section records of a report and its envelope, each
-# optional field drawn present and absent, and a Skipped entry in each section row.  Notes,
-# weak Brill-Noether failures and warnings are tuples from the library's fixed sets, as the
-# template key assumes; every other string is drawn freely.
+# optional field drawn present and absent, and a Skipped entry in each section row but
+# ``invariants``, which holds the character and is never skipped.  Notes, weak Brill-Noether
+# failures and warnings are tuples from the library's fixed sets, as the template key
+# assumes; every other string is drawn freely.
 KERNEL_NOTE = "the kernel discriminant is nonnegative for every n >= n_min"
 NOTES = st.lists(st.sampled_from([STABILITY_NOTE, GENERAL_MEMBER_NOTE, KERNEL_NOTE]),
                  max_size=3).map(tuple)
@@ -426,11 +426,6 @@ def classifications(surface):
 
 def skips(surface):
     return st.builds(Skipped, st.sampled_from(sorted(VERDICT_TAGS)) | TEXTS, TEXTS)
-
-
-def invariants(surface):
-    return st.builds(Invariants, SMALL | FRACTIONS, divisors(surface, SMALL), SMALL | FRACTIONS,
-                     VALUES)
 
 
 def cohomologies(surface):
@@ -462,15 +457,15 @@ def asymptotic_certificates(surface):
     return st.builds(
         AsymptoticCertificate, characters(surface), TEXTS, characters(surface),
         divisors(surface), st.integers(2, 10**6), divisors(surface, SMALL),  # B, squared
-        FRACTIONS, st.integers(1, 10**6), characters(surface), FRACTIONS, MAYBE_RAT,
+        FRACTIONS, st.integers(1, 10**6), characters(surface), MAYBE_RAT,
         VALUES, VALUES, divisors(surface, FRACTIONS), st.booleans(), wbn, conditions(), NOTES)
 
 
 SECTION_KINDS = [obstruction_reports, gg_sections, classifications, nonspecial_traces,
-                 ample_certificates, asymptotic_certificates, skips, invariants, cohomologies,
+                 ample_certificates, asymptotic_certificates, skips, characters, cohomologies,
                  quick_criteria]
-ROW_KINDS = dict(zip(SECTIONS, [invariants, cohomologies, obstruction_reports, gg_sections,
-                                ample_certificates, asymptotic_certificates]))
+ROW_KINDS = dict(zip(SECTIONS[1:], [cohomologies, obstruction_reports, gg_sections,
+                                    ample_certificates, asymptotic_certificates]))
 WARNING = "stability of the input character is assumed, not verified"
 
 
@@ -490,10 +485,12 @@ def test_section_records_render_as_their_layouts(tree):
 
 @st.composite
 def reports(draw):
-    """A report on one surface: each section row absent, its record or a Skipped entry."""
+    """A report on one surface: each section row absent, its record or a Skipped entry, and
+    ``invariants`` absent or a character, since the library never skips it."""
     surface = draw(st.sampled_from(SURFACES))
     sections = {key: draw(st.none() | kind(surface) | skips(surface))
                 for key, kind in ROW_KINDS.items()}
+    sections["invariants"] = draw(st.none() | characters(surface))
     bad = st.lists(RECORD_KINDS[0](surface), max_size=3).map(tuple)
     warnings = st.lists(st.just(WARNING), max_size=2).map(tuple)
     return Report(draw(TEXTS), draw(characters(surface)), draw(TEXTS), draw(MAYBE_INT),

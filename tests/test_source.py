@@ -27,6 +27,19 @@ def test_no_new_assert_statements():
     assert len(found) <= MAX_ASSERTS, f"{len(found)} assert statements: {found}"
 
 
+def test_no_debug_name():
+    """``python -O`` sets ``__debug__`` to False as well as stripping ``assert``, so no
+    library code may name it, as a name or an attribute: ``-O`` then cannot change what
+    the library does."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "__debug__" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert not found, f"__debug__ read at {found}"
+
+
 def _is_intersection_number(node: ast.AST) -> bool:
     if isinstance(node, ast.Attribute) and node.attr == "self_intersection":
         return True
@@ -119,11 +132,13 @@ def test_only_a_structured_cli_process_compiles_templates(fmt, compiled):
 
 def test_a_structured_cli_request_compiles_few_templates():
     """The report is one record, filled from one spliced template, so a structured F2
-    ``report`` request makes 10 ``eval`` compiles: 3 templates (the report, and the bad
-    curves and ``delta_at_previous_n`` of its WALK slots) and 7 shape functions (the
-    report, 5 of its section records and ``BadCurve``; ``CohomologyTriple``,
-    ``QuickCriterion`` and ``Fraction`` have one shape and compile none).  It made 17 when
-    the envelope was walked and each section had its own template."""
+    ``report`` request makes 9 ``eval`` compiles: 3 templates (the report, and the bad
+    curves and ``delta_at_previous_n`` of its WALK slots) and 6 shape functions (the
+    report, 4 of its section records and ``BadCurve``; ``CohomologyTriple``,
+    ``QuickCriterion`` and ``Fraction`` have one shape and compile none).  The
+    ``invariants`` section is the character, laid out by a row table of the report's, so
+    it has no shape function of its own; it made 10 when that section was a record of its
+    own, and 17 when the envelope was walked and each section had its own template."""
     argv = ["report", "--surface", "F2", "--ch", "2:3,8:2", "--format", "structured"]
     probe = ("import sys; from amplecheck import cli, report; compiles = []; "
              "report.eval = lambda *a: compiles.append(1) or eval(*a); "
@@ -136,7 +151,26 @@ def test_a_structured_cli_request_compiles_few_templates():
     )
     golden = ROOT / "tests" / "golden" / "report_surface_F2_ch_2_3_8_2_format_structured.stdout"
     assert (done.returncode, done.stdout) == (0, golden.read_bytes())
-    assert list(map(int, done.stderr.split())) == [0, 10, 3, 10]
+    assert list(map(int, done.stderr.split())) == [0, 9, 3, 9]
+
+
+def test_cli_import_compiles_one_constructor_per_template_and_field_count():
+    """``records`` compiles a constructor once per template and field count, so importing
+    ``amplecheck.cli`` makes 10 ``compile`` calls on ``"<record>"`` sources for its 16
+    record classes.  Only those are counted: without a bytecode cache the module sources
+    go through ``compile`` as well."""
+    probe = ("import builtins; compiles = []; original = builtins.compile\n"
+             "def counted(source, filename, *args, **kwargs):\n"
+             "    compiles.append(filename)\n"
+             "    return original(source, filename, *args, **kwargs)\n"
+             "builtins.compile = counted\n"
+             "import amplecheck.cli\n"
+             "print(compiles.count('<record>'))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert (done.returncode, done.stdout) == (0, "10\n"), done.stderr
 
 
 def test_cli_import_leaves_out_argparse_and_json():
