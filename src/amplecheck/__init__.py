@@ -26,7 +26,6 @@ from .ampleness import (
 from .characters import (
     ChernCharacter,
     from_log_invariants,
-    line_bundle_character,
     make_character,
     parse_character,
 )
@@ -53,11 +52,9 @@ from .positivity import (
     ObstructionReport,
     ObstructionVerdict,
     classify_global_generation,
-    fulton_lazarsfeld_margin,
     gg_quick_criterion,
     necessary_obstructions,
     slope_conditions,
-    tangent_bundle_character,
 )
 from .surfaces import (
     DivisorClass,
@@ -72,53 +69,7 @@ from .surfaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmpleGGCertificate",
-    "AmplecheckError",
-    "AsymptoticCertificate",
-    "BadCurve",
-    "CertificateError",
-    "ChernCharacter",
-    "CohomologyTriple",
-    "Condition",
-    "DivisorClass",
-    "EnumerationLimitError",
-    "GGClassification",
-    "InvalidCharacterError",
-    "InvalidDivisorError",
-    "NonspecialTrace",
-    "ObstructionReport",
-    "ObstructionVerdict",
-    "PreconditionError",
-    "Surface",
-    "SurfaceKind",
-    "SurfaceMismatchError",
-    "WbnApplicability",
-    "ample_gg_verdict",
-    "asymptotic_ample_certificate",
-    "classify_global_generation",
-    "dimension_count",
-    "effective_n_bound",
-    "enumerate_bad_curves",
-    "from_log_invariants",
-    "fulton_lazarsfeld_margin",
-    "gg_quick_criterion",
-    "gieseker_character",
-    "h0_line_bundle",
-    "is_big_and_nef",
-    "is_irreducible_curve_class",
-    "is_nef",
-    "kernel_character",
-    "line_bundle_character",
-    "make_character",
-    "multiplier_lower_bound",
-    "necessary_obstructions",
-    "nonspecial_all_twists",
-    "normalize_character",
-    "parse_character",
-    "parse_surface",
-    "slope_conditions",
-    "tangent_bundle_character",
-    "wbn_applicable",
-    "wbn_cohomology",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith("amplecheck.")
+)

@@ -202,8 +202,8 @@ class AmpleGGCertificate(Record):
     """Verdict on ampleness of the general globally generated bundle."""
 
     __slots__ = (
-        "character", "slope_conditions", "gg", "nonspecial",
-        "bad_curves", "ample_general", "failure_reason", "notes",
+        "slope_conditions", "gg", "nonspecial", "bad_curves", "ample_general",
+        "failure_reason", "notes",
     )
 
     @property
@@ -222,7 +222,7 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
 
     def fail(reason: str, gg=None, nonspecial=None, bad=()) -> AmpleGGCertificate:
         return AmpleGGCertificate(
-            v, conditions, gg, nonspecial, tuple(bad), False, reason, tuple(notes)
+            conditions, gg, nonspecial, tuple(bad), False, reason, tuple(notes)
         )
 
     if v.rank < 2:
@@ -244,9 +244,7 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
     bad = _bad_curves(v)
     all_pass = all(b.passes for b in bad)
     reason = None if all_pass else "dimension-count: some bad curve has d >= c"
-    return AmpleGGCertificate(
-        v, conditions, gg, trace, bad, all_pass, reason, tuple(notes)
-    )
+    return AmpleGGCertificate(conditions, gg, trace, bad, all_pass, reason, tuple(notes))
 
 
 def _obligation(holds: bool, obligation: str, v: ChernCharacter) -> None:
@@ -327,7 +325,6 @@ class AsymptoticCertificate(Record):
     """Certificate that all large multiples of ``v`` carry ample general bundles."""
 
     __slots__ = (
-        "character",
         "mode",                   # "normalized" or "direct"
         "base",                   # the character the algebra ran on
         "twist_used",             # N with base = v(-N); zero in direct mode
@@ -421,7 +418,6 @@ def asymptotic_ample_certificate(
             "ample bundle for the character as given"
         )
     return AsymptoticCertificate(
-        v,
         "direct" if direct else "normalized",
         base,
         twist_used,

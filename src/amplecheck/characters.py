@@ -154,15 +154,7 @@ class ChernCharacter(Record):
 
 _set_rank, _set_c1, _set_c2 = ChernCharacter._setters
 _trusted = ChernCharacter._of
-
-
-def make_character(
-    rank: int, c1: DivisorClass, ch2: Rational, surface: Surface | None = None
-) -> ChernCharacter:
-    """Validated constructor; ``surface`` (if given) must match ``c1``."""
-    if surface is not None and c1.surface != surface:
-        raise InvalidCharacterError(f"c1 lives on {c1.surface}, expected {surface}")
-    return ChernCharacter(rank, c1, ch2)
+make_character = ChernCharacter  # the validated constructor, under the name callers use
 
 
 def from_log_invariants(rank: int, nu: DivisorClass, delta: Rational) -> ChernCharacter:
@@ -180,13 +172,6 @@ def from_log_invariants(rank: int, nu: DivisorClass, delta: Rational) -> ChernCh
         )
     ch2 = rank * (Fraction(nu.self_intersection, 2) - rat(delta))
     return ChernCharacter(rank, c1, ch2)
-
-
-def line_bundle_character(d: DivisorClass) -> ChernCharacter:
-    """Character ``(1, d, d^2/2)`` of the line bundle O(d)."""
-    if not d.is_integral:
-        raise InvalidDivisorError(f"line bundles need integral classes, got {d}")
-    return ChernCharacter(1, d, Fraction(d.self_intersection, 2))
 
 
 def _parse_fields(
@@ -211,7 +196,7 @@ def _parse_fields(
 
 def parse_character(text: str, surface: Surface) -> ChernCharacter:
     """Parse the canonical form ``r:c1:ch2``; see the module docstring."""
-    return make_character(*_parse_fields(text, surface, "character", "c1", "ch2"))
+    return ChernCharacter(*_parse_fields(text, surface, "character", "c1", "ch2"))
 
 
 def parse_log_character(text: str, surface: Surface) -> ChernCharacter:

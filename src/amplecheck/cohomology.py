@@ -93,7 +93,7 @@ class NonspecialTrace(Record):
     """
 
     # fiber_margin = (nu.F - 2) - (-1) = nu.F - 1, section_margin = nu.E - 1, or None
-    __slots__ = ("surface", "delta", "fiber_margin", "section_margin", "note")
+    __slots__ = ("delta", "fiber_margin", "section_margin", "note")
     _defaults = (None, None, "")
 
     @property
@@ -119,13 +119,10 @@ def nonspecial_all_twists(v: ChernCharacter) -> NonspecialTrace:
     conditions = require_slope_hypotheses(v)
     if v.surface.is_plane:
         return NonspecialTrace(
-            v.surface,
-            v.delta,
-            note="plane case: delta >= 0 is twist-invariant, nothing else is needed",
+            v.delta, note="plane case: delta >= 0 is twist-invariant, nothing else is needed"
         )
     fiber, section = conditions  # margins nu.F - 1 and nu.E - 1
     return NonspecialTrace(
-        v.surface,
         v.delta,
         fiber_margin=fiber.margin,
         section_margin=section.margin,

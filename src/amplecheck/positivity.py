@@ -50,20 +50,13 @@ from fractions import Fraction
 
 from .characters import ChernCharacter
 from .errors import PreconditionError
-from .rationals import Rational, rat
 from .records import Record
-from .surfaces import DivisorClass, is_big_and_nef, is_nef, ruling_degrees
-
-
-def tangent_bundle_character(surface) -> ChernCharacter | None:
-    """The plane's tangent bundle character (2, 3H, 3/2); None elsewhere."""
-    if not surface.is_plane:
-        return None
-    return ChernCharacter(2, surface.divisor(3), Fraction(3, 2))
+from .surfaces import is_big_and_nef, is_nef, ruling_degrees
 
 
 def is_tangent_bundle(v: ChernCharacter) -> bool:
-    """Whether ``v`` is ``tangent_bundle_character(v.surface)``, without building it."""
+    """Whether ``v`` is the plane's tangent bundle character ``(2, 3H, 3/2)``, without building
+    it (``tests/oracles.py``'s ``tangent_bundle_character`` builds it)."""
     return v.surface.is_plane and (v.rank, v.c1.coords, v.c2) == (2, (3,), 3)
 
 
@@ -85,16 +78,6 @@ class ObstructionReport(Record):
     @property
     def failed(self) -> tuple[Condition, ...]:
         return tuple(c for c in self.conditions if not c.holds)
-
-
-def fulton_lazarsfeld_margin(rank: int, nu: DivisorClass, delta: Rational) -> Fraction:
-    """Exact margin ``nu^2/2 - delta/(rank+1)`` of the ampleness bound.
-
-    Positive margin means the strict inequality holds.  Stated on the
-    logarithmic invariants so thresholds can be probed at rationals that do
-    not lift to an integral character at this rank.
-    """
-    return Fraction(nu.self_intersection, 2) - rat(delta) / (rank + 1)
 
 
 def _slope_condition(
@@ -162,7 +145,8 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     surface = v.surface
     r = v.rank
     delta = v.delta
-    fl_margin = Fraction(v._c1_squared - v.c2, r * (r + 1))  # fulton_lazarsfeld_margin, in ints
+    # fulton_lazarsfeld_margin of tests/oracles.py, in ints
+    fl_margin = Fraction(v._c1_squared - v.c2, r * (r + 1))
     conditions: list[Condition] = [
         Condition("bogomolov", "delta >= 0", delta >= 0, delta),
         Condition(

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's closed forms: bad curves
 are found by scanning a coordinate box with the irreducibility predicate
 and a direct Euler-characteristic evaluation, and minimal multipliers by
 stepping n upward until the kernel discriminant turns nonnegative.  The
-reference formulas the oracles evaluate (the Hilbert polynomial, the
-effective cone, the splitting codimension) are defined here, not in the
-library they check.
+reference formulas the oracles and tests evaluate (the Hilbert polynomial,
+the effective cone, the splitting codimension, the Fulton-Lazarsfeld margin
+on the logarithmic invariants, the plane's tangent bundle character and the
+character of a line bundle) are defined here, not in the library they check.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from math import gcd
 from amplecheck import (
     ChernCharacter,
     DivisorClass,
+    InvalidDivisorError,
     PreconditionError,
     Surface,
     is_irreducible_curve_class,
     kernel_character,
 )
-from amplecheck.rationals import RATIONAL, check_digits
+from amplecheck.rationals import RATIONAL, Rational, check_digits, rat
 
 SCAN_CAP = 10_000
 
@@ -62,6 +64,30 @@ def splitting_codim(k: int, rank: int, degree: int) -> int:
             f"the codimension formula needs slope >= 1, got degree {degree} < rank {rank}"
         )
     return k * (degree - rank + k)
+
+
+def fulton_lazarsfeld_margin(rank: int, nu: DivisorClass, delta: Rational) -> Fraction:
+    """Exact margin ``nu^2/2 - delta/(rank+1)`` of the ampleness bound.
+
+    Positive margin means the strict inequality holds.  Stated on the
+    logarithmic invariants so thresholds can be probed at rationals that do
+    not lift to an integral character at this rank.
+    """
+    return Fraction(nu.self_intersection, 2) - rat(delta) / (rank + 1)
+
+
+def tangent_bundle_character(surface) -> ChernCharacter | None:
+    """The plane's tangent bundle character (2, 3H, 3/2); None elsewhere."""
+    if not surface.is_plane:
+        return None
+    return ChernCharacter(2, surface.divisor(3), Fraction(3, 2))
+
+
+def line_bundle_character(d: DivisorClass) -> ChernCharacter:
+    """Character ``(1, d, d^2/2)`` of the line bundle O(d)."""
+    if not d.is_integral:
+        raise InvalidDivisorError(f"line bundles need integral classes, got {d}")
+    return ChernCharacter(1, d, Fraction(d.self_intersection, 2))
 
 
 def chi_of_twist(v: ChernCharacter, d) -> int:

@@ -15,11 +15,9 @@ from amplecheck import (
     ample_gg_verdict,
     effective_n_bound,
     enumerate_bad_curves,
-    fulton_lazarsfeld_margin,
     gieseker_character,
     h0_line_bundle,
     is_nef,
-    line_bundle_character,
     make_character,
     multiplier_lower_bound,
     necessary_obstructions,
@@ -37,7 +35,9 @@ from conftest import (
 from oracles import (
     brute_force_bad_curves,
     brute_min_multiplier,
+    fulton_lazarsfeld_margin,
     hilbert_polynomial,
+    line_bundle_character,
     matches_bad_curve_shape,
     naive_family_cutoff,
 )

@@ -11,10 +11,8 @@ from amplecheck import (
     Surface,
     SurfaceMismatchError,
     from_log_invariants,
-    fulton_lazarsfeld_margin,
     h0_line_bundle,
     kernel_character,
-    line_bundle_character,
     make_character,
     parse_character,
 )
@@ -27,6 +25,7 @@ from oracles import (
     dual_by_ch2,
     hilbert_polynomial,
     kernel_by_ch2,
+    line_bundle_character,
     parse_rational_by_fraction,
     scale_by_ch2,
     sum_by_ch2,
@@ -70,19 +69,14 @@ class TestConstruction:
         with pytest.raises(InvalidCharacterError):
             make_character(2, P2.divisor(Fraction(1, 2)), 0)
 
-    def test_surface_tag_checked(self):
-        with pytest.raises(InvalidCharacterError):
-            make_character(2, P2.divisor(3), Fraction(3, 2), surface=F1)
-
     @pytest.mark.parametrize(
         "build",
         [
             lambda: ChernCharacter(2, P2.divisor(3), 1.5),
             lambda: make_character(2, P2.divisor(3), 1.5),
             lambda: from_log_invariants(2, P2.divisor(Fraction(3, 2)), 0.5),
-            lambda: fulton_lazarsfeld_margin(2, P2.divisor(Fraction(3, 2)), 0.5),
         ],
-        ids=["constructor", "make_character", "from_log_invariants", "fulton_lazarsfeld_margin"],
+        ids=["constructor", "make_character", "from_log_invariants"],
     )
     def test_float_ch2_or_delta_rejected(self, build):
         with pytest.raises(TypeError) as info:

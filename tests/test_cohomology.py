@@ -10,13 +10,13 @@ from amplecheck import (
     Surface,
     h0_line_bundle,
     is_irreducible_curve_class,
-    line_bundle_character,
     make_character,
     nonspecial_all_twists,
     wbn_applicable,
     wbn_cohomology,
 )
 from conftest import characters
+from oracles import line_bundle_character
 
 P2 = Surface.projective_plane()
 F1 = Surface.hirzebruch(1)
@@ -104,10 +104,10 @@ class TestNonspecialTwists:
         assert trace.holds
 
     def test_holds_reads_every_margin(self):
-        assert not NonspecialTrace(F1, Fraction(-1, 8)).holds
-        assert not NonspecialTrace(F1, Fraction(0), fiber_margin=Fraction(0)).holds
-        assert not NonspecialTrace(F1, Fraction(0), section_margin=Fraction(-1, 2)).holds
-        assert NonspecialTrace(F1, Fraction(0), Fraction(1, 2), Fraction(0)).holds
+        assert not NonspecialTrace(Fraction(-1, 8)).holds
+        assert not NonspecialTrace(Fraction(0), fiber_margin=Fraction(0)).holds
+        assert not NonspecialTrace(Fraction(0), section_margin=Fraction(-1, 2)).holds
+        assert NonspecialTrace(Fraction(0), Fraction(1, 2), Fraction(0)).holds
 
     def test_slope_hypotheses_enforced(self):
         with pytest.raises(PreconditionError):

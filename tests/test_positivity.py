@@ -14,7 +14,6 @@ from amplecheck import (
     asymptotic_ample_certificate,
     classify_global_generation,
     enumerate_bad_curves,
-    fulton_lazarsfeld_margin,
     gg_quick_criterion,
     is_big_and_nef,
     is_nef,
@@ -24,12 +23,11 @@ from amplecheck import (
     parse_character,
     parse_surface,
     slope_conditions,
-    tangent_bundle_character,
     wbn_applicable,
 )
 from amplecheck.positivity import is_tangent_bundle
 from conftest import ALL_SURFACES, characters, random_valid_character
-from oracles import slope_conditions_oracle
+from oracles import fulton_lazarsfeld_margin, slope_conditions_oracle, tangent_bundle_character
 
 P2 = Surface.projective_plane()
 F0 = Surface.hirzebruch(0)
@@ -316,14 +314,6 @@ class TestQuickCriterion:
     def test_hirzebruch_example(self):
         assert gg_quick_criterion(make_character(2, F1.divisor(2, 4), 3))
 
-    def test_bogomolov_gate(self):
-        with pytest.raises(PreconditionError):
-            gg_quick_criterion(make_character(2, P2.divisor(4), 8))  # delta = -2
-
-    def test_rank_gate(self):
-        with pytest.raises(PreconditionError):
-            gg_quick_criterion(make_character(1, P2.divisor(4), 8))
-
     def test_silent_is_not_negative(self):
         # case 3 character: quick criterion is silent, classification says gg
         v = make_character(2, P2.divisor(3), Fraction(-5, 2))
@@ -348,7 +338,9 @@ class TestQuickCriterion:
     "surface, ch, message",
     [
         ("P2", "1:1:1/2", "global generation is classified for rank >= 2, got 1"),
+        ("P2", "1:4:8", "global generation is classified for rank >= 2, got 1"),
         ("P2", "2:0:1", DELTA_TEXT),
+        ("P2", "2:4:8", "delta = -2 < 0: no semistable bundle exists"),
         ("F2", "2:-1,0:-1", "nu = (-1/2)E is not nef on F2"),
         ("F0", "2:0,3:0", "nu = (3/2)F is not big and nef"),
         ("P2", "2:-1:-1/2", "nu = (-1/2)H is not big and nef"),

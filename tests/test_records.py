@@ -167,14 +167,13 @@ SIGNATURES = {
         "chi=None, chi_twist=None, chi_twist_second=None, balanced_split=None", None),
     "WbnApplicability": ("self, applicable, delta_ok, fiber_ok=True, section_ok=True", None),
     "CohomologyTriple": ("self, h0, h1, h2", None),
-    "NonspecialTrace": ("self, surface, delta, fiber_margin=None, section_margin=None, note=''",
-                        None),
+    "NonspecialTrace": ("self, delta, fiber_margin=None, section_margin=None, note=''", None),
     "BadCurve": ("self, curve, chi_twist, d, c", None),
     "AmpleGGCertificate": (
-        "self, character, slope_conditions, gg, nonspecial, bad_curves, ample_general, "
-        "failure_reason, notes", None),
+        "self, slope_conditions, gg, nonspecial, bad_curves, ample_general, failure_reason, "
+        "notes", None),
     "AsymptoticCertificate": (
-        "self, character, mode, base, twist_used, s, b, bound, n_min, kernel, "
+        "self, mode, base, twist_used, s, b, bound, n_min, kernel, "
         "delta_kernel_prev, chi_dual_twist, chi_kernel_dual_twist, kernel_twist_nu, "
         "kernel_twist_gg, wbn_kernel, slope_conditions, notes", None),
     "GGSection": ("self, classification, quick_criterion", None),

@@ -441,12 +441,12 @@ def gg_sections(surface):
 
 
 def nonspecial_traces(surface):
-    return st.builds(NonspecialTrace, st.just(surface), FRACTIONS, MAYBE_RAT, MAYBE_RAT, TEXTS)
+    return st.builds(NonspecialTrace, FRACTIONS, MAYBE_RAT, MAYBE_RAT, TEXTS)
 
 
 def ample_certificates(surface):
     return st.builds(
-        AmpleGGCertificate, characters(surface), conditions(),
+        AmpleGGCertificate, conditions(),
         st.none() | classifications(surface), st.none() | nonspecial_traces(surface),
         st.lists(RECORD_KINDS[0](surface), max_size=3).map(tuple), st.booleans(),
         st.none() | st.just("") | TEXTS, NOTES)
@@ -455,7 +455,7 @@ def ample_certificates(surface):
 def asymptotic_certificates(surface):
     wbn = st.builds(WbnApplicability, st.booleans(), st.booleans(), st.booleans(), st.booleans())
     return st.builds(
-        AsymptoticCertificate, characters(surface), TEXTS, characters(surface),
+        AsymptoticCertificate, TEXTS, characters(surface),
         divisors(surface), st.integers(2, 10**6), divisors(surface, SMALL),  # B, squared
         FRACTIONS, st.integers(1, 10**6), characters(surface), MAYBE_RAT,
         VALUES, VALUES, divisors(surface, FRACTIONS), st.booleans(), wbn, conditions(), NOTES)

@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import amplecheck
+from amplecheck import report
+from amplecheck.records import Record
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "amplecheck"
 
@@ -248,3 +252,65 @@ def test_every_function_is_read():
         and node.name not in read
     ]
     assert not found, f"defined but never read: {found}"
+
+
+def _rendered(rows) -> set[str]:
+    """The attribute each row of ``rows`` reads first, nested row tables included."""
+    names = set()
+    for key, part, kind in rows:
+        if kind != report.CONST and type(part) is str:
+            names.add(part.partition(".")[0])
+        if type(kind) is tuple:
+            names |= _rendered(kind)
+    return names
+
+
+def test_every_record_field_is_read():
+    """Each field of a record class in ``src/`` is rendered by a row of its own class's
+    ``_LAYOUTS`` table (nested row tables, and ``GGSection``'s ``classification.`` rows,
+    included) or read as an attribute in ``src/``: a field that no report shows and no
+    code reads is deleted, not stored.  The check is by name, so a field named like an
+    attribute read elsewhere passes unread: ``NonspecialTrace`` kept a ``surface`` that
+    nothing read, but ``.surface`` is read on characters and classes everywhere."""
+    read = {
+        n.attr
+        for path in SOURCE.glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(n, ast.Attribute) and type(n.ctx) is ast.Load
+    }
+    found = [
+        f"{cls.__name__}.{field}"
+        for cls in Record.__subclasses__()
+        if cls.__module__.startswith("amplecheck.")
+        for field in cls._fields
+        if field not in read | _rendered(report._LAYOUTS.get(cls, ()))
+    ]
+    assert not found, f"record fields neither rendered nor read: {found}"
+
+
+# The package's public names, written out: ``__all__`` is computed from the imports of
+# ``__init__``, so deleting an import would drop an export without this list.
+EXPORTS = [
+    "AmpleGGCertificate", "AmplecheckError", "AsymptoticCertificate", "BadCurve",
+    "CertificateError", "ChernCharacter", "CohomologyTriple", "Condition", "DivisorClass",
+    "EnumerationLimitError", "GGClassification", "InvalidCharacterError",
+    "InvalidDivisorError", "NonspecialTrace", "ObstructionReport", "ObstructionVerdict",
+    "PreconditionError", "Surface", "SurfaceKind", "SurfaceMismatchError",
+    "WbnApplicability", "ample_gg_verdict", "asymptotic_ample_certificate",
+    "classify_global_generation", "dimension_count", "effective_n_bound",
+    "enumerate_bad_curves", "from_log_invariants", "gg_quick_criterion",
+    "gieseker_character", "h0_line_bundle", "is_big_and_nef", "is_irreducible_curve_class",
+    "is_nef", "kernel_character", "make_character", "multiplier_lower_bound",
+    "necessary_obstructions", "nonspecial_all_twists", "normalize_character",
+    "parse_character", "parse_surface", "slope_conditions", "wbn_applicable",
+    "wbn_cohomology",
+]
+
+
+def test_the_exported_names_are_pinned():
+    """``from amplecheck import *`` binds exactly the public names: no submodule and no
+    ``__version__``."""
+    namespace: dict = {}
+    exec("from amplecheck import *", namespace)
+    assert amplecheck.__all__ == EXPORTS
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
