@@ -201,10 +201,11 @@ def enumerate_bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
 class AmpleGGCertificate(Record):
     """Verdict on ampleness of the general globally generated bundle."""
 
-    __slots__ = (
-        "slope_conditions", "gg", "nonspecial", "bad_curves", "ample_general",
-        "failure_reason", "notes",
-    )
+    __slots__ = ("slope_conditions", "gg", "nonspecial", "bad_curves", "failure_reason", "notes")
+
+    @property
+    def ample_general(self) -> bool:
+        return self.failure_reason is None
 
     @property
     def verdict(self) -> str:
@@ -221,9 +222,7 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
     conditions = slope_conditions(v)
 
     def fail(reason: str, gg=None, nonspecial=None, bad=()) -> AmpleGGCertificate:
-        return AmpleGGCertificate(
-            conditions, gg, nonspecial, tuple(bad), False, reason, tuple(notes)
-        )
+        return AmpleGGCertificate(conditions, gg, nonspecial, tuple(bad), reason, tuple(notes))
 
     if v.rank < 2:
         return fail("rank: the verdict is for bundles of rank at least 2")
@@ -242,9 +241,8 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
         return fail(f"global-generation: {gg.failed_condition}", gg=gg)
     trace = nonspecial_all_twists(v)
     bad = _bad_curves(v)
-    all_pass = all(b.passes for b in bad)
-    reason = None if all_pass else "dimension-count: some bad curve has d >= c"
-    return AmpleGGCertificate(conditions, gg, trace, bad, all_pass, reason, tuple(notes))
+    reason = None if all(b.passes for b in bad) else "dimension-count: some bad curve has d >= c"
+    return AmpleGGCertificate(conditions, gg, trace, bad, reason, tuple(notes))
 
 
 def _obligation(holds: bool, obligation: str, v: ChernCharacter) -> None:

@@ -35,8 +35,12 @@ from .surfaces import ruling_degrees
 class WbnApplicability(Record):
     """Whether the weak Brill-Noether hypotheses hold, with reasons."""
 
-    __slots__ = ("applicable", "delta_ok", "fiber_ok", "section_ok")
+    __slots__ = ("delta_ok", "fiber_ok", "section_ok")
     _defaults = (True, True)
+
+    @property
+    def applicable(self) -> bool:
+        return self.delta_ok and self.fiber_ok and self.section_ok
 
     def __bool__(self) -> bool:
         return self.applicable
@@ -61,11 +65,9 @@ def wbn_applicable(v: ChernCharacter) -> WbnApplicability:
     """Check the weak Brill-Noether hypotheses for the character ``v``."""
     delta_ok = v.delta >= 0
     if v.surface.is_plane:
-        return WbnApplicability(delta_ok, delta_ok)
+        return WbnApplicability(delta_ok)
     fiber, section = ruling_degrees(v.c1)
-    fiber_ok = fiber >= -v.rank
-    section_ok = section >= -v.rank
-    return WbnApplicability(delta_ok and fiber_ok and section_ok, delta_ok, fiber_ok, section_ok)
+    return WbnApplicability(delta_ok, fiber >= -v.rank, section >= -v.rank)
 
 
 def wbn_cohomology(v: ChernCharacter) -> CohomologyTriple:
@@ -76,10 +78,7 @@ def wbn_cohomology(v: ChernCharacter) -> CohomologyTriple:
     """
     applicability = wbn_applicable(v)
     if not applicability:
-        raise PreconditionError(
-            f"weak Brill-Noether hypotheses fail for {v}: "
-            + ", ".join(applicability.failures)
-        )
+        raise PreconditionError("hypotheses fail: " + ", ".join(applicability.failures))
     chi = v.euler_characteristic()
     return CohomologyTriple(max(chi, 0), max(-chi, 0), 0)
 

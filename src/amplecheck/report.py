@@ -12,12 +12,15 @@ naming the failing precondition.  ``to_json`` lays out each record by its table
 in ``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
 appears), so ``json.dumps(report, default=to_json)`` serialises a report and
 ``parse_structured(render_structured(report))`` is its JSON-native form.
-``render_structured`` writes a record by filling one cached template:
-``_layout``'s own output for that record, with a sentinel in each slot, so one
-walk of the table makes both; a whole report is one fill, its sections spliced
-in.  ``render_text`` walks the layouts.  Each section carries a ``tag`` naming
-the criterion that backs its verdict; ``VERDICT_TAGS`` collects them from the
-tables.
+``render_structured`` writes a record with the cached filler of its type and
+pad, compiled from the type's table by ``_template``: a ``%`` template that
+inlines the record and row tables it holds, writes a record tuple as its item
+template in a comprehension and a "?" row as one slot, empty when the value is
+absent.  No value picks a template, so the cache holds one filler per (record
+type, pad) met; a report is one fill, which calls the filler of the record in
+each section row.  ``render_text`` walks the layouts.  Each section carries a
+``tag`` naming the criterion that backs its verdict; ``VERDICT_TAGS`` collects
+them from the tables.
 
 ``command_report`` picks each CLI subcommand's sections and verdict.  The
 envelope writes ``schema_version``, ``command``, ``d`` (``gieseker`` only),
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from _json import encode_basestring_ascii as _ascii  # json.encoder's C accelerator
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter
 
 from .ampleness import (
@@ -42,7 +46,7 @@ from .ampleness import (
     gieseker_character,
 )
 from .characters import ChernCharacter
-from .cohomology import CohomologyTriple, NonspecialTrace, wbn_applicable, wbn_cohomology
+from .cohomology import CohomologyTriple, NonspecialTrace, wbn_cohomology
 from .errors import PreconditionError, SurfaceMismatchError
 from .positivity import (
     Condition,
@@ -85,12 +89,7 @@ class QuickCriterion(Record):
 
 
 def cohomology_section(v: ChernCharacter) -> CohomologyTriple | Skipped:
-    def build() -> CohomologyTriple:
-        applicability = wbn_applicable(v)
-        if not applicability:
-            raise PreconditionError("hypotheses fail: " + ", ".join(applicability.failures))
-        return wbn_cohomology(v)
-    return _section("weak-brill-noether", build)
+    return _section("weak-brill-noether", lambda: wbn_cohomology(v))
 
 
 def _section(tag: str, build):
@@ -180,16 +179,16 @@ def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
 
 # Rows are (key, part, kind).  ``part`` reads the value from the object the table lays out:
 # an attribute path, "" for the object itself, an index or the builtin ``str``; in a CONST
-# row it is the value.  INT, BOOL and STR values fill a slot; COORDS is a tuple of
-# rationals, each laid out as a Fraction; STRS, a tuple of strings from a fixed set, is
-# template text; WALK is written by the walk, whatever it holds.  A record type (Fraction
-# for a rational, held as an int or a Fraction) is its own table spliced in, a tuple of rows
-# a nested dict, ``[Condition]`` a tuple of Condition records; an ANY value is laid out by
-# its own type's table.  A key ending in "?" is left out when its value is None (a STR
-# value: when it is empty).
+# row it is the value.  INT, BOOL and STR values fill a slot; COORDS is a tuple of one
+# or two rationals, each laid out as a Fraction; STRS, a tuple of strings from a fixed set,
+# is written once per tuple and pad; WALK is written by the walk, whatever it holds.  A
+# record type (Fraction for a rational, held as an int or a Fraction) is its own table
+# inlined, a tuple of rows a nested dict, ``[Condition]`` a tuple of Condition records; an
+# ANY value is laid out, and written, by its own type's table.  A key ending in "?" is left
+# out when its value is None (a STR value: when it is empty).
 CONST, INT, BOOL, STR, COORDS, STRS, WALK, ANY = (
     "const", "int", "bool", "str", "coords", "strs", "walk", "any")
-_BAD_CURVES = (("tag", "bad-curves", CONST), ("classes", "", WALK))  # of a BadCurve tuple
+_BAD_CURVES = (("tag", "bad-curves", CONST), ("classes", "", [BadCurve]))  # of BadCurves
 _INVARIANTS = (("tag", "riemann-roch", CONST), ("mu", "mu", Fraction),  # of a character
                ("nu", "nu", DivisorClass), ("delta", "delta", Fraction),
                ("euler_characteristic", "_chi", INT))
@@ -273,8 +272,7 @@ def _tags(rows) -> set[str]:
 
 
 VERDICT_TAGS = frozenset().union(*map(_tags, _LAYOUTS.values()))
-_SHAPES: dict[type, object] = {}  # record type -> its compiled shape function
-_TEMPLATES: dict[tuple, object] = {}  # (record type, pad, shape) -> its compiled filler
+_FILLERS: dict[tuple, object] = {}  # (record type, pad) -> its compiled filler
 
 
 def _get(obj, part):
@@ -290,12 +288,8 @@ def _code(expr: str, part) -> str:
     return f"{expr}[{part}]" if type(part) is int else f"{expr}.{part}" if part else expr
 
 
-def _layout(rows, obj, expr: str = "r", pad: str = "", slots: list[str] | None = None) -> dict:
-    """The JSON-native layout of ``obj`` by ``rows``, WALK values left as they are; given
-    ``slots``, its template's sketch: a sentinel in each slot, whose code (reading the filled
-    record ``r`` through ``expr``) goes on ``slots`` in document order.  ``pad`` is the pad
-    of the layout's line."""
-    inner = pad + "  "
+def _layout(rows, obj) -> dict:
+    """The JSON-native layout of ``obj`` by ``rows``, WALK values left as they are."""
     out: dict = {}
     for key, part, kind in rows:
         value = part if kind == CONST else _get(obj, part)
@@ -303,22 +297,14 @@ def _layout(rows, obj, expr: str = "r", pad: str = "", slots: list[str] | None =
             if not value if kind == STR else value is None:
                 continue
             key = key[:-1]
-        code = _code(expr, part) if slots is not None else expr  # a slot's code, if sketched
         if kind == STRS:
             value = list(value)
-        elif kind in (INT, BOOL, STR, WALK):
-            if slots is not None:
-                value = "\x00"
-                slots.append(code if kind == INT else f"_ascii({code})" if kind == STR
-                             else f"('true' if {code} else 'false')" if kind == BOOL
-                             else f"_walked({code}, {inner!r})")
         elif kind == COORDS or type(kind) is list:
             item = _LAYOUTS[Fraction if kind == COORDS else kind[0]]
-            value = [_layout(item, x, f"{code}[{i}]", inner + "  ", slots)
-                     for i, x in enumerate(value)]
-        elif kind != CONST:  # a record (a rational may be an int) or a nested dict
-            rows = _LAYOUTS[type(value)] if kind == ANY else _LAYOUTS.get(kind, kind)
-            value = _layout(rows, value, code, inner, slots)
+            value = [_layout(item, x) for x in value]
+        elif kind not in (CONST, INT, BOOL, STR, WALK):  # a record, or a nested dict
+            value = _layout(kind if type(kind) is tuple
+                            else _LAYOUTS[type(value) if kind == ANY else kind], value)
         out[key] = value
     return out
 
@@ -330,119 +316,106 @@ def to_json(x) -> dict:
     return _layout(_LAYOUTS[type(x)], x)
 
 
-def _shape_code(rows, expr: str) -> list[str]:
-    """The code of what else than type and pad picks a template: whether each "?" row is
-    present, each STRS tuple, the length of each record tuple, each ANY value's ``_key``,
-    and so on in nested rows."""
-    out = []
+def _literal(text: str) -> str:
+    """``text`` written as a JSON string into a template, its ``%`` doubled."""
+    return _ascii(text).replace("%", "%%")
+
+
+def _filled(template: str, slots: list[str]) -> str:
+    """The code filling ``template`` with the values of the code ``slots``."""
+    return f"{template!r} % ({''.join(slot + ', ' for slot in slots)})"
+
+
+def _items(texts, pad: str, brackets: str = "[]") -> str:
+    """The written ``texts`` as the items of a list (or a dict) on a line at ``pad``."""
+    if not texts:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}{brackets[1]}"
+
+
+# the slot of a value of each kind read by the code {0}, written on a line at the pad {1}
+_SLOTS = {INT: "{0}", BOOL: "('true' if {0} else 'false')", STR: "_ascii({0})",
+          STRS: "_texts({0}, {1!r})", WALK: "_walked({0}, {1!r})", ANY: "_fill({0}, {1!r})"}
+
+
+def _template(rows, expr: str, pad: str) -> tuple[str, list[str]]:
+    """The ``%`` template of the object that the code ``expr`` reads, laid out by ``rows`` on
+    a line at ``pad``, and the code of its slots in order.  A record's table (a rational
+    may be an int) and a nested row table are inlined; a record tuple is its item template
+    in a comprehension, COORDS a choice between a one-class and a two-class basis, and a
+    "?" row one slot, empty when its value is absent."""
+    inner = pad + "  "
+    text, slots = "{", []
     for key, part, kind in rows:
         code = _code(expr, part)
-        inner = ([code] if kind == STRS else [f"len({code})"] if type(kind) is list
-                 else [f"_key({code})"] if kind == ANY else [] if type(kind) is str
-                 else _shape_code(_LAYOUTS.get(kind, kind), code))
-        if key.endswith("?"):
-            absent = f"not {code}" if kind == STR else f"{code} is None"
-            out.append(f"{absent} or ({', '.join(inner)},)" if inner else absent)
+        if kind == CONST:
+            value, codes = _literal(part), []
+        elif kind == COORDS:
+            (fraction, first), (_, second) = (
+                _template(_LAYOUTS[Fraction], f"{code}[{i}]", inner + "  ") for i in (0, 1))
+            one, two = (_filled(_items([fraction], inner), first),
+                        _filled(_items([fraction, fraction], inner), first + second))
+            value, codes = "%s", [f"({one} if len({code}) == 1 else {two})"]
+        elif type(kind) is str:
+            value, codes = "%s", [_SLOTS[kind].format(code, inner)]
+        elif type(kind) is list:
+            item = f"x{len(pad)}"  # the comprehension's variable, one per depth
+            fill = _filled(*_template(_LAYOUTS[kind[0]], item, inner + "  "))
+            value, codes = "%s", [f"_items([{fill} for {item} in {code}], {inner!r})"]
         else:
-            out += inner
-    return out
+            value, codes = _template(kind if type(kind) is tuple else _LAYOUTS[kind], code, inner)
+        row = f"{',' if text != '{' else ''}\n{inner}{_literal(key.rstrip('?'))}: {value}"
+        if key[-1] == "?":  # never a table's first row, so a comma always leads it
+            absent = f"not {code}" if kind == STR else f"{code} is None"
+            text += "%s"
+            slots.append(f"('' if {absent} else {_filled(row, codes)})")
+        else:
+            text += row
+            slots += codes
+    return text + f"\n{pad}}}", slots
 
 
-def _shape(cls: type):
-    """``cls``'s compiled shape function: a record's basis, for the leaf records; a record
-    of one shape compiles none."""
-    code = _shape_code(_LAYOUTS[cls], "r")
-    body = code[0] if len(code) == 1 else f"({', '.join(code)},)"
-    _SHAPES[cls] = shape = eval(f"lambda r: {body}", {"_key": _key}) if code else lambda r: None
-    return shape
-
-
-def _key(record) -> tuple:
-    """``record``'s type and shape, which with a pad key its template."""
-    cls = type(record)
-    return cls, (_SHAPES.get(cls) or _shape(cls))(record)
-
-
-def _compile(record, pad: str):
-    """``record``'s filler at ``pad``: its template, and one expression of its slots compiled
-    from the tables' parts (a record's values are only ever arguments, never code)."""
-    slots: list[str] = []
-    sketch = _walked(_layout(_LAYOUTS[type(record)], record, "r", pad, slots), pad)
-    template = sketch.replace("%", "%%").replace('"\\u0000"', "%s")
-    code = f"lambda r: _t % ({''.join(s + ', ' for s in slots)})"
-    return eval(code, {"_t": template, "_ascii": _ascii, "_walked": _walked})
-
-
-def _filler(record, pad: str):
-    """The cached function writing ``record`` at ``pad``; keyed by type, pad and shape."""
-    cls, shape = _key(record)
-    key = (cls, pad, shape)
-    fill = _TEMPLATES.get(key)
+def _fill(record, pad: str) -> str:
+    """``record`` written on a line at ``pad`` by the filler of its type and ``pad``,
+    compiled on first use (a record's values are only ever arguments, never code)."""
+    fill = _FILLERS.get((type(record), pad))
     if fill is None:
-        fill = _TEMPLATES[key] = _compile(record, pad)
-    return fill
+        names = {"_ascii": _ascii, "_fill": _fill, "_items": _items, "_texts": _texts,
+                 "_walked": _walked}
+        code = _filled(*_template(_LAYOUTS[type(record)], "r", pad))
+        fill = _FILLERS[type(record), pad] = eval(f"lambda r: {code}", names)
+    return fill(record)
 
 
-def _walked(value, pad: str) -> str:
-    """``value`` as the walk writes it after its key, on a line at ``pad``."""
-    out: list[str] = []
-    _write_json(value, pad, out)
-    return "".join(out)
+@cache
+def _texts(strs: tuple, pad: str) -> str:
+    """A STRS tuple written on a line at ``pad``: one of a fixed set, so written once."""
+    return _walked(strs, pad)
 
 
-def _write_json(node, pad: str, out: list[str]) -> None:
-    """Append the pieces of ``json.dumps(node, indent=2, ensure_ascii=True, default=to_json)``.
-
-    ``pad`` is the indentation of the line ``node`` starts on.  Only the
-    values reports are built from are accepted: dicts with string keys,
-    lists (and tuples, written as lists), strings, ints, bools, None, and
-    the records of ``_LAYOUTS``, each filled into its cached template.
-    """
+def _walked(node, pad: str) -> str:
+    """``json.dumps(node, indent=2, ensure_ascii=True, default=to_json)`` written on a line
+    at ``pad``.  Only the values reports are built from are accepted: the records of
+    ``_LAYOUTS``, each written by its filler, dicts with string keys, lists (and tuples,
+    written as lists), strings, ints, bools and None."""
+    if type(node) in _LAYOUTS:
+        return _fill(node, pad)
     if isinstance(node, str):
-        out.append(_ascii(node))
-    elif node is None:
-        out.append("null")
-    elif node is True:
-        out.append("true")
-    elif node is False:
-        out.append("false")
-    elif isinstance(node, int):
-        out.append(int.__repr__(node))
-    elif isinstance(node, dict):
-        if not node:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key, value in node.items():
-            out.append(sep + _ascii(key) + ": ")
-            _write_json(value, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[\n" + inner
-        cls = type(node[0])
-        if cls in _LAYOUTS:  # records of one type and shape share one template
-            shape = _SHAPES.get(cls) or _shape(cls)
-            key = shape(node[0])
-            if all(type(item) is cls and shape(item) == key for item in node):
-                fill = _filler(node[0], inner)
-                out += (sep, (",\n" + inner).join([fill(item) for item in node]))
-                out.append("\n" + pad + "]")
-                return
-        for item in node:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
-    elif type(node) in _LAYOUTS:
-        out.append(_filler(node, pad)(node))
-    else:
-        to_json(node)  # not a record: raises the TypeError of json.dumps
+        return _ascii(node)
+    if node is None:
+        return "null"
+    if node is True or node is False:
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    inner = pad + "  "
+    if isinstance(node, dict):
+        return _items([f"{_ascii(key)}: {_walked(value, inner)}" for key, value in node.items()],
+                      pad, "{}")
+    if isinstance(node, (list, tuple)):
+        return _items([_walked(item, inner) for item in node], pad)
+    return to_json(node)  # not a record: raises the TypeError of json.dumps
 
 
 def render_structured(report) -> bytes:
@@ -452,10 +425,7 @@ def render_structured(report) -> bytes:
     default=to_json)`` plus a newline, written in one pass: ``indent`` turns
     off the C encoder of ``json.dumps``.
     """
-    out: list[str] = []
-    _write_json(report, "", out)
-    out.append("\n")
-    return "".join(out).encode("ascii")
+    return (_walked(report, "") + "\n").encode("ascii")
 
 
 def parse_structured(payload: bytes) -> dict:

@@ -50,7 +50,6 @@ from functools import cache
 from itertools import islice
 
 from amplecheck import (
-    BadCurve,
     ChernCharacter,
     PreconditionError,
     Surface,
@@ -187,13 +186,13 @@ def test_gg_census_matches_golden():
 
 @cache
 def fresh_report_census() -> tuple[dict, dict]:
-    """The report census built once from an empty template cache: its summary and a
-    copy of the cache it filled.  The module's own cache is put back afterwards."""
-    saved, rpt._TEMPLATES = rpt._TEMPLATES, {}
+    """The report census built once from an empty filler cache: its summary and a copy
+    of the cache it filled.  The module's own cache is put back afterwards."""
+    saved, rpt._FILLERS = rpt._FILLERS, {}
     try:
-        return report_census(), dict(rpt._TEMPLATES)
+        return report_census(), dict(rpt._FILLERS)
     finally:
-        rpt._TEMPLATES = saved
+        rpt._FILLERS = saved
 
 
 def test_report_census_matches_golden():
@@ -201,18 +200,20 @@ def test_report_census_matches_golden():
 
 
 def test_report_census_fills_a_bounded_template_cache(monkeypatch):
-    """Templates are keyed by record type, pad and shape: which optional fields are
-    present, which record each section row holds, the basis and the fixed note tuples.  A
-    whole report is one template, so the keys over the report census are its 22 distinct
-    report shapes, plus the records written from WALK slots: ``BadCurve`` on each of the
-    two bases (``H``; ``E``, ``F``) and the ``Fraction`` of ``delta_at_previous_n``, 25 in
-    all.  A second pass adds none."""
-    first, templates = fresh_report_census()
-    keys = set(templates)
-    monkeypatch.setattr(rpt, "_TEMPLATES", dict(templates))
+    """Fillers are keyed by record type and pad alone, whatever the values: the keys over
+    the report census are the report's own, one for each record a section row holds (a
+    ``Skipped`` entry also at the deeper pad of the quick criterion inside the
+    ``global_generation`` section) and the ``Fraction`` of ``delta_at_previous_n``, written
+    by the walk: 10 in all.  A second pass adds none."""
+    first, fillers = fresh_report_census()
+    keys = set(fillers)
+    monkeypatch.setattr(rpt, "_FILLERS", dict(fillers))
     assert report_census() == first
-    assert set(rpt._TEMPLATES) == keys and len(keys) == 25
-    assert Counter(cls for cls, _, _ in keys) == {rpt.Report: 22, BadCurve: 2, Fraction: 1}
+    assert set(rpt._FILLERS) == keys
+    assert sorted((cls.__name__, len(pad)) for cls, pad in keys) == [
+        ("AmpleGGCertificate", 2), ("AsymptoticCertificate", 2), ("CohomologyTriple", 2),
+        ("Fraction", 6), ("GGSection", 2), ("ObstructionReport", 2), ("QuickCriterion", 4),
+        ("Report", 0), ("Skipped", 2), ("Skipped", 4)]
 
 
 if __name__ == "__main__":

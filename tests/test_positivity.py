@@ -24,6 +24,7 @@ from amplecheck import (
     parse_surface,
     slope_conditions,
     wbn_applicable,
+    wbn_cohomology,
 )
 from amplecheck.positivity import is_tangent_bundle
 from conftest import ALL_SURFACES, characters, random_valid_character
@@ -68,7 +69,9 @@ SLOPE_TEXT = (
     + [
         pytest.param(f, SLOPES_FAIL, SLOPE_TEXT, id=f"{f.__name__}-slopes")
         for f in (nonspecial_all_twists, enumerate_bad_curves, asymptotic_ample_certificate)
-    ],
+    ]
+    + [pytest.param(wbn_cohomology, NEGATIVE_DELTA, "hypotheses fail: delta < 0",
+                    id="wbn_cohomology-delta")],
 )
 def test_precondition_gate_messages(procedure, v, message):
     with pytest.raises(PreconditionError) as exc:

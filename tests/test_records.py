@@ -80,7 +80,7 @@ def test_a_report_copies_and_pickles_equal():
 
 def test_records_of_different_classes_are_never_equal():
     condition = Condition(True, True, True, True)
-    wbn = WbnApplicability(True, True, True, True)
+    wbn = WbnApplicability(True, True, True)
     assert condition != wbn and wbn != condition
     assert CohomologyTriple(1, 0, 0) != (1, 0, 0)
 
@@ -165,13 +165,12 @@ SIGNATURES = {
     "GGClassification": (
         "self, globally_generated, case=None, description='', failed_condition=None, "
         "chi=None, chi_twist=None, chi_twist_second=None, balanced_split=None", None),
-    "WbnApplicability": ("self, applicable, delta_ok, fiber_ok=True, section_ok=True", None),
+    "WbnApplicability": ("self, delta_ok, fiber_ok=True, section_ok=True", None),
     "CohomologyTriple": ("self, h0, h1, h2", None),
     "NonspecialTrace": ("self, delta, fiber_margin=None, section_margin=None, note=''", None),
     "BadCurve": ("self, curve, chi_twist, d, c", None),
     "AmpleGGCertificate": (
-        "self, slope_conditions, gg, nonspecial, bad_curves, ample_general, failure_reason, "
-        "notes", None),
+        "self, slope_conditions, gg, nonspecial, bad_curves, failure_reason, notes", None),
     "AsymptoticCertificate": (
         "self, mode, base, twist_used, s, b, bound, n_min, kernel, "
         "delta_kernel_prev, chi_dual_twist, chi_kernel_dual_twist, kernel_twist_nu, "

@@ -37,7 +37,10 @@ from amplecheck import (
     Surface,
     SurfaceMismatchError,
     WbnApplicability,
+    ample_gg_verdict,
+    classify_global_generation,
     enumerate_bad_curves,
+    make_character,
     parse_character,
 )
 from amplecheck import report as rpt
@@ -105,60 +108,72 @@ def _f0_report_with_672_bad_curves():
     return report
 
 
-LAYOUTS = ("to_json", "_layout")
+LAYOUTS = ("to_json", "_layout", "_template")
 
 
-def _count_layout_calls(monkeypatch) -> tuple[list[str], list[type]]:
-    """Calls of each layout function by name, and template builds by record type."""
+def _count_layout_calls(monkeypatch) -> tuple[list[str], list[int]]:
+    """Calls of each layout function by name, and the fillers compiled."""
     calls: list[str] = []
     for name in LAYOUTS:
         original = getattr(rpt, name)
         monkeypatch.setattr(
             rpt, name, lambda *a, name=name, original=original: calls.append(name) or original(*a)
         )
-    table_calls: list[type] = []
-    original = rpt._compile
-    monkeypatch.setattr(
-        rpt, "_compile", lambda x, pad: table_calls.append(type(x)) or original(x, pad)
-    )
-    return calls, table_calls
+    compiles: list[int] = []
+    monkeypatch.setattr(rpt, "eval", lambda *a: compiles.append(1) or eval(*a), raising=False)
+    return calls, compiles
 
 
 def test_bad_curves_are_written_without_per_member_dicts(monkeypatch):
     report = _f0_report_with_672_bad_curves()
     expected = render_structured(report)
-    calls, table_calls = _count_layout_calls(monkeypatch)
+    assert expected == reference(report)
+    calls, compiles = _count_layout_calls(monkeypatch)
     assert render_structured(report) == expected
-    assert calls == table_calls == []
-    # a cold template cache costs one layout of the report and one of the members' type,
-    # not one per member
-    monkeypatch.setattr(rpt, "_TEMPLATES", {})
+    assert calls == compiles == []
+    # a cold cache compiles one filler, the report's: the bad-curve list is the member
+    # template in a comprehension, not one layout per member
+    monkeypatch.setattr(rpt, "_FILLERS", {})
     assert render_structured(report) == expected
-    assert Counter(table_calls) == Counter([Report, BadCurve])
+    assert len(compiles) == 1 and set(rpt._FILLERS) == {(Report, "")}
 
 
 def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
     surface = Surface.hirzebruch(2)
     reports = [run_report(surface, parse_character("2:3,8:2", surface)), gieseker_report(12)]
     expected = [render_structured(r) for r in reports]  # the warm-up
-    calls, table_calls = _count_layout_calls(monkeypatch)
+    calls, compiles = _count_layout_calls(monkeypatch)
     assert [render_structured(r) for r in reports] == expected
-    assert calls == table_calls == []
-    # a cold cache lays out each (record type, pad, shape) key once, when first seen
-    monkeypatch.setattr(rpt, "_TEMPLATES", {})
+    assert calls == compiles == []
+    # a cold cache compiles each (record type, pad) key once, when first seen, so the F2
+    # report and the plane one share every filler they both use
+    monkeypatch.setattr(rpt, "_FILLERS", {})
     assert [render_structured(r) for r in reports] == expected
-    assert Counter(table_calls) == Counter(key[0] for key in rpt._TEMPLATES)
-    # each report is one template, with its sections, conditions and characters spliced in;
-    # only the records of WALK slots, bad curves and delta_at_previous_n, have their own
-    assert set(table_calls) == {Report, BadCurve, Fraction}
-    sections = {ObstructionReport, GGSection, AmpleGGCertificate, AsymptoticCertificate}
-    assert not {Condition, GGClassification, NonspecialTrace, DivisorClass, ChernCharacter,
-                *sections} & set(table_calls)
-    # a leaf record's shape is the surface's basis, not the surface, so F_e of any e
-    # shares one entry
-    leaves = (Fraction, DivisorClass, ChernCharacter, BadCurve)
-    shapes = {shape for cls, _, shape in rpt._TEMPLATES if cls in leaves}
-    assert shapes <= {None, ("H",), ("E", "F")}
+    assert len(compiles) == len(rpt._FILLERS)
+    # the report's template inlines its character, invariants and bad curves; a section
+    # record of an ANY row has its own, and so has the Fraction of delta_at_previous_n,
+    # written by the walk
+    sections = {CohomologyTriple, ObstructionReport, GGSection, QuickCriterion,
+                AmpleGGCertificate, AsymptoticCertificate}
+    assert Counter(cls for cls, _ in rpt._FILLERS) == Counter([Report, Fraction, *sections])
+
+
+def test_a_filler_does_not_depend_on_values(monkeypatch):
+    """Templates are keyed by record type and pad alone: two records of one type that
+    differ in which "?" rows are present and in list lengths share one cached filler."""
+    F2, F3 = Surface.hirzebruch(2), Surface.hirzebruch(3)
+    v = parse_character("2:3,8:2", F2)
+    certificates = (ample_gg_verdict(v), ample_gg_verdict(make_character(
+        2, F3.divisor(3, 11), Fraction(19, 2))))
+    classifications = (classify_global_generation(v),
+                       classify_global_generation(parse_character("2:0,3:0", F2)))
+    assert [len(c.bad_curves) for c in certificates] == [2, 0]
+    assert [(c.case, c.balanced_split is None) for c in classifications] == [(2, True), (1, False)]
+    monkeypatch.setattr(rpt, "_FILLERS", {})
+    for record in (*certificates, *classifications):
+        tree = {"s": record}
+        assert render_structured(tree) == reference(tree)
+    assert set(rpt._FILLERS) == {(AmpleGGCertificate, "  "), (GGClassification, "  ")}
 
 
 def _count_validated(monkeypatch) -> Counter:
@@ -398,8 +413,8 @@ def test_text_of_records_is_the_text_of_their_layouts(tree):
 # The five certificate records, the section records of a report and its envelope, each
 # optional field drawn present and absent, and a Skipped entry in each section row but
 # ``invariants``, which holds the character and is never skipped.  Notes, weak Brill-Noether
-# failures and warnings are tuples from the library's fixed sets, as the template key
-# assumes; every other string is drawn freely.
+# failures and warnings are tuples from the library's fixed sets, as the cache of their
+# written text assumes; every other string is drawn freely.
 KERNEL_NOTE = "the kernel discriminant is nonnegative for every n >= n_min"
 NOTES = st.lists(st.sampled_from([STABILITY_NOTE, GENERAL_MEMBER_NOTE, KERNEL_NOTE]),
                  max_size=3).map(tuple)
@@ -448,12 +463,12 @@ def ample_certificates(surface):
     return st.builds(
         AmpleGGCertificate, conditions(),
         st.none() | classifications(surface), st.none() | nonspecial_traces(surface),
-        st.lists(RECORD_KINDS[0](surface), max_size=3).map(tuple), st.booleans(),
+        st.lists(RECORD_KINDS[0](surface), max_size=3).map(tuple),
         st.none() | st.just("") | TEXTS, NOTES)
 
 
 def asymptotic_certificates(surface):
-    wbn = st.builds(WbnApplicability, st.booleans(), st.booleans(), st.booleans(), st.booleans())
+    wbn = st.builds(WbnApplicability, st.booleans(), st.booleans(), st.booleans())
     return st.builds(
         AsymptoticCertificate, TEXTS, characters(surface),
         divisors(surface), st.integers(2, 10**6), divisors(surface, SMALL),  # B, squared
@@ -512,14 +527,15 @@ def test_reports_render_as_their_layouts(report):
 
 
 def test_a_report_makes_few_walk_calls(monkeypatch):
-    """The report is filled from one template; the walk writes only its WALK slots, the
-    bad-curve list and ``delta_at_previous_n``: 3 calls."""
+    """The report is filled from its template; the walk writes only the report itself and
+    its one WALK slot, ``delta_at_previous_n``: 2 calls."""
     F2 = Surface.hirzebruch(2)
     report = run_report(F2, parse_character("2:3,8:2", F2))
     expected = render_structured(report)  # warm caches
     calls = []
-    original = rpt._write_json
-    monkeypatch.setattr(rpt, "_write_json", lambda *a: calls.append(1) or original(*a))
+    original = rpt._walked
+    monkeypatch.setattr(rpt, "_walked", lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr(rpt, "_FILLERS", {})  # fillers compiled now call the counted walk
     assert render_structured(report) == expected
     assert len(calls) <= 10  # 29 when the envelope and 87 when every section were walked
 
@@ -540,7 +556,7 @@ def characters_with_c2(c2: int) -> ChernCharacter:
 def test_oversized_record_field_raises_the_interpreters_value_error(monkeypatch):
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no integer-to-string limit")
-    monkeypatch.setattr(rpt, "_TEMPLATES", {})
+    monkeypatch.setattr(rpt, "_FILLERS", {})
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:

@@ -117,12 +117,12 @@ def test_cli_process_loads_argparse_only_for_a_declined_argv(ch, declined):
 @pytest.mark.parametrize(
     "fmt, compiled", [([], False), (["--format", "structured"], True)], ids=["text", "structured"])
 def test_only_a_structured_cli_process_compiles_templates(fmt, compiled):
-    """``render_text`` walks the layouts, so a text request compiles no template and no shape
-    function; a structured one compiles both."""
+    """``render_text`` walks the layouts, so a text request compiles no filler; a
+    structured one compiles some."""
     argv = ["report", "--surface", "F2", "--ch", "2:3,8:2", *fmt]
     probe = ("import sys; from amplecheck import cli, report; "
              f"code = cli.main({argv!r}); "
-             "print(code, len(report._TEMPLATES), len(report._SHAPES), file=sys.stderr)")
+             "print(code, len(report._FILLERS), file=sys.stderr)")
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
@@ -130,32 +130,30 @@ def test_only_a_structured_cli_process_compiles_templates(fmt, compiled):
     name = "structured" if compiled else "text"
     golden = ROOT / "tests" / "golden" / f"report_surface_F2_ch_2_3_8_2_format_{name}.stdout"
     assert (done.returncode, done.stdout) == (0, golden.read_bytes())
-    code, templates, shapes = map(int, done.stderr.split())
-    assert code == 0 and (templates > 0, shapes > 0) == (compiled, compiled)
+    code, fillers = map(int, done.stderr.split())
+    assert code == 0 and (fillers > 0) == compiled
 
 
 def test_a_structured_cli_request_compiles_few_templates():
-    """The report is one record, filled from one spliced template, so a structured F2
-    ``report`` request makes 9 ``eval`` compiles: 3 templates (the report, and the bad
-    curves and ``delta_at_previous_n`` of its WALK slots) and 6 shape functions (the
-    report, 4 of its section records and ``BadCurve``; ``CohomologyTriple``,
-    ``QuickCriterion`` and ``Fraction`` have one shape and compile none).  The
-    ``invariants`` section is the character, laid out by a row table of the report's, so
-    it has no shape function of its own; it made 10 when that section was a record of its
-    own, and 17 when the envelope was walked and each section had its own template."""
+    """A filler is compiled once per record type and pad, so a structured F2 ``report``
+    request makes 8 ``eval`` compiles: the report, whose template inlines its character,
+    invariants and bad curves, its 5 section records and the quick criterion held in an
+    ANY row, and the ``Fraction`` of ``delta_at_previous_n``, written by the walk.  It
+    made 9 when each whole-report shape had its own template and each record type its own
+    shape function, and 17 when the envelope was walked and each section had its own
+    template."""
     argv = ["report", "--surface", "F2", "--ch", "2:3,8:2", "--format", "structured"]
     probe = ("import sys; from amplecheck import cli, report; compiles = []; "
              "report.eval = lambda *a: compiles.append(1) or eval(*a); "
              f"code = cli.main({argv!r}); "
-             "print(code, len(compiles), len(report._TEMPLATES), len(report._SHAPES), "
-             "file=sys.stderr)")
+             "print(code, len(compiles), len(report._FILLERS), file=sys.stderr)")
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
     )
     golden = ROOT / "tests" / "golden" / "report_surface_F2_ch_2_3_8_2_format_structured.stdout"
     assert (done.returncode, done.stdout) == (0, golden.read_bytes())
-    assert list(map(int, done.stderr.split())) == [0, 9, 3, 9]
+    assert list(map(int, done.stderr.split())) == [0, 8, 8]
 
 
 def test_cli_import_compiles_one_constructor_per_template_and_field_count():
