@@ -64,7 +64,8 @@ from fractions import Fraction
 
 from .characters import ChernCharacter
 from .cohomology import nonspecial_all_twists, wbn_applicable
-from .errors import CertificateError, EnumerationLimitError, PreconditionError
+from .errors import (CertificateError, EnumerationLimitError, InvalidCharacterError,
+                     PreconditionError)
 from .positivity import (
     classify_global_generation,
     gg_quick_criterion,
@@ -282,14 +283,16 @@ def _require_kernel_rank(s: int) -> None:
 
 def kernel_character(v: ChernCharacter, n: int, s: int = 2) -> ChernCharacter:
     """Character ``(n*rank + s) * ch O(H) - n * v`` of the hypothetical kernel."""
+    for name, value in (("kernel rank", s), ("multiplier", n)):
+        if not isinstance(value, int):
+            raise InvalidCharacterError(f"the {name} must be a positive integer, got {value}")
+    n, s = int(n), int(s)  # an int subclass (bool) becomes an int, as ranks do
     _require_kernel_rank(s)
     if n < 1:
         raise PreconditionError(f"the multiplier must be positive, got {n}")
     h, pair = v.surface.polarization, v.surface.pair
     copies = n * v.rank + s
     c1, h_squared = copies * h - n * v.c1, pair(h.coords, h.coords)
-    if type(n) is not int or type(s) is not int:  # other rationals go through the checks
-        return ChernCharacter(s, c1, Fraction(copies * h_squared, 2) - n * v.ch2)
     # c(u) = c(O(H))^copies / c(v)^n: c2 = C(copies, 2) H^2 - copies*n c1.H + C(n+1, 2) c1^2 - n c2
     c2 = (copies * (copies - 1) // 2 * h_squared - copies * n * pair(v.c1.coords, h.coords)
           + n * (n + 1) // 2 * pair(v.c1.coords, v.c1.coords) - n * v.c2)

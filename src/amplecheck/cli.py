@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 from . import report as rpt
 from .characters import ChernCharacter, parse_character, parse_log_character
-from .errors import CertificateError, EnumerationLimitError, PreconditionError
+from .errors import CertificateError, PreconditionError
 from .rationals import INTEGER, check_digits
 from .surfaces import parse_surface
 
@@ -138,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         report = rpt.command_report(args.command, v, **options)
         structured = args.format == "structured"
         out = rpt.render_structured(report) if structured else rpt.render_text(report)
-    except (PreconditionError, EnumerationLimitError) as exc:
+    except PreconditionError as exc:  # an EnumerationLimitError among them
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CertificateError as exc:  # a proof obligation failed: a defect, not the input

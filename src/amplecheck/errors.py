@@ -4,7 +4,8 @@ Construction problems (bad lattice data, non-integral Chern classes) are
 ``ValueError`` subclasses so that callers doing plain input validation can
 catch them uniformly.  ``PreconditionError`` is different in kind: the input
 is a perfectly good character, but the hypotheses of the decision procedure
-being invoked do not hold for it.
+being invoked do not hold for it.  An ``EnumerationLimitError`` is a
+``PreconditionError`` whose failing hypothesis is an enumeration's safety cap.
 """
 
 
@@ -28,7 +29,7 @@ class PreconditionError(AmplecheckError):
     """The hypotheses of the requested decision procedure are not satisfied."""
 
 
-class EnumerationLimitError(AmplecheckError):
+class EnumerationLimitError(PreconditionError):
     """An exact enumeration would exceed the safety cap; nothing was truncated."""
 
 

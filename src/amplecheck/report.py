@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from _json import encode_basestring_ascii as _ascii  # json.encoder's C accelerator
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from operator import attrgetter
 
 from .ampleness import (
@@ -149,8 +149,8 @@ def gieseker_report(d: int) -> Report:
 def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
                    direct: bool = False, d: int | None = None) -> Report:
     """The report of the CLI subcommand ``command`` on ``v``, or on ``d`` for ``gieseker``
-    (``v`` None).  It raises what the procedure raises: ``PreconditionError``,
-    ``EnumerationLimitError`` or ``CertificateError``."""
+    (``v`` None).  It raises what the procedure raises: ``PreconditionError`` (an
+    ``EnumerationLimitError`` among them) or ``CertificateError``."""
     if command == "gieseker":
         return gieseker_report(d)
     if command == "bad-curves":
@@ -388,9 +388,9 @@ def _fill(record, pad: str) -> str:
     return fill(record)
 
 
-@cache
+@lru_cache(maxsize=128)  # the library's reports fill 13 keys; a caller's warnings may add more
 def _texts(strs: tuple, pad: str) -> str:
-    """A STRS tuple written on a line at ``pad``: one of a fixed set, so written once."""
+    """A STRS tuple written on a line at ``pad``: mostly one of a fixed set, so written once."""
     return _walked(strs, pad)
 
 

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from .errors import InvalidDivisorError, SurfaceMismatchError
 from .rationals import Rational, check_digits, exact
-from .records import Record, lazy
+from .records import Record
 
 SURFACE_CACHE_SIZE = 64  # surfaces interned by their constructors; ``e`` is user input
 
@@ -53,7 +53,8 @@ class SurfaceKind(Enum):
 
 
 class Surface(Record):
-    """The projective plane or a Hirzebruch surface ``F_e``."""
+    """The projective plane or a Hirzebruch surface ``F_e``, its facts set by the constructor
+    (the unchecked ``_of`` sets none: its one caller, the record-equality test, reads fields)."""
 
     __slots__ = ("kind", "e", "__dict__")
 
@@ -66,6 +67,17 @@ class Surface(Record):
             raise InvalidDivisorError(f"Hirzebruch parameter must be >= 0, got {e}")
         _set_kind(self, kind)
         _set_e(self, int(e))
+        facts = self.__dict__  # set past Record.__setattr__, like a character's ch2
+        facts["is_plane"] = plane = self.kind is SurfaceKind.PROJECTIVE_PLANE
+        facts["name"] = "P2" if plane else f"F{self.e}"
+        facts["basis"] = ("H",) if plane else ("E", "F")
+        facts["zero"] = self.divisor(0) if plane else self.divisor(0, 0)
+        # H, the minimal ample class: the line, or E + (e+1)F
+        facts["polarization"] = self.divisor(1) if plane else self.divisor(1, self.e + 1)
+        # L: the line on the plane, the fiber F on F_e
+        facts["fiber_class"] = self.divisor(1) if plane else self.divisor(0, 1)
+        # K, the canonical class: -3H, or -2E - (e+2)F
+        facts["canonical"] = self.divisor(-3) if plane else self.divisor(-2, -(self.e + 2))
 
     @classmethod
     def projective_plane(cls) -> "Surface":
@@ -77,45 +89,8 @@ class Surface(Record):
             return cls(SurfaceKind.HIRZEBRUCH, e)
         return _interned(SurfaceKind.HIRZEBRUCH, e)
 
-    @lazy
-    def is_plane(self) -> bool:
-        return self.kind is SurfaceKind.PROJECTIVE_PLANE
-
-    @property
-    def name(self) -> str:
-        return "P2" if self.is_plane else f"F{self.e}"
-
-    @lazy
-    def basis(self) -> tuple[str, ...]:
-        return ("H",) if self.is_plane else ("E", "F")
-
     def divisor(self, *coords: Rational) -> "DivisorClass":
         return DivisorClass(self, coords)
-
-    @lazy
-    def zero(self) -> "DivisorClass":
-        return self.divisor(*([0] * len(self.basis)))
-
-    @lazy
-    def polarization(self) -> "DivisorClass":
-        """The minimal ample class H: the line, or ``E + (e+1)F``."""
-        if self.is_plane:
-            return self.divisor(1)
-        return self.divisor(1, self.e + 1)
-
-    @lazy
-    def fiber_class(self) -> "DivisorClass":
-        """The class L: the line on the plane, the fiber F on ``F_e``."""
-        if self.is_plane:
-            return self.divisor(1)
-        return self.divisor(0, 1)
-
-    @lazy
-    def canonical(self) -> "DivisorClass":
-        """The canonical class K: ``-3H``, or ``-2E - (e+2)F``."""
-        if self.is_plane:
-            return self.divisor(-3)
-        return self.divisor(-2, -(self.e + 2))
 
     def pair(self, a: tuple[Rational, ...], b: tuple[Rational, ...]) -> Rational:
         if self.is_plane:

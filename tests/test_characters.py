@@ -292,6 +292,10 @@ class TestTrustedPaths:
     def test_kernel_of_other_rationals_goes_through_the_checks(self):
         with pytest.raises(InvalidCharacterError, match="rank must be a positive integer"):
             kernel_character(TANGENT, 1, Fraction(3))
+        with pytest.raises(InvalidCharacterError,
+                           match="^the multiplier must be a positive integer, got 2$"):
+            kernel_character(TANGENT, Fraction(2))
+        assert kernel_character(TANGENT, True, True + 1) == kernel_character(TANGENT, 1)
 
     def test_sums_across_surfaces_rejected(self):
         with pytest.raises(SurfaceMismatchError):

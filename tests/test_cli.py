@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 from amplecheck import ampleness
 from amplecheck.cli import _canonical, build_parser
 from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
-from amplecheck import Surface, make_character
+from amplecheck import EnumerationLimitError, PreconditionError, Surface, make_character
 from replay import run_cli
 from test_acceptance import CORPUS
 from test_golden import CASES, SKIPPED_SECTIONS
@@ -316,6 +316,10 @@ class TestExitContract:
         assert err == (
             "precondition error: 100004 bad members in one family exceeds the cap 100000\n"
         )
+
+    def test_the_cap_error_is_a_precondition_error(self):
+        # so ``cli.main`` maps exit 3 from one class, as it does exits 1 and 2
+        assert issubclass(EnumerationLimitError, PreconditionError)
 
     def test_failed_obligation_is_one(self, monkeypatch):
         # a failed proof obligation is a defect of amplecheck, not of the input

@@ -413,8 +413,8 @@ def test_text_of_records_is_the_text_of_their_layouts(tree):
 # The five certificate records, the section records of a report and its envelope, each
 # optional field drawn present and absent, and a Skipped entry in each section row but
 # ``invariants``, which holds the character and is never skipped.  Notes, weak Brill-Noether
-# failures and warnings are tuples from the library's fixed sets, as the cache of their
-# written text assumes; every other string is drawn freely.
+# failures and warnings are tuples from the library's fixed sets, as in the library's own
+# reports; every other string is drawn freely.
 KERNEL_NOTE = "the kernel discriminant is nonnegative for every n >= n_min"
 NOTES = st.lists(st.sampled_from([STABILITY_NOTE, GENERAL_MEMBER_NOTE, KERNEL_NOTE]),
                  max_size=3).map(tuple)
@@ -524,6 +524,15 @@ def test_reports_render_as_their_layouts(report):
     sections = [key for key in SECTIONS if getattr(report, key) is not None]
     keys = ["schema_version", "command", *d, "surface", "character", *sections, "verdict"]
     assert list(parse_structured(render_structured(report))) == keys
+
+
+def test_the_cache_of_written_texts_is_bounded():
+    """A caller's own warnings are text tuples outside the library's fixed sets: 1,000
+    distinct ones leave at most 128 written texts cached (1,001 when it had no bound)."""
+    v = parse_character("2:3:1/2", Surface.projective_plane())
+    for i in range(1000):
+        render_structured(Report("invariants", v, "computed", warnings=(f"warning {i}",)))
+    assert rpt._texts.cache_info().currsize <= 128
 
 
 def test_a_report_makes_few_walk_calls(monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -206,6 +208,36 @@ class TestInterning:
         with pytest.raises(InvalidDivisorError):
             Surface.hirzebruch(1.0)
         assert Surface.hirzebruch(True) == F1 and Surface.hirzebruch(True) is not F1
+
+
+FACTS = {"is_plane", "name", "basis", "zero", "polarization", "fiber_class", "canonical"}
+
+
+class TestConstructedFacts:
+    def test_the_constructor_sets_every_fact(self, monkeypatch):
+        surface = Surface(SurfaceKind.HIRZEBRUCH, 7)
+        built = (surface, copy.deepcopy(surface), pickle.loads(pickle.dumps(surface)))
+        assert all(vars(s).keys() == FACTS for s in built)
+        constructed = []
+        check = DivisorClass.__init__
+        monkeypatch.setattr(DivisorClass, "__init__",
+                            lambda self, *fields: constructed.append(1) or check(self, *fields))
+        read = [{fact: getattr(s, fact) for fact in FACTS} for s in built]
+        assert constructed == []  # reading a fact builds no class
+        assert read[0] == read[1] == read[2] and read[0]["canonical"].coords == (-2, -9)
+
+    def test_plane(self):
+        assert (P2.is_plane, P2.name, P2.basis) == (True, "P2", ("H",))
+        assert [d.coords for d in (P2.zero, P2.polarization, P2.fiber_class, P2.canonical)] == (
+            [(0,), (1,), (1,), (-3,)])
+
+    @pytest.mark.parametrize("e", range(6))
+    def test_hirzebruch(self, e):
+        s = Surface.hirzebruch(e)
+        assert (s.is_plane, s.name, s.basis) == (False, f"F{e}", ("E", "F"))
+        classes = (s.zero, s.polarization, s.fiber_class, s.canonical)
+        assert [d.coords for d in classes] == [(0, 0), (1, e + 1), (0, 1), (-2, -(e + 2))]
+        assert all(d.surface is s for d in classes)
 
 
 class TestCanonicalClass:
