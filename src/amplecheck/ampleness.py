@@ -51,10 +51,10 @@ Both procedures raise ``PreconditionError`` through the one gate in
 ``positivity``, ``require_slope_hypotheses`` (``delta >= 0``, then the
 sharp slopes), so a failed hypothesis reads the same from every entry
 point; ``ample_gg_verdict`` records failures in its certificate instead.
-The asymptotic certificate checks each proof obligation on the characters
-it builds (the kernel at ``n_min`` and ``n_min - 1``, its dual twists) and
-raises ``CertificateError`` naming the one that fails; the checks are
-explicit raises, so ``python -O`` keeps them.
+The asymptotic certificate checks each proof obligation on int coordinates
+and on the characters it reports (the kernel at ``n_min`` and ``n_min - 1``,
+its dual twists) and raises ``CertificateError`` naming the one that fails;
+the checks are explicit raises, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .positivity import (
     require_slope_hypotheses,
     slope_conditions,
 )
-from .rationals import ceil_frac
+from .rationals import ceil_frac, quotient
 from .records import Record, lazy
 from .surfaces import (
     DivisorClass,
@@ -266,10 +266,7 @@ def normalize_character(v: ChernCharacter) -> tuple[ChernCharacter, DivisorClass
     if slope <= r:
         raise PreconditionError(f"normalization needs nu.L > 1, got {Fraction(slope, r)}")
     m = -(-slope // r) - 2
-    if surface.is_plane:
-        n = m * surface.polarization
-    else:
-        n = m * surface.divisor(1, surface.e)
+    n = DivisorClass._of(surface, (m,) if surface.is_plane else (m, m * surface.e))
     normalized = v.twist(-n)
     landed = r < normalized.c1.coords[0] <= 2 * r
     _obligation(landed, "normalization lands at rank < c1.L <= 2*rank", v)
@@ -277,26 +274,30 @@ def normalize_character(v: ChernCharacter) -> tuple[ChernCharacter, DivisorClass
 
 
 def _require_kernel_rank(s: int) -> None:
+    if not isinstance(s, int):
+        raise InvalidCharacterError(f"the kernel rank must be a positive integer, got {s}")
     if s < 2:
         raise PreconditionError(f"the kernel construction needs s >= 2, got {s}")
 
 
 def kernel_character(v: ChernCharacter, n: int, s: int = 2) -> ChernCharacter:
     """Character ``(n*rank + s) * ch O(H) - n * v`` of the hypothetical kernel."""
-    for name, value in (("kernel rank", s), ("multiplier", n)):
-        if not isinstance(value, int):
-            raise InvalidCharacterError(f"the {name} must be a positive integer, got {value}")
-    n, s = int(n), int(s)  # an int subclass (bool) becomes an int, as ranks do
     _require_kernel_rank(s)
+    if not isinstance(n, int):
+        raise InvalidCharacterError(f"the multiplier must be a positive integer, got {n}")
     if n < 1:
         raise PreconditionError(f"the multiplier must be positive, got {n}")
-    h, pair = v.surface.polarization, v.surface.pair
-    copies = n * v.rank + s
-    c1, h_squared = copies * h - n * v.c1, pair(h.coords, h.coords)
+    return _kernel(v, int(n), int(s))  # an int subclass (bool) becomes an int, as ranks do
+
+
+def _kernel(v: ChernCharacter, n: int, s: int) -> ChernCharacter:
+    """``kernel_character`` without its checks, for ints ``n >= 1`` and ``s >= 2``."""
+    surface, copies = v.surface, n * v.rank + s
+    h, c1, pair = surface.polarization.coords, v.c1.coords, surface.pair
     # c(u) = c(O(H))^copies / c(v)^n: c2 = C(copies, 2) H^2 - copies*n c1.H + C(n+1, 2) c1^2 - n c2
-    c2 = (copies * (copies - 1) // 2 * h_squared - copies * n * pair(v.c1.coords, h.coords)
-          + n * (n + 1) // 2 * pair(v.c1.coords, v.c1.coords) - n * v.c2)
-    return ChernCharacter._of(s, c1, c2)
+    c2 = (copies * (copies - 1) // 2 * pair(h, h) - copies * n * pair(c1, h)
+          + n * (n + 1) // 2 * v._c1_squared - n * v.c2)
+    return ChernCharacter._of(s, v.c1._with(tuple(copies * x - n * a for x, a in zip(h, c1))), c2)
 
 
 def multiplier_lower_bound(v: ChernCharacter, s: int = 2) -> Fraction:
@@ -308,12 +309,12 @@ def multiplier_lower_bound(v: ChernCharacter, s: int = 2) -> Fraction:
     ``Q = (c1 - rank*H)^2`` and ``2 rank^2 delta = (1-rank) c1^2 + 2 rank c2``.
     """
     _require_kernel_rank(s)
-    r, h, pair = v.rank, v.surface.polarization, v.surface.pair
-    c = v.c1 - r * h
-    if not is_big_and_nef(c):
+    r, h, surface = v.rank, v.surface.polarization, v.surface
+    c = tuple(a - r * x for a, x in zip(v.c1.coords, h.coords))
+    if not is_big_and_nef(DivisorClass._of(surface, c)):
         raise PreconditionError(f"nu - H = {v.nu - h} is not big and nef")
-    q = pair(c.coords, c.coords)
-    twice_delta = (1 - r) * pair(v.c1.coords, v.c1.coords) + 2 * r * v.c2  # 2 rank^2 delta
+    q = surface.pair(c, c)
+    twice_delta = (1 - r) * v._c1_squared + 2 * r * v.c2  # 2 rank^2 delta
     return Fraction(s * (twice_delta - q), r * q)
 
 
@@ -375,11 +376,12 @@ def asymptotic_ample_certificate(
         base, twist_used = v, surface.zero
     else:
         base, twist_used = normalize_character(v)
-    h = surface.polarization
-    ell = surface.fiber_class
-    b = base.nu - h
+    h, r = surface.polarization, base.rank
+    h_minus_l = h - surface.fiber_class
+    c = tuple(a - r * x for a, x in zip(base.c1.coords, h.coords))  # rank*B
+    b = DivisorClass._of(surface, tuple(quotient(x, r) for x in c))
 
-    chi_dual_twist = base.dual().twisted_chi(h - ell)
+    chi_dual_twist = base.dual().twisted_chi(h_minus_l)
     if chi_dual_twist > 0:
         raise PreconditionError(
             f"chi(v*(H-L)) = {chi_dual_twist} > 0 for {base}: the quotient "
@@ -388,20 +390,20 @@ def asymptotic_ample_certificate(
 
     bound = multiplier_lower_bound(base, s)
     n_min = max(1, ceil_frac(bound))
-    kernel = kernel_character(base, n_min, s)
+    kernel = _kernel(base, n_min, s)
     _obligation(kernel.delta >= 0, "kernel delta >= 0 at n_min", base)
     delta_prev = None
     if n_min > 1:
-        delta_prev = kernel_character(base, n_min - 1, s).delta
+        delta_prev = _kernel(base, n_min - 1, s).delta
         _obligation(delta_prev < 0, "kernel delta < 0 at n_min - 1", base)
 
     kernel_dual = kernel.dual()
     kernel_dual_polarized = kernel_dual.twist(h)
     # nu(u*(H)) = (n_min*rank/s)*B, multiplied through by s
-    same_nu = kernel_dual_polarized.c1 == n_min * (base.c1 - base.rank * h)
+    same_nu = kernel_dual_polarized.c1.coords == tuple(n_min * x for x in c)
     _obligation(same_nu, "nu(u*(H)) = (n_min*rank/s)*B", base)
     kernel_twist_gg = gg_quick_criterion(kernel_dual_polarized)
-    kernel_dual_twist = kernel_dual.twist(h - ell)
+    kernel_dual_twist = kernel_dual.twist(h_minus_l)
     wbn_kernel = wbn_applicable(kernel_dual_twist)
     chi_kernel_dual_twist = kernel_dual_twist.euler_characteristic()
     same_chi = chi_kernel_dual_twist == -n_min * chi_dual_twist

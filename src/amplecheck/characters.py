@@ -4,13 +4,13 @@ A character is held as the integers ``(rank, c1, c2)``: positive rank,
 integral ``c1`` (``int`` coordinates, see ``surfaces``) and the second Chern
 class.  The constructor keeps its signature ``ChernCharacter(rank, c1, ch2)``
 and checks that ``c2 = c1^2/2 - ch2`` is an integer; ``repr`` shows ``c2``.
-Twists, duals, multiples, sums and kernels compute ``c2`` in ints from the
-total Chern class and skip the checks (``Record._of``).  ``Fraction``s
-appear only where a quotient may leave the integers: ``ch2``, ``mu``,
-``nu`` and ``delta``.  No verdict is decided on ``nu``: a slope test
-``nu.C > t`` is the integer comparison ``c1.C > t*rank``, and its reported
-margin is built once, as ``Fraction(c1.C - t*rank, rank)``.  The
-logarithmic invariants
+Multiples and sums compute ``c2`` in ints from the total Chern class;
+twists, duals and kernels build ``c1`` and ``c2`` in ints.  All skip the
+checks (``Record._of``).  ``Fraction``s appear only where a quotient may
+leave the integers: ``ch2``, ``mu``, ``nu`` and ``delta``.  No verdict is
+decided on ``nu``: a slope test ``nu.C > t`` is the integer comparison
+``c1.C > t*rank``, and its reported margin is built once, as
+``Fraction(c1.C - t*rank, rank)``.  The logarithmic invariants
 
     mu = (c1.H) / (rank * H^2),   nu = c1 / rank,
     delta = nu^2 / 2 - ch2 / rank
@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidCharacterError, InvalidDivisorError
-from .rationals import INTEGER, Rational, check_digits, parse_rational, rat
+from .rationals import INTEGER, Rational, check_digits, parse_rational, quotient, rat
 from .records import Record, lazy
 from .surfaces import DivisorClass, Surface
 
@@ -89,7 +89,7 @@ class ChernCharacter(Record):
     @lazy
     def nu(self) -> DivisorClass:
         rank = self.rank
-        return DivisorClass(self.surface, tuple(Fraction(c, rank) for c in self.c1.coords))
+        return DivisorClass._of(self.surface, tuple(quotient(c, rank) for c in self.c1.coords))
 
     @lazy
     def mu(self) -> Fraction:
@@ -129,9 +129,9 @@ class ChernCharacter(Record):
     def twist(self, d: DivisorClass) -> "ChernCharacter":
         """Tensor with the line bundle O(d), d integral: ``c2 + (r-1) c1.d + C(r, 2) d^2``."""
         x = self._integral_coords(d)
-        r, pair = self.rank, self.surface.pair
-        c2 = self.c2 + (r - 1) * pair(self.c1.coords, x) + r * (r - 1) // 2 * pair(x, x)
-        return _trusted(r, self.c1 + r * d, c2)
+        r, c1, pair = self.rank, self.c1.coords, self.surface.pair
+        c2 = self.c2 + (r - 1) * pair(c1, x) + r * (r - 1) // 2 * pair(x, x)
+        return _trusted(r, self.c1._with(tuple(a + r * b for a, b in zip(c1, x))), c2)
 
     def dual(self) -> "ChernCharacter":
         return _trusted(self.rank, -self.c1, self.c2)

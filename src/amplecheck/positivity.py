@@ -51,7 +51,7 @@ from fractions import Fraction
 from .characters import ChernCharacter
 from .errors import PreconditionError
 from .records import Record
-from .surfaces import is_big_and_nef, is_nef, ruling_degrees
+from .surfaces import is_nef, ruling_degrees
 
 
 def is_tangent_bundle(v: ChernCharacter) -> bool:
@@ -290,7 +290,7 @@ def gg_quick_criterion(v: ChernCharacter) -> bool:
     bundle fails to be globally generated.  Requires the classification's
     hypotheses and ``nu`` big and nef.
     """
-    _require_gg_hypotheses(v)
-    if not is_big_and_nef(v.c1):
+    _require_gg_hypotheses(v)  # which tests nefness on F_e, not on the plane
+    if v._c1_squared <= 0 or v.surface.is_plane and not is_nef(v.c1):
         raise PreconditionError(f"nu = {v.nu} is not big and nef")
     return v.twisted_chi(-v.surface.fiber_class) >= 0

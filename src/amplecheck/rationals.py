@@ -50,6 +50,11 @@ def exact(value: Rational) -> Rational:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def quotient(p: int, q: int) -> Rational:
+    """The exact rational ``p/q`` of two ints, ``q > 0``: an ``int`` when q divides p."""
+    return p // q if p % q == 0 else Fraction(p, q)
+
+
 def ceil_frac(value: Rational) -> int:
     """Smallest integer >= value, exactly."""
     q = exact(value)

@@ -69,7 +69,10 @@ class Surface(Record):
         _set_e(self, int(e))
         facts = self.__dict__  # set past Record.__setattr__, like a character's ch2
         facts["is_plane"] = plane = self.kind is SurfaceKind.PROJECTIVE_PLANE
-        facts["name"] = "P2" if plane else f"F{self.e}"
+        try:  # writing e is bounded by the interpreter's integer-to-string limit
+            facts["name"] = "P2" if plane else f"F{self.e}"
+        except ValueError as limit:  # the interpreter's text names its limit
+            raise InvalidDivisorError(f"Hirzebruch parameter e: {limit}") from None
         facts["basis"] = ("H",) if plane else ("E", "F")
         facts["zero"] = self.divisor(0) if plane else self.divisor(0, 0)
         # H, the minimal ample class: the line, or E + (e+1)F
@@ -145,8 +148,8 @@ class DivisorClass(Record):
 
     def _with(self, coords: tuple[Rational, ...]) -> "DivisorClass":
         """A class on this surface; ``int`` coordinates need no normalising."""
-        d = _trusted_class(self.surface, coords)
-        return d if d.is_integral else DivisorClass(self.surface, coords)
+        integral = type(coords[0]) is int and type(coords[-1]) is int
+        return (_trusted_class if integral else DivisorClass)(self.surface, coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_same_surface(other)

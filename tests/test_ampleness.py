@@ -5,8 +5,11 @@ import pytest
 
 from amplecheck import (
     CertificateError,
+    ChernCharacter,
+    InvalidCharacterError,
     PreconditionError,
     Surface,
+    WbnApplicability,
     ample_gg_verdict,
     asymptotic_ample_certificate,
     classify_global_generation,
@@ -378,6 +381,21 @@ class TestKernelCharacter:
             multiplier_lower_bound(INTRO, 1)
 
 
+@pytest.mark.parametrize("s", [2.5, Fraction(3)], ids=["float", "fraction"])
+@pytest.mark.parametrize(
+    "entry",
+    [asymptotic_ample_certificate, multiplier_lower_bound, effective_n_bound,
+     lambda v, s: kernel_character(v, 1, s)],
+    ids=["certificate", "bound", "n_bound", "kernel"],
+)
+def test_every_entry_point_rejects_a_kernel_rank_that_is_not_an_int(entry, s):
+    """The certificate ended in a bare ``TypeError`` on 2.5 and ``effective_n_bound``
+    returned 3 for ``Fraction(3)``, which ``kernel_character`` rejected."""
+    with pytest.raises(InvalidCharacterError) as exc:
+        entry(gieseker_character(12), s)
+    assert str(exc.value) == f"the kernel rank must be a positive integer, got {s}"
+
+
 class TestEffectiveBound:
     def test_gieseker_direct_bounds(self):
         for d in range(4, 51):
@@ -493,6 +511,41 @@ class TestAsymptoticCertificate:
         monkeypatch.setattr(ampleness, "multiplier_lower_bound", lambda v, s=2: bound(v, s) + 1)
         with pytest.raises(CertificateError, match=r"kernel delta < 0 at n_min - 1$"):
             asymptotic_ample_certificate(INTRO)
+
+    @staticmethod
+    def _obligation_fails(v, obligation):
+        """The certificate of ``INTRO`` raises the text of ``obligation`` failing for ``v``."""
+        with pytest.raises(CertificateError) as exc:
+            asymptotic_ample_certificate(INTRO)
+        assert str(exc.value) == f"certificate obligation fails for {v}: {obligation}"
+
+    def test_a_twist_one_h_high_breaks_the_normalization_obligation(self, monkeypatch):
+        twist = ChernCharacter.twist
+        monkeypatch.setattr(
+            ChernCharacter, "twist", lambda u, d: twist(u, d + u.surface.polarization))
+        self._obligation_fails(INTRO, "normalization lands at rank < c1.L <= 2*rank")
+
+    def test_a_kernel_twisted_by_l_breaks_the_nu_obligation(self, monkeypatch):
+        # a twist keeps delta, so both delta obligations still hold
+        base, kernel = normalize_character(INTRO)[0], ampleness._kernel
+        monkeypatch.setattr(
+            ampleness, "_kernel", lambda v, n, s: kernel(v, n, s).twist(v.surface.fiber_class))
+        self._obligation_fails(base, "nu(u*(H)) = (n_min*rank/s)*B")
+
+    def test_a_chi_one_unit_high_breaks_the_chi_obligation(self, monkeypatch):
+        base = normalize_character(INTRO)[0]
+        monkeypatch.setattr(ChernCharacter, "euler_characteristic", lambda u: u._chi + 1)
+        self._obligation_fails(base, "chi(u*(H-L)) = -n_min*chi(v*(H-L))")
+
+    @pytest.mark.parametrize("name, silent", [
+        ("gg_quick_criterion", lambda u: False),
+        ("wbn_applicable", lambda u: WbnApplicability(False)),
+    ])
+    def test_a_silent_flag_breaks_the_flags_obligation(self, monkeypatch, name, silent):
+        base = normalize_character(INTRO)[0]
+        monkeypatch.setattr(ampleness, name, silent)
+        self._obligation_fails(
+            base, "chi(u*(H-L)) >= 0 with the weak Brill-Noether and gg flags")
 
 
 class TestGiesekerCharacter:

@@ -26,6 +26,7 @@ from amplecheck import (
     wbn_applicable,
     wbn_cohomology,
 )
+from amplecheck import positivity, surfaces
 from amplecheck.positivity import is_tangent_bundle
 from conftest import ALL_SURFACES, characters, random_valid_character
 from oracles import fulton_lazarsfeld_margin, slope_conditions_oracle, tangent_bundle_character
@@ -354,6 +355,16 @@ def test_quick_criterion_gate_messages(surface, ch, message):
     with pytest.raises(PreconditionError) as exc:
         gg_quick_criterion(parse_character(ch, parse_surface(surface)))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("surface, ch", [("F2", "2:3,8:2"), ("P2", "2:4:0")])
+def test_quick_criterion_tests_nefness_once(monkeypatch, surface, ch):
+    """On F_e the gate has tested nefness, so the bigness test does not test it again:
+    F2 made 2 ``is_nef`` calls before, the gate's and ``is_big_and_nef``'s."""
+    v, calls, original = parse_character(ch, parse_surface(surface)), [], surfaces.is_nef
+    for module in (surfaces, positivity):  # positivity binds the name at import
+        monkeypatch.setattr(module, "is_nef", lambda d: calls.append(d) or original(d))
+    assert gg_quick_criterion(v) and calls == [v.c1]
 
 
 def test_tangent_character_helper():

@@ -38,6 +38,7 @@ from amplecheck import (
     SurfaceMismatchError,
     WbnApplicability,
     ample_gg_verdict,
+    asymptotic_ample_certificate,
     classify_global_generation,
     enumerate_bad_curves,
     make_character,
@@ -220,6 +221,17 @@ def test_a_report_makes_few_fractions(monkeypatch, e, text, most):
     counts = _count_fractions(monkeypatch)
     assert render_structured(run_report(surface, parse_character(text, surface))) == expected
     assert counts[Fraction] <= most
+
+
+def test_a_certificate_makes_few_fractions_and_validates_nothing(monkeypatch):
+    """``c1 - rank*H``, ``B``, the kernels, twists and duals are built in ints: one F2
+    certificate made 13 Fractions and 4 validated divisors before."""
+    F2 = Surface.hirzebruch(2)
+    expected = asymptotic_ample_certificate(parse_character("2:3,8:2", F2))  # warm caches
+    v = parse_character("2:3,8:2", F2)
+    fractions, validated = _count_fractions(monkeypatch), _count_validated(monkeypatch)
+    assert asymptotic_ample_certificate(v) == expected
+    assert fractions[Fraction] <= 9 and validated[DivisorClass] == validated[ChernCharacter] == 0
 
 
 def test_b_squared_is_computed_once_per_report(monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -208,6 +209,20 @@ class TestInterning:
         with pytest.raises(InvalidDivisorError):
             Surface.hirzebruch(1.0)
         assert Surface.hirzebruch(True) == F1 and Surface.hirzebruch(True) is not F1
+
+    def test_a_parameter_that_cannot_be_written_is_an_invalid_divisor(self):
+        """Writing ``name`` raised the interpreter's bare ``ValueError``; the error now
+        carries the interpreter's text, which names its digit limit."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no integer-to-string limit")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default
+        try:
+            with pytest.raises(InvalidDivisorError, match=(
+                    r"^Hirzebruch parameter e: Exceeds the limit \(4300( digits)?\) for integer")):
+                Surface.hirzebruch(10**5000)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 FACTS = {"is_plane", "name", "basis", "zero", "polarization", "fiber_class", "canonical"}
