@@ -116,8 +116,10 @@ def dimension_count(v: ChernCharacter, curve: DivisorClass) -> BadCurve:
     """
     if not is_irreducible_curve_class(curve):
         raise PreconditionError(f"{curve} is not an irreducible curve class")
-    chi = v.twisted_chi(v.surface.canonical + curve)
-    c = v.surface.pair(v.c1.coords, curve.coords) - v.rank + 1
+    v.c1._check_same_surface(curve)
+    surface, x = v.surface, curve.coords
+    chi = v._chi_at(tuple(k + a for k, a in zip(surface.canonical.coords, x)))  # chi(v(K+D))
+    c = surface.pair(v.c1.coords, x) - v.rank + 1
     return BadCurve(curve, chi, h0_line_bundle(curve) - 1, c)
 
 
@@ -227,7 +229,7 @@ def ample_gg_verdict(v: ChernCharacter) -> AmpleGGCertificate:
 
     if v.rank < 2:
         return fail("rank: the verdict is for bundles of rank at least 2")
-    if v.delta < 0:
+    if v.delta.numerator < 0:
         return fail("bogomolov: delta < 0 admits no semistable bundle")
     if not all(c.holds for c in conditions):
         if is_tangent_bundle(v):
@@ -300,6 +302,12 @@ def _kernel(v: ChernCharacter, n: int, s: int) -> ChernCharacter:
     return ChernCharacter._of(s, v.c1._with(tuple(copies * x - n * a for x, a in zip(h, c1))), c2)
 
 
+def _bound(v: ChernCharacter, s: int, q: int) -> Fraction:
+    """``s*(2 rank^2 delta - Q) / (rank*Q)`` for ``Q = (c1 - rank*H)^2 > 0``, in ints."""
+    r = v.rank
+    return Fraction(s * ((1 - r) * v._c1_squared + 2 * r * v.c2 - q), r * q)
+
+
 def multiplier_lower_bound(v: ChernCharacter, s: int = 2) -> Fraction:
     """Exact rational bound: ``delta(kernel) >= 0`` iff n is at least this.
 
@@ -313,9 +321,7 @@ def multiplier_lower_bound(v: ChernCharacter, s: int = 2) -> Fraction:
     c = tuple(a - r * x for a, x in zip(v.c1.coords, h.coords))
     if not is_big_and_nef(DivisorClass._of(surface, c)):
         raise PreconditionError(f"nu - H = {v.nu - h} is not big and nef")
-    q = surface.pair(c, c)
-    twice_delta = (1 - r) * v._c1_squared + 2 * r * v.c2  # 2 rank^2 delta
-    return Fraction(s * (twice_delta - q), r * q)
+    return _bound(v, s, surface.pair(c, c))
 
 
 def effective_n_bound(v: ChernCharacter, s: int = 2) -> int:
@@ -352,10 +358,9 @@ class AsymptoticCertificate(Record):
 
     @lazy
     def b_squared(self) -> Fraction:
-        """``B^2``, as ``(c1 - rank*H)^2 / rank^2`` of the base, in ints."""
-        r, surface = self.base.rank, self.base.surface
-        c = tuple(a - r * x for a, x in zip(self.base.c1.coords, surface.polarization.coords))
-        return Fraction(surface.pair(c, c), r * r)
+        """``B^2``: the builder sets it from ``(c1 - rank*H)^2``, as a character's constructor
+        sets ``ch2``; a certificate built otherwise reads it from ``B``."""
+        return self.b.self_intersection
 
 
 def asymptotic_ample_certificate(
@@ -378,7 +383,9 @@ def asymptotic_ample_certificate(
         base, twist_used = normalize_character(v)
     h, r = surface.polarization, base.rank
     h_minus_l = h - surface.fiber_class
-    c = tuple(a - r * x for a, x in zip(base.c1.coords, h.coords))  # rank*B
+    # rank*B, big and nef: the slope hypotheses hold for v and so for base
+    c = tuple(a - r * x for a, x in zip(base.c1.coords, h.coords))
+    q = surface.pair(c, c)
     b = DivisorClass._of(surface, tuple(quotient(x, r) for x in c))
 
     chi_dual_twist = base.dual().twisted_chi(h_minus_l)
@@ -388,14 +395,14 @@ def asymptotic_ample_certificate(
             "construction does not apply un-normalized; use the normalized mode"
         )
 
-    bound = multiplier_lower_bound(base, s)
+    bound = _bound(base, s, q)
     n_min = max(1, ceil_frac(bound))
     kernel = _kernel(base, n_min, s)
-    _obligation(kernel.delta >= 0, "kernel delta >= 0 at n_min", base)
+    _obligation(kernel.delta.numerator >= 0, "kernel delta >= 0 at n_min", base)
     delta_prev = None
     if n_min > 1:
         delta_prev = _kernel(base, n_min - 1, s).delta
-        _obligation(delta_prev < 0, "kernel delta < 0 at n_min - 1", base)
+        _obligation(delta_prev.numerator < 0, "kernel delta < 0 at n_min - 1", base)
 
     kernel_dual = kernel.dual()
     kernel_dual_polarized = kernel_dual.twist(h)
@@ -420,7 +427,7 @@ def asymptotic_ample_certificate(
             "an ample bundle for the normalized character twists back to an "
             "ample bundle for the character as given"
         )
-    return AsymptoticCertificate(
+    certificate = AsymptoticCertificate(
         "direct" if direct else "normalized",
         base,
         twist_used,
@@ -438,6 +445,8 @@ def asymptotic_ample_certificate(
         conditions,
         tuple(notes),
     )
+    certificate.__dict__["b_squared"] = Fraction(q, r * r)
+    return certificate
 
 
 def gieseker_character(d: int) -> ChernCharacter:

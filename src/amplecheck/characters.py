@@ -8,17 +8,19 @@ Multiples and sums compute ``c2`` in ints from the total Chern class;
 twists, duals and kernels build ``c1`` and ``c2`` in ints.  All skip the
 checks (``Record._of``).  ``Fraction``s appear only where a quotient may
 leave the integers: ``ch2``, ``mu``, ``nu`` and ``delta``.  No verdict is
-decided on ``nu``: a slope test ``nu.C > t`` is the integer comparison
+decided on them: a slope test ``nu.C > t`` is the integer comparison
 ``c1.C > t*rank``, and its reported margin is built once, as
-``Fraction(c1.C - t*rank, rank)``.  The logarithmic invariants
+``Fraction(c1.C - t*rank, rank)``; a sign test, ``delta >= 0``, reads the
+numerator, as denominators are positive.  The logarithmic invariants
 
     mu = (c1.H) / (rank * H^2),   nu = c1 / rank,
     delta = nu^2 / 2 - ch2 / rank
 
 are invariant under scaling the character, and ``delta`` is additionally
-invariant under twisting by any divisor class; each is computed once per
-character.  Riemann-Roch, ``chi = rank * (P(nu) - delta)`` with ``P`` the
-Hilbert polynomial of the structure sheaf, is evaluated in integers:
+invariant under twists and duals, which carry it once computed; each is
+computed once per character.  Riemann-Roch, ``chi = rank * (P(nu) - delta)``
+with ``P`` the Hilbert polynomial of the structure sheaf, is evaluated in
+integers:
 
     chi(v) = rank + (c1^2 - c1.K)/2 - c2,
 
@@ -27,7 +29,8 @@ and the Euler characteristic of a twist is the integer quadratic
     chi(v(D)) = chi(v) + c1.D + rank * (D^2 - D.K)/2
 
 in the coordinates of ``D`` (``D^2 - D.K`` is even for integral ``D`` by
-the adjunction formula), so no twisted character needs to be built.
+the adjunction formula), so no twisted character needs to be built; the
+library passes its own ``-D`` and ``K + D`` as int tuples to ``_chi_at``.
 
 The canonical textual form used by the CLI and reports is ``r:c1:ch2`` with
 ``c1`` rendered as ``a`` (plane) or ``a,b`` (meaning ``aE + bF``) and
@@ -116,25 +119,31 @@ class ChernCharacter(Record):
         self.c1._check_same_surface(d)
         return d.coords
 
+    def _chi_at(self, x: tuple[int, ...]) -> int:
+        """``chi(v(x))`` for the int coordinates x of a class on this surface, unchecked."""
+        s = self.surface
+        return self._chi + s.pair(self.c1.coords, x) + self.rank * _adjunction_form(s, x) // 2
+
     def twisted_chi(self, d: DivisorClass) -> int:
         """``chi(v(d))`` for integral d, without building the twisted character."""
-        x = self._integral_coords(d)
-        surface = self.surface
-        return (
-            self._chi
-            + surface.pair(self.c1.coords, x)
-            + self.rank * _adjunction_form(surface, x) // 2
-        )
+        return self._chi_at(self._integral_coords(d))
+
+    def _keeping_delta(self, w: "ChernCharacter") -> "ChernCharacter":
+        """``w``, a twist or dual of this character, given this one's ``delta`` if computed."""
+        if "delta" in self.__dict__:
+            w.__dict__["delta"] = self.__dict__["delta"]
+        return w
 
     def twist(self, d: DivisorClass) -> "ChernCharacter":
         """Tensor with the line bundle O(d), d integral: ``c2 + (r-1) c1.d + C(r, 2) d^2``."""
         x = self._integral_coords(d)
         r, c1, pair = self.rank, self.c1.coords, self.surface.pair
         c2 = self.c2 + (r - 1) * pair(c1, x) + r * (r - 1) // 2 * pair(x, x)
-        return _trusted(r, self.c1._with(tuple(a + r * b for a, b in zip(c1, x))), c2)
+        return self._keeping_delta(
+            _trusted(r, self.c1._with(tuple(a + r * b for a, b in zip(c1, x))), c2))
 
     def dual(self) -> "ChernCharacter":
-        return _trusted(self.rank, -self.c1, self.c2)
+        return self._keeping_delta(_trusted(self.rank, -self.c1, self.c2))
 
     def scale(self, n: int) -> "ChernCharacter":
         if not isinstance(n, int) or n < 1:

@@ -63,7 +63,7 @@ class CohomologyTriple(Record):
 
 def wbn_applicable(v: ChernCharacter) -> WbnApplicability:
     """Check the weak Brill-Noether hypotheses for the character ``v``."""
-    delta_ok = v.delta >= 0
+    delta_ok = v.delta.numerator >= 0
     if v.surface.is_plane:
         return WbnApplicability(delta_ok)
     fiber, section = ruling_degrees(v.c1)
@@ -97,11 +97,11 @@ class NonspecialTrace(Record):
 
     @property
     def holds(self) -> bool:
-        if self.delta < 0:
+        if self.delta.numerator < 0:  # signs read on numerators: denominators are positive
             return False
-        if self.fiber_margin is not None and self.fiber_margin <= 0:
+        if self.fiber_margin is not None and self.fiber_margin.numerator <= 0:
             return False
-        if self.section_margin is not None and self.section_margin < 0:
+        if self.section_margin is not None and self.section_margin.numerator < 0:
             return False
         return True
 

@@ -40,7 +40,9 @@ are scale-invariant, so they are tested on ``c1`` in place of ``nu``.  A
 margin is built once, as ``Fraction(pairing - threshold, rank)``, and
 equals the slope's distance from its threshold.  The Fulton-Lazarsfeld
 margin is ``(c1^2 - c2) / (rank*(rank+1))``: put ``2 rank^2 delta =
-(1-rank) c1^2 + 2 rank c2`` into ``nu^2/2 - delta/(rank+1)``.
+(1-rank) c1^2 + 2 rank c2`` into ``nu^2/2 - delta/(rank+1)``.  A sign test
+on a ``Fraction`` (``delta``, a margin) reads its numerator, as denominators
+are positive; the twists ``-D`` and ``-L`` below are int coordinate tuples.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def slope_conditions(v: ChernCharacter, *, asymptotic: bool = False) -> tuple[Co
 
 def require_nonnegative_delta(v: ChernCharacter) -> None:
     """The Bogomolov gate: semistability forces ``delta >= 0``."""
-    if v.delta < 0:
+    if v.delta.numerator < 0:
         raise PreconditionError(f"delta = {v.delta} < 0: no semistable bundle exists")
 
 
@@ -148,9 +150,9 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
     # fulton_lazarsfeld_margin of tests/oracles.py, in ints
     fl_margin = Fraction(v._c1_squared - v.c2, r * (r + 1))
     conditions: list[Condition] = [
-        Condition("bogomolov", "delta >= 0", delta >= 0, delta),
+        Condition("bogomolov", "delta >= 0", delta.numerator >= 0, delta),
         Condition(
-            "fulton-lazarsfeld", "nu^2/2 > delta/(rank+1)", fl_margin > 0, fl_margin
+            "fulton-lazarsfeld", "nu^2/2 > delta/(rank+1)", fl_margin.numerator > 0, fl_margin
         ),
     ]
     if surface.is_plane:
@@ -217,9 +219,9 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
 
     Requires ``delta >= 0`` and rank >= 2 (and ``nu`` nef on Hirzebruch
     surfaces).  The branch on the surface picks the ladder's data: the
-    degeneracy test, the twist classes (the first is reported as
-    ``chi_twist``), the ``c1`` of the special character ``(rank, c1, -2)``
-    and the texts.
+    degeneracy test, the coordinates of the twists ``-D`` (the first is
+    reported as ``chi_twist``), the ``c1`` of the special character
+    ``(rank, c1, -2)`` and the texts.
     """
     _require_gg_hypotheses(v)
     surface = v.surface
@@ -231,7 +233,7 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
         if coords[0] < 0:
             return GGClassification(False, failed_condition="negative slope", chi=chi)
         degenerate = coords[0] == 0
-        twists = (surface.polarization,)
+        twists = ((-1,),)  # -H
         special = ((2,), "chi(v) = rank + 1 and v = (rank+1) ch O - ch O(-2H)")
         near_miss = "chi(v) = rank + 1 but v is not the special character"
         balanced, unbalanced, twisted, neither = (
@@ -244,7 +246,7 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
         fiber_degree, section_degree = ruling_degrees(v.c1)
         if surface.e == 0:
             degenerate = fiber_degree == 0 or section_degree == 0
-            twists = (surface.fiber_class, surface.divisor(1, 0))
+            twists = ((0, -1), (-1, 0))  # -F, -E
             balanced, unbalanced, twisted, neither = (
                 "balanced sum of line bundles along a ruling",
                 "degenerate slope but not a balanced sum along a ruling",
@@ -253,7 +255,7 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
             )
         else:
             degenerate = fiber_degree == 0
-            twists = (surface.fiber_class,)
+            twists = ((0, -1),)  # -F
             if surface.e == 1:
                 special = ((2, 2), "chi(v) = rank + 1 and v = (rank+1) ch O - ch O(-2E-2F)")
             balanced, unbalanced, twisted, neither = (
@@ -270,7 +272,7 @@ def classify_global_generation(v: ChernCharacter) -> GGClassification:
             split = divmod(sum(coords), r)
             return GGClassification(True, 1, balanced, chi=chi, balanced_split=split)
         return GGClassification(False, failed_condition=unbalanced, chi=chi)
-    chis = [v.twisted_chi(-d) for d in twists]
+    chis = [v._chi_at(x) for x in twists]
     measured = dict(zip(("chi_twist", "chi_twist_second"), chis), chi=chi)
     if max(chis) >= 0:
         return GGClassification(True, 2, twisted, **measured)
@@ -293,4 +295,4 @@ def gg_quick_criterion(v: ChernCharacter) -> bool:
     _require_gg_hypotheses(v)  # which tests nefness on F_e, not on the plane
     if v._c1_squared <= 0 or v.surface.is_plane and not is_nef(v.c1):
         raise PreconditionError(f"nu = {v.nu} is not big and nef")
-    return v.twisted_chi(-v.surface.fiber_class) >= 0
+    return v._chi_at((-1,) if v.surface.is_plane else (0, -1)) >= 0  # chi(v(-L))

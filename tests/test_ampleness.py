@@ -9,6 +9,7 @@ from amplecheck import (
     InvalidCharacterError,
     PreconditionError,
     Surface,
+    SurfaceMismatchError,
     WbnApplicability,
     ample_gg_verdict,
     asymptotic_ample_certificate,
@@ -196,6 +197,11 @@ class TestDimensionCount:
     def test_rejects_reducible_classes(self):
         with pytest.raises(PreconditionError):
             dimension_count(INTRO, P2.divisor(0))
+
+    def test_rejects_a_curve_on_another_surface(self):
+        with pytest.raises(SurfaceMismatchError) as exc:
+            dimension_count(INTRO, F1.divisor(0, 1))
+        assert str(exc.value) == "cannot combine classes on P2 and F1"
 
 
 class TestSplittingCodim:
@@ -500,24 +506,23 @@ class TestAsymptoticCertificate:
         v = make_character(2, F2.divisor(3, 8), 2)
         assert asymptotic_ample_certificate(v) == asymptotic_ample_certificate(v)
 
-    def test_bound_one_unit_low_breaks_the_kernel_delta_obligation(self, monkeypatch):
-        bound = ampleness.multiplier_lower_bound
-        monkeypatch.setattr(ampleness, "multiplier_lower_bound", lambda v, s=2: bound(v, s) - 1)
-        with pytest.raises(CertificateError, match=r"kernel delta >= 0 at n_min$"):
-            asymptotic_ample_certificate(INTRO)  # n_min 6 -> 5, where delta(u) = -5/8
-
-    def test_bound_one_unit_high_breaks_the_minimality_obligation(self, monkeypatch):
-        bound = ampleness.multiplier_lower_bound
-        monkeypatch.setattr(ampleness, "multiplier_lower_bound", lambda v, s=2: bound(v, s) + 1)
-        with pytest.raises(CertificateError, match=r"kernel delta < 0 at n_min - 1$"):
-            asymptotic_ample_certificate(INTRO)
-
     @staticmethod
     def _obligation_fails(v, obligation):
         """The certificate of ``INTRO`` raises the text of ``obligation`` failing for ``v``."""
         with pytest.raises(CertificateError) as exc:
             asymptotic_ample_certificate(INTRO)
         assert str(exc.value) == f"certificate obligation fails for {v}: {obligation}"
+
+    # the certificate takes its bound from ampleness._bound, which multiplier_lower_bound shares
+    def test_bound_one_unit_low_breaks_the_kernel_delta_obligation(self, monkeypatch):
+        base, bound = normalize_character(INTRO)[0], ampleness._bound
+        monkeypatch.setattr(ampleness, "_bound", lambda v, s, q: bound(v, s, q) - 1)
+        self._obligation_fails(base, "kernel delta >= 0 at n_min")  # n_min 6 -> 5: delta -5/8
+
+    def test_bound_one_unit_high_breaks_the_minimality_obligation(self, monkeypatch):
+        base, bound = normalize_character(INTRO)[0], ampleness._bound
+        monkeypatch.setattr(ampleness, "_bound", lambda v, s, q: bound(v, s, q) + 1)
+        self._obligation_fails(base, "kernel delta < 0 at n_min - 1")
 
     def test_a_twist_one_h_high_breaks_the_normalization_obligation(self, monkeypatch):
         twist = ChernCharacter.twist

@@ -189,6 +189,16 @@ class TestIntegerRiemannRoch:
         with pytest.raises(SurfaceMismatchError):
             TANGENT.twisted_chi(F1.divisor(1, 0))
 
+    @pytest.mark.parametrize("method", ["twisted_chi", "twist"])
+    def test_argument_errors_name_the_class_and_the_surfaces(self, method):
+        """The public twists keep both checks that the library's int-tuple twists skip."""
+        with pytest.raises(InvalidDivisorError) as exc:
+            getattr(TANGENT, method)(P2.divisor(Fraction(1, 2)))
+        assert str(exc.value) == "twists are by integral classes, got (1/2)H"
+        with pytest.raises(SurfaceMismatchError) as exc:
+            getattr(TANGENT, method)(F1.divisor(1, 0))
+        assert str(exc.value) == "cannot combine classes on P2 and F1"
+
 
 class TestTwist:
     def test_twist_by_zero(self):

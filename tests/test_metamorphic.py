@@ -144,13 +144,20 @@ def test_nef_twists_keep_ample_general_and_globally_generated():
 
 
 def test_serre_duality_and_delta_under_twist_and_dual():
-    """Every draw is a premise of both relations."""
+    """Every draw is a premise of both relations.  A twist or dual carries its source's
+    ``delta``, so the relation reads ``delta`` of each result rebuilt through the validating
+    constructor, which computes it afresh, and then checks the carried value against it."""
     rng = random.Random(14)
     for _ in range(1000):
         v = near_bogomolov(rng)
         surface = v.surface
         serre_dual = v.dual().twist(surface.canonical)
         assert v.euler_characteristic() == serre_dual.euler_characteristic(), v
-        assert v.dual().delta == v.delta, v
-        for d in (*_nef_generators(surface), surface.canonical):
-            assert v.twist(d).delta == v.delta, (v, d)
+        delta = v.delta
+        results = [("dual", v.dual())]
+        results += [(d, v.twist(d)) for d in (*_nef_generators(surface), surface.canonical)]
+        for label, w in results:
+            rebuilt = ChernCharacter(w.rank, w.c1, w.ch2)
+            assert "delta" not in rebuilt.__dict__, (v, label)
+            assert rebuilt.delta == delta, (v, label)
+            assert "delta" in w.__dict__ and w.delta == rebuilt.delta, (v, label)

@@ -10,6 +10,7 @@ which the reference writes through ``default=to_json``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import sys
@@ -43,6 +44,7 @@ from amplecheck import (
     enumerate_bad_curves,
     make_character,
     parse_character,
+    parse_surface,
 )
 from amplecheck import report as rpt
 from amplecheck.ampleness import GENERAL_MEMBER_NOTE, STABILITY_NOTE
@@ -223,6 +225,42 @@ def test_a_report_makes_few_fractions(monkeypatch, e, text, most):
     assert counts[Fraction] <= most
 
 
+def _count_calls(monkeypatch) -> Counter:
+    """Count ``Fraction`` order comparisons, ``is_integral`` reads and surface checks."""
+    counts = Counter()
+
+    def counting(name, func):
+        def wrapper(*args):
+            counts[name] += 1
+            return func(*args)
+        return wrapper
+
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, op, counting("compare", getattr(Fraction, op)))
+    monkeypatch.setattr(DivisorClass, "is_integral",
+                        property(counting("is_integral", DivisorClass.is_integral.fget)))
+    monkeypatch.setattr(DivisorClass, "_check_same_surface",
+                        counting("same_surface", DivisorClass._check_same_surface))
+    return counts
+
+
+@pytest.mark.parametrize(("surface", "text", "counts"), [
+    ("F2", "2:3,8:2", (0, 11, 8)),     # 15, 17 and 14 before
+    ("P2", "2:20:-142", (0, 5, 5)),    # 11, 8 and 8 before
+    ("F0", "2:3,3:1", (0, 13, 9)),     # 15, 21 and 17 before
+])
+def test_a_report_decides_no_sign_on_a_fraction(monkeypatch, surface, text, counts):
+    """Sign tests read numerators, and the gg ladder's ``-D``, the quick criterion's ``-L``
+    and the dimension count's ``K + D`` are int tuples: one warm report makes no
+    ``Fraction`` comparison, and checks integrality and surfaces only where a class comes
+    from outside the twist arithmetic (parsed ``c1``, curves, the certificate's twists)."""
+    surface = parse_surface(surface)
+    expected = render_structured(run_report(surface, parse_character(text, surface)))
+    made = _count_calls(monkeypatch)
+    assert render_structured(run_report(surface, parse_character(text, surface))) == expected
+    assert (made["compare"], made["is_integral"], made["same_surface"]) == counts
+
+
 def test_a_certificate_makes_few_fractions_and_validates_nothing(monkeypatch):
     """``c1 - rank*H``, ``B``, the kernels, twists and duals are built in ints: one F2
     certificate made 13 Fractions and 4 validated divisors before."""
@@ -235,8 +273,8 @@ def test_a_certificate_makes_few_fractions_and_validates_nothing(monkeypatch):
 
 
 def test_b_squared_is_computed_once_per_report(monkeypatch):
-    """``B_squared`` is lazy: its ``num`` and ``den`` slots, and a second render, read one
-    value (each slot rebuilt it before, 2 per render)."""
+    """``B_squared`` is computed once, when the certificate is built, from the ``Q`` the bound
+    reads: renders never run its fallback, which a copied certificate reads from ``B``."""
     F2 = Surface.hirzebruch(2)
     v = parse_character("2:3,8:2", F2)
     render_structured(run_report(F2, v))  # warm caches
@@ -244,9 +282,12 @@ def test_b_squared_is_computed_once_per_report(monkeypatch):
     compute = lazy_b_squared.func
     monkeypatch.setattr(lazy_b_squared, "func", lambda cert: calls.append(1) or compute(cert))
     for report in [run_report(F2, v) for _ in range(3)]:
+        assert report.asymptotic.__dict__["b_squared"] == Fraction(1, 2)  # set by the builder
         assert render_structured(report) == render_structured(report)
-        assert report.asymptotic.b_squared == Fraction(1, 2)
-    assert len(calls) == 3
+    assert calls == []
+    copied = copy.copy(report.asymptotic)  # rebuilt from its fields, without the builder
+    assert "b_squared" not in copied.__dict__
+    assert copied.b_squared == copied.b.self_intersection == Fraction(1, 2) and calls == [1]
 
 
 def test_family_members_are_not_validated_one_by_one(monkeypatch):
