@@ -19,15 +19,17 @@ in ``tests/oracles.py`` scans a box of such D for counterexamples.  Along
 each family ``D0 + bF`` (``F^2 = 0``; on F_0 also ``bE + F``) the twisted
 chi and the ``d`` and ``c`` below are affine in b, and chi strictly
 increases (the fiber slope exceeds 1), so the enumeration is exact and
-finite: two members go through ``dimension_count``, the rest are extended
-by differences, and the last of a longer family is re-derived and checked.
+finite: two members are counted, the rest are extended by differences, and
+the last of a longer family is re-counted and checked.
 For each bad curve the obstruction is ruled out by a dimension count:
 the locus of bundles with a trivial quotient on a fixed curve of class D
 has codimension at least ``c = rank * nu.D - rank + 1`` (the k = 1 value
 of the splitting stratification ``k(rank*slope - rank + k)``), while the
 curves move in a linear system of dimension ``d = h^0(O(D)) - 1``; the
-verdict needs ``d < c`` for every bad curve; ``dimension_count`` builds the
-``BadCurve`` record that carries both numbers.
+verdict needs ``d < c`` for every bad curve.  The single candidates and the
+family ends are int tuples, counted by ``_count`` without the public checks,
+and a ``BadCurve`` record carrying both numbers is built only for a bad
+class; ``dimension_count`` is the checked public entry to the same count.
 
 *Asymptotic ampleness.*  When ``nu - H`` is big and nef, all large
 multiples ``n*v`` carry ample general bundles: a candidate quotient of
@@ -41,11 +43,12 @@ has ``delta(u) >= 0``.  Writing ``B = nu - H``, exact expansion gives
 
 so the least admissible n is the ceiling of ``s(2*delta - B^2)/(rank*B^2)``
 (for s = 2: ``4*delta/(rank*B^2) - 2/rank``), and the certificate also
-verifies the section-count obstruction ``chi(v*(H-L)) <= 0`` and the weak
-Brill-Noether bookkeeping for ``u*(H-L)``.  The default mode first
-normalizes ``v`` by a nef twist so that ``1 < nu.L <= 2``; the direct mode
-runs the same algebra on the character as given (the classical rank-two
-cokernel example is reproduced this way).
+verifies the section-count obstruction ``chi(v*(H-L)) <= 0``, computed as
+``chi(v*(H-L)) = chi(v(K-H+L))`` (Serre duality) without building the dual,
+and the weak Brill-Noether bookkeeping for ``u*(H-L)``.  The default mode
+first normalizes ``v`` by a nef twist so that ``1 < nu.L <= 2``; the direct
+mode runs the same algebra on the character as given (the classical
+rank-two cokernel example is reproduced this way).
 
 Both procedures raise ``PreconditionError`` through the one gate in
 ``positivity``, ``require_slope_hypotheses`` (``delta >= 0``, then the
@@ -53,8 +56,9 @@ sharp slopes), so a failed hypothesis reads the same from every entry
 point; ``ample_gg_verdict`` records failures in its certificate instead.
 The asymptotic certificate checks each proof obligation on int coordinates
 and on the characters it reports (the kernel at ``n_min`` and ``n_min - 1``,
-its dual twists) and raises ``CertificateError`` naming the one that fails;
-the checks are explicit raises, so ``python -O`` keeps them.
+its dual twists, built by ``_twist_at`` from int tuples) and raises
+``CertificateError`` naming the one that fails; the checks are explicit
+raises, so ``python -O`` keeps them.
 """
 
 from __future__ import annotations
@@ -75,13 +79,7 @@ from .positivity import (
 )
 from .rationals import ceil_frac, quotient
 from .records import Record, lazy
-from .surfaces import (
-    DivisorClass,
-    Surface,
-    h0_line_bundle,
-    is_big_and_nef,
-    is_irreducible_curve_class,
-)
+from .surfaces import DivisorClass, Surface, _h0_at, is_big_and_nef, is_irreducible_curve_class
 
 BAD_CURVE_CAP = 100_000
 
@@ -117,27 +115,30 @@ def dimension_count(v: ChernCharacter, curve: DivisorClass) -> BadCurve:
     if not is_irreducible_curve_class(curve):
         raise PreconditionError(f"{curve} is not an irreducible curve class")
     v.c1._check_same_surface(curve)
-    surface, x = v.surface, curve.coords
+    return BadCurve(curve, *_count(v, curve.coords))
+
+
+def _count(v: ChernCharacter, x: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(chi_twist, d, c)`` of the class with int coordinates x on ``v.surface``, unchecked."""
+    surface = v.surface
     chi = v._chi_at(tuple(k + a for k, a in zip(surface.canonical.coords, x)))  # chi(v(K+D))
-    c = surface.pair(v.c1.coords, x) - v.rank + 1
-    return BadCurve(curve, chi, h0_line_bundle(curve) - 1, c)
+    return chi, _h0_at(surface, x) - 1, surface.pair(v.c1.coords, x) - v.rank + 1
 
 
 def _family_bad_members(
-    v: ChernCharacter, member: Callable[[int], DivisorClass], b_start: int, name: str
+    v: ChernCharacter, member: Callable[[int], tuple[int, ...]], b_start: int, name: str
 ) -> list[BadCurve]:
     """Bad members of one family b -> D(b), extended by differences.
 
     ``chi_twist``, ``d`` and ``c`` are affine in b, so the first two members
-    go through ``dimension_count``, the cutoff is exact, and member t is
+    go through ``_count``, the cutoff is exact, and member t is
     first + t * (second - first); the last of three or more is re-checked.
     """
-    first = dimension_count(v, member(b_start))
-    if first.chi_twist >= 0:
+    chi0, d0, c0 = _count(v, member(b_start))
+    if chi0 >= 0:
         return []
-    second = dimension_count(v, member(b_start + 1))
-    chi0, d0, c0 = first.chi_twist, first.d, first.c
-    step, dd, dc = second.chi_twist - chi0, second.d - d0, second.c - c0
+    chi1, d1, c1 = _count(v, member(b_start + 1))
+    step, dd, dc = chi1 - chi0, d1 - d0, c1 - c0
     # step is c1.F (c1.E along bE + F), past the rank by the slope gate
     _obligation(step > 0, f"twisted chi increases along family {name}", v)
     count = ceil_frac(Fraction(-chi0, step))
@@ -145,12 +146,14 @@ def _family_bad_members(
         raise EnumerationLimitError(
             f"{count} bad members in one family exceeds the cap {BAD_CURVE_CAP}"
         )
+    surface, of = v.surface, DivisorClass._of  # family members have int coordinates
     bad = [
-        BadCurve(member(b_start + t), chi0 + t * step, d0 + t * dd, c0 + t * dc)
+        BadCurve(of(surface, member(b_start + t)), chi0 + t * step, d0 + t * dd, c0 + t * dc)
         for t in range(count)
     ]
     if count >= 3:
-        last = bad[-1] == dimension_count(v, bad[-1].curve)
+        t = count - 1
+        last = (chi0 + t * step, d0 + t * dd, c0 + t * dc) == _count(v, member(b_start + t))
         _obligation(last, f"family {name} is affine up to its last bad member", v)
     return bad
 
@@ -163,22 +166,22 @@ def _bad_curves(v: ChernCharacter) -> tuple[BadCurve, ...]:
     """
     surface = v.surface
     e = surface.e
-    of = DivisorClass._of  # family members have int coordinates
-    candidates: list[DivisorClass] = []
+    candidates: list[tuple[int, ...]] = []
     families: list[tuple] = []
     if surface.is_plane:
-        candidates = [surface.divisor(1), surface.divisor(2)]    # H, 2H
+        candidates = [(1,), (2,)]    # H, 2H
     elif e == 0:
-        families.append((lambda b: of(surface, (1, b)), 0, "E + bF"))  # b=0 is E
-        families.append((lambda b: of(surface, (b, 1)), 0, "bE + F"))  # b=0 is F
+        families.append((lambda b: (1, b), 0, "E + bF"))  # b=0 is E
+        families.append((lambda b: (b, 1), 0, "bE + F"))  # b=0 is F
     elif e == 1:
-        candidates = [surface.divisor(0, 1), surface.divisor(2, 2)]  # F, 2E+2F
-        families.append((lambda b: of(surface, (1, b)), 0, "E + bF"))  # b=0 is E
+        candidates = [(0, 1), (2, 2)]  # F, 2E+2F
+        families.append((lambda b: (1, b), 0, "E + bF"))  # b=0 is E
     else:
-        candidates = [surface.divisor(0, 1), surface.divisor(1, 0)]  # F, E
-        families.append((lambda b: of(surface, (1, b)), e, "E + bF"))  # b >= e
+        candidates = [(0, 1), (1, 0)]  # F, E
+        families.append((lambda b: (1, b), e, "E + bF"))  # b >= e
 
-    bad = [b for b in (dimension_count(v, d) for d in candidates) if b.chi_twist < 0]
+    counted = [(x, _count(v, x)) for x in candidates]  # (chi_twist, d, c): bad if chi_twist < 0
+    bad = [BadCurve(DivisorClass._of(surface, x), *n) for x, n in counted if n[0] < 0]
     for member, b_start, name in families:
         bad.extend(_family_bad_members(v, member, b_start, name))
     classes = {b.curve.coords: b for b in bad}  # E + F lies in both F_0 families
@@ -268,11 +271,11 @@ def normalize_character(v: ChernCharacter) -> tuple[ChernCharacter, DivisorClass
     if slope <= r:
         raise PreconditionError(f"normalization needs nu.L > 1, got {Fraction(slope, r)}")
     m = -(-slope // r) - 2
-    n = DivisorClass._of(surface, (m,) if surface.is_plane else (m, m * surface.e))
-    normalized = v.twist(-n)
+    x = (m,) if surface.is_plane else (m, m * surface.e)
+    normalized = v._twist_at(tuple(-a for a in x))
     landed = r < normalized.c1.coords[0] <= 2 * r
     _obligation(landed, "normalization lands at rank < c1.L <= 2*rank", v)
-    return normalized, n
+    return normalized, DivisorClass._of(surface, x)
 
 
 def _require_kernel_rank(s: int) -> None:
@@ -381,14 +384,15 @@ def asymptotic_ample_certificate(
         base, twist_used = v, surface.zero
     else:
         base, twist_used = normalize_character(v)
-    h, r = surface.polarization, base.rank
-    h_minus_l = h - surface.fiber_class
+    h, r = surface.polarization.coords, base.rank
+    h_minus_l = tuple(a - x for a, x in zip(h, surface.fiber_class.coords))
     # rank*B, big and nef: the slope hypotheses hold for v and so for base
-    c = tuple(a - r * x for a, x in zip(base.c1.coords, h.coords))
+    c = tuple(a - r * x for a, x in zip(base.c1.coords, h))
     q = surface.pair(c, c)
     b = DivisorClass._of(surface, tuple(quotient(x, r) for x in c))
 
-    chi_dual_twist = base.dual().twisted_chi(h_minus_l)
+    # chi(v*(H-L)) = chi(v(K-H+L)) by Serre duality
+    chi_dual_twist = base._chi_at(tuple(k - x for k, x in zip(surface.canonical.coords, h_minus_l)))
     if chi_dual_twist > 0:
         raise PreconditionError(
             f"chi(v*(H-L)) = {chi_dual_twist} > 0 for {base}: the quotient "
@@ -405,12 +409,12 @@ def asymptotic_ample_certificate(
         _obligation(delta_prev.numerator < 0, "kernel delta < 0 at n_min - 1", base)
 
     kernel_dual = kernel.dual()
-    kernel_dual_polarized = kernel_dual.twist(h)
+    kernel_dual_polarized = kernel_dual._twist_at(h)
     # nu(u*(H)) = (n_min*rank/s)*B, multiplied through by s
     same_nu = kernel_dual_polarized.c1.coords == tuple(n_min * x for x in c)
     _obligation(same_nu, "nu(u*(H)) = (n_min*rank/s)*B", base)
     kernel_twist_gg = gg_quick_criterion(kernel_dual_polarized)
-    kernel_dual_twist = kernel_dual.twist(h_minus_l)
+    kernel_dual_twist = kernel_dual._twist_at(h_minus_l)
     wbn_kernel = wbn_applicable(kernel_dual_twist)
     chi_kernel_dual_twist = kernel_dual_twist.euler_characteristic()
     same_chi = chi_kernel_dual_twist == -n_min * chi_dual_twist

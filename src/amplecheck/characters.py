@@ -30,7 +30,8 @@ and the Euler characteristic of a twist is the integer quadratic
 
 in the coordinates of ``D`` (``D^2 - D.K`` is even for integral ``D`` by
 the adjunction formula), so no twisted character needs to be built; the
-library passes its own ``-D`` and ``K + D`` as int tuples to ``_chi_at``.
+library passes its own ``-D`` and ``K + D`` as int tuples to ``_chi_at``,
+and the twists it builds of its own classes to ``_twist_at``.
 
 The canonical textual form used by the CLI and reports is ``r:c1:ch2`` with
 ``c1`` rendered as ``a`` (plane) or ``a,b`` (meaning ``aE + bF``) and
@@ -136,7 +137,10 @@ class ChernCharacter(Record):
 
     def twist(self, d: DivisorClass) -> "ChernCharacter":
         """Tensor with the line bundle O(d), d integral: ``c2 + (r-1) c1.d + C(r, 2) d^2``."""
-        x = self._integral_coords(d)
+        return self._twist_at(self._integral_coords(d))
+
+    def _twist_at(self, x: tuple[int, ...]) -> "ChernCharacter":
+        """``v(x)`` for the int coordinates x of a class on this surface, unchecked."""
         r, c1, pair = self.rank, self.c1.coords, self.surface.pair
         c2 = self.c2 + (r - 1) * pair(c1, x) + r * (r - 1) // 2 * pair(x, x)
         return self._keeping_delta(

@@ -77,10 +77,6 @@ class ObstructionVerdict(Enum):
 class ObstructionReport(Record):
     __slots__ = ("conditions", "verdict", "stability_assumed", "note")
 
-    @property
-    def failed(self) -> tuple[Condition, ...]:
-        return tuple(c for c in self.conditions if not c.holds)
-
 
 def _slope_condition(
     id: str, text: str, pairing: int, threshold: int, rank: int, strict: bool = True

@@ -241,13 +241,18 @@ def h0_line_bundle(d: DivisorClass) -> int:
     """
     if not d.is_integral:
         raise InvalidDivisorError(f"section counts are asked of integral classes, got {d}")
-    if d.surface.is_plane:
-        (n,) = d.coords
+    return _h0_at(d.surface, d.coords)
+
+
+def _h0_at(surface: Surface, x: tuple[int, ...]) -> int:
+    """``h0_line_bundle`` of the class with int coordinates x on ``surface``, unchecked."""
+    if surface.is_plane:
+        (n,) = x
         return (n + 1) * (n + 2) // 2 if n >= 0 else 0
-    a, b = d.coords
+    a, b = x
     if a < 0 or b < 0:
         return 0
-    e = d.surface.e
+    e = surface.e
     # the summands are positive exactly for i <= m: an arithmetic series
     m = a if e == 0 else min(a, b // e)
     return (m + 1) * (b + 1) - e * m * (m + 1) // 2

@@ -5,6 +5,10 @@ python3 [-O] tests/replay.py`` runs every case of ``golden/cases.json`` and
 failure, naming the case or the file, then a summary line with the counts and ``__debug__``,
 and exits 1 if anything failed.  ``test_golden`` and ``test_census`` compare through these
 functions, which leave ``os.environ``, ``sys.stdout`` and ``sys.stderr`` as they found them.
+
+``tests/replay.py --processes`` runs every case instead as a child process, ``python -S -m
+amplecheck.cli <argv>``, one at a time, and compares it the same way: a real CLI process,
+started without ``site``, writes what the goldens hold.
 """
 
 from __future__ import annotations
@@ -12,9 +16,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
+import amplecheck
 import test_census
 from amplecheck.cli import main
 
@@ -41,13 +48,23 @@ def run_cli(argv: list[str], columns: int | None = None) -> tuple[int, bytes, st
         os.environ.update(environ)
 
 
+def run_process(argv: list[str]) -> tuple[int, bytes, str]:
+    """The exit code, stdout bytes and stderr text of a ``python -S -m amplecheck.cli``
+    child, which imports this ``amplecheck``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(amplecheck.__file__).resolve().parents[1]))
+    child = subprocess.run([sys.executable, "-S", "-m", "amplecheck.cli", *argv],
+                           stdin=subprocess.DEVNULL, capture_output=True, env=env, timeout=60)
+    return child.returncode, child.stdout, child.stderr.decode("utf-8")
+
+
 def manifest() -> list[dict]:
     return [entry for name in MANIFESTS for entry in json.loads((GOLDEN / name).read_text())]
 
 
-def case_failures(entry: dict) -> list[str]:
-    """How one golden case's run differs from its manifest entry and stdout file."""
-    name, (code, out, err) = entry["name"], run_cli(entry["argv"])
+def case_failures(entry: dict, run: Callable[[list[str]], tuple] = run_cli) -> list[str]:
+    """How one golden case's run (in-process, or by ``run_process``) differs from its
+    manifest entry and stdout file."""
+    name, (code, out, err) = entry["name"], run(entry["argv"])
     golden = (GOLDEN / f"{name}.stdout").read_bytes()
     failures = []
     if code != entry["exit"]:
@@ -106,5 +123,16 @@ def replay() -> int:
     return 1 if failures else 0
 
 
+def replay_processes(entries: list[dict]) -> int:
+    """``case_failures`` of each entry run as a child process, printed as ``replay`` does."""
+    failures = [line for entry in entries for line in case_failures(entry, run_process)]
+    for line in failures:
+        print(line)
+    print(f"replay --processes: {len(entries)} cases, {len(failures)} failures")
+    return 1 if failures else 0
+
+
 if __name__ == "__main__":
-    sys.exit(replay())
+    if sys.argv[1:] not in ([], ["--processes"]):
+        sys.exit("usage: replay.py [--processes]")
+    sys.exit(replay_processes(manifest()) if sys.argv[1:] else replay())

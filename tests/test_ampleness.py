@@ -7,6 +7,7 @@ from amplecheck import (
     CertificateError,
     ChernCharacter,
     InvalidCharacterError,
+    InvalidDivisorError,
     PreconditionError,
     Surface,
     SurfaceMismatchError,
@@ -28,6 +29,7 @@ from amplecheck import (
 from amplecheck import ampleness
 from amplecheck.positivity import require_nonnegative_delta, require_slope_hypotheses
 from conftest import ALL_SURFACES, random_gg_slope_character, random_slope_character
+from test_census import box
 from oracles import (
     brute_force_bad_curves,
     brute_min_multiplier,
@@ -44,6 +46,9 @@ F0 = Surface.hirzebruch(0)
 F1 = Surface.hirzebruch(1)
 F2 = Surface.hirzebruch(2)
 P2_AND_F0_TO_F5 = (P2, *(Surface.hirzebruch(e) for e in range(6)))
+
+# bE + F on F0 (72 bad members), then E + bF on F1-F3 (19 or more each)
+LONG_FAMILIES = [(0, "2:400,3:-209"), (1, "2:3,60:-111/2"), (2, "2:3,63:-58"), (3, "2:3,66:-121/2")]
 
 INTRO = make_character(2, P2.divisor(3), Fraction(1, 2))
 TANGENT = make_character(2, P2.divisor(3), Fraction(3, 2))
@@ -123,26 +128,22 @@ class TestFamilyProgression:
         bad = self.check_members(parse_character(f"2:{2 * x},3:-{x + 9}", F0))
         assert len(bad) == members
 
-    @pytest.mark.parametrize(
-        "e, ch", [(1, "2:3,60:-111/2"), (2, "2:3,63:-58"), (3, "2:3,66:-121/2")]
-    )
+    @pytest.mark.parametrize("e, ch", LONG_FAMILIES[1:])
     def test_long_section_families(self, e, ch):
         bad = self.check_members(parse_character(ch, Surface.hirzebruch(e)))
         assert sum(b.curve.coords[0] == 1 and b.curve.coords[1] >= e for b in bad) >= 19
 
     def test_dimension_count_runs_at_most_three_times_per_family(self, monkeypatch):
         calls = []
-        count = ampleness.dimension_count
-        monkeypatch.setattr(
-            ampleness, "dimension_count", lambda v, d: calls.append(d) or count(v, d)
-        )
+        count = ampleness._count
+        monkeypatch.setattr(ampleness, "_count", lambda v, x: calls.append(x) or count(v, x))
         bad = enumerate_bad_curves(parse_character("2:4000,3:-2009", F0))
         assert len(bad) == 672  # 671 of the form bE + F
         assert len(calls) <= 3 * 2  # two families on F_0, no singleton candidates
 
     def test_non_affine_section_count_breaks_the_family_obligation(self, monkeypatch):
-        h0 = ampleness.h0_line_bundle
-        monkeypatch.setattr(ampleness, "h0_line_bundle", lambda d: h0(d) + d.coords[0] ** 2)
+        h0 = ampleness._h0_at
+        monkeypatch.setattr(ampleness, "_h0_at", lambda surface, x: h0(surface, x) + x[0] ** 2)
         with pytest.raises(CertificateError, match=r"family bE \+ F is affine"):
             enumerate_bad_curves(parse_character("2:4000,3:-2009", F0))
 
@@ -195,13 +196,96 @@ class TestDimensionCount:
         assert (count.d, count.c, count.passes) == (1, 2, True)
 
     def test_rejects_reducible_classes(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             dimension_count(INTRO, P2.divisor(0))
+        assert str(exc.value) == "0 is not an irreducible curve class"
+
+    def test_rejects_a_class_that_is_not_integral(self):
+        with pytest.raises(InvalidDivisorError) as exc:
+            dimension_count(INTRO, P2.divisor(Fraction(1, 2)))
+        assert str(exc.value) == "irreducibility is asked of integral classes, got (1/2)H"
 
     def test_rejects_a_curve_on_another_surface(self):
         with pytest.raises(SurfaceMismatchError) as exc:
             dimension_count(INTRO, F1.divisor(0, 1))
         assert str(exc.value) == "cannot combine classes on P2 and F1"
+
+
+def _sample_and_beyond(seed: int) -> list[ChernCharacter]:
+    """300 characters of the census box, then 300 past it: P2 and F0-F5, ranks up to 12,
+    ``c1`` coordinates up to 60 and ``c2`` from one below the Bogomolov bound."""
+    rng = random.Random(seed)
+    drawn = rng.sample(list(box()), 300)
+    for _ in range(300):
+        surface, rank = rng.choice(P2_AND_F0_TO_F5), rng.randint(1, 12)
+        c1 = surface.divisor(*(rng.randint(-60, 60) for _ in surface.basis))
+        square = int(c1.self_intersection)
+        c2 = -((1 - rank) * square // (2 * rank)) - 1 + rng.randint(0, 40)
+        drawn.append(make_character(rank, c1, Fraction(square, 2) - c2))
+    return drawn
+
+
+def _shape_classes(surface: Surface) -> list[tuple[int, ...]]:
+    """The shape list's single candidates, and each family's first, second and a far member."""
+    if surface.is_plane:
+        return [(1,), (2,)]
+    e = surface.e
+    start = e if e >= 2 else 0
+    members = [(1, start + t) for t in (0, 1, 40)]
+    if e == 0:
+        return members + [(t, 1) for t in (0, 1, 40)]
+    return members + [(0, 1), (2, 2) if e == 1 else (1, 0)]
+
+
+class TestUncheckedPaths:
+    """Each int-coordinate path the library takes for its own classes equals the checked
+    public function it stands for, which stays the oracle."""
+
+    def test_count_equals_the_dimension_count(self):
+        """On the shape list and on every bad member, each family's last among them, of the
+        sample and of characters with long families.  ``dimension_count`` is its checks
+        around ``_count``, so the oracles' long way (``v(K+D)`` built and read by Hilbert
+        polynomial, sections summed) checks both."""
+        long = [parse_character(ch, Surface.hirzebruch(e)) for e, ch in LONG_FAMILIES]
+        bad = 0
+        for v in _sample_and_beyond(31) + long:
+            xs = _shape_classes(v.surface)
+            try:
+                xs += [b.curve.coords for b in enumerate_bad_curves(v)]
+            except PreconditionError:
+                pass
+            bad += len(xs) - len(_shape_classes(v.surface))
+            for x in xs:
+                d = v.surface.divisor(*x)
+                b = dimension_count(v, d)
+                assert ampleness._count(v, x) == (b.chi_twist, b.d, b.c), (v, x)
+                long_way = (chi_of_twist(v, d), h0_by_sum(d) - 1, int(v.c1.dot(d)) - v.rank + 1)
+                assert (b.chi_twist, b.d, b.c) == long_way, (v, x)
+        assert bad >= 100
+
+    def test_twist_at_equals_the_twist(self):
+        """``twist`` is its checks around ``_twist_at``; the long way is ``ch(v) ch(O(D))``
+        through the validating constructor."""
+        rng = random.Random(31)
+        for v in _sample_and_beyond(31):
+            x = tuple(rng.randint(-60, 60) for _ in v.surface.basis)
+            d, r = v.surface.divisor(*x), v.rank
+            w, ch2 = v._twist_at(x), v.ch2 + v.c1.dot(d) + r * d.self_intersection / 2
+            assert w == v.twist(d) == make_character(r, v.c1 + r * d, ch2), (v, x)
+            assert w.delta == v.delta
+
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_the_dual_twist_chi_is_serre_dual(self, direct):
+        certified = 0
+        for v in _sample_and_beyond(31):
+            try:
+                cert = asymptotic_ample_certificate(v, direct=direct)
+            except PreconditionError:
+                continue
+            h_minus_l = v.surface.polarization - v.surface.fiber_class
+            assert cert.chi_dual_twist == cert.base.dual().twisted_chi(h_minus_l), v
+            certified += 1
+        assert certified >= 30
 
 
 class TestSplittingCodim:
@@ -525,9 +609,9 @@ class TestAsymptoticCertificate:
         self._obligation_fails(base, "kernel delta < 0 at n_min - 1")
 
     def test_a_twist_one_h_high_breaks_the_normalization_obligation(self, monkeypatch):
-        twist = ChernCharacter.twist
-        monkeypatch.setattr(
-            ChernCharacter, "twist", lambda u, d: twist(u, d + u.surface.polarization))
+        twist_at, h = ChernCharacter._twist_at, INTRO.surface.polarization.coords
+        monkeypatch.setattr(ChernCharacter, "_twist_at",
+                            lambda u, x: twist_at(u, tuple(a + b for a, b in zip(x, h))))
         self._obligation_fails(INTRO, "normalization lands at rank < c1.L <= 2*rank")
 
     def test_a_kernel_twisted_by_l_breaks_the_nu_obligation(self, monkeypatch):

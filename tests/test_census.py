@@ -112,7 +112,7 @@ def census_line(v: ChernCharacter) -> tuple[str, str, list[str]]:
     if cert.ample_general and asym.startswith("skip"):
         violations.append(f"{v}: ample-general but asymptotic {asym}")
     obstructions = necessary_obstructions(v)
-    failed = ",".join(c.id for c in obstructions.failed)
+    failed = ",".join(c.id for c in obstructions.conditions if not c.holds)
     obs = f"{obstructions.verdict.value}:{failed}"
     if cert.ample_general and obstructions.verdict.value != "unobstructed":
         violations.append(f"{v}: ample-general but {obs}")

@@ -85,6 +85,8 @@ BRANCHES = [
     # a logarithmic form with two fields, and with two nu coordinates on P2
     ["invariants", "--surface", "P2", "--log-ch", "2:1"],
     ["invariants", "--surface", "P2", "--log-ch", "2:1,2:0"],
+    # the --option=value form, which the CLI reads through argparse, not its canonical path
+    ["report", "--surface=F2", "--ch=2:3,8:2", "--format=structured"],
 ]
 
 
@@ -100,7 +102,9 @@ def _cases() -> list[list[str]]:
 
 
 def case_name(argv: list[str]) -> str:
-    return re.sub(r"[^A-Za-z0-9-]+", "_", " ".join(arg.lstrip("-") for arg in argv))
+    """The file name of a case; ``=`` is kept, so ``--option=value`` and ``--option value``
+    name different files."""
+    return re.sub(r"[^A-Za-z0-9=-]+", "_", " ".join(arg.lstrip("-") for arg in argv))
 
 
 MANIFESTS = dict(zip(replay.MANIFESTS, (_cases(), BRANCHES)))
@@ -142,9 +146,10 @@ def test_help(argv):
     assert (dict(os.environ), sys.stdout, sys.stderr) == before
 
 
-def test_replay_names_the_case_and_the_file_that_differ(tmp_path, monkeypatch):
+def test_replay_names_the_case_and_the_file_that_differ(tmp_path, monkeypatch, capsys):
     """On a copy of the corpus with one stdout byte flipped and one census sha256
-    altered, the replay's functions give one failure line each, naming them."""
+    altered, the replay's functions give one failure line each, naming them, and
+    ``--processes`` names the case and exits 1."""
     golden = tmp_path / "golden"
     shutil.copytree(GOLDEN, golden)
     name = "report_surface_P2_ch_2_3_1_2_format_structured"
@@ -156,9 +161,26 @@ def test_replay_names_the_case_and_the_file_that_differ(tmp_path, monkeypatch):
     monkeypatch.setattr(replay, "GOLDEN", golden)
     failures = [line for entry in replay.manifest() for line in replay.case_failures(entry)]
     assert failures == [f"{name}.stdout: differs at byte 100 of {len(stdout)}"]
+    assert replay.replay_processes([MANIFEST[name]]) == 1
+    assert capsys.readouterr().out == f"{failures[0]}\nreplay --processes: 1 cases, 1 failures\n"
     assert replay.census_failures("gg_census.json", census) == [
         f"gg_census.json: sha256 {census['sha256']!r}, golden {'0' * 64!r}"
     ]
+
+
+PROCESS_CASES = [
+    "report_surface_F2_ch_2_3_8_2_format_structured",
+    "report_surface=F2_ch=2_3_8_2_format=structured",
+    "report_surface_F2_ch_2_3_8_2_format_text",
+    "asymptotic_surface_P2_ch_2_6_8_direct",
+]
+
+
+def test_named_cases_replay_as_processes(capsys):
+    """``replay.py --processes`` on a few cases: one report by its canonical argv, its ``=``
+    form and as text, and the direct mode's refusal (exit 3, stderr)."""
+    assert replay.replay_processes([MANIFEST[name] for name in PROCESS_CASES]) == 0
+    assert capsys.readouterr().out == "replay --processes: 4 cases, 0 failures\n"
 
 
 def regenerate() -> None:

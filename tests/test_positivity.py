@@ -163,7 +163,7 @@ class TestObstructions:
     def test_intro_character_obstructed(self):
         report = necessary_obstructions(INTRO)
         assert report.verdict is ObstructionVerdict.OBSTRUCTED
-        failed = {c.id for c in report.failed}
+        failed = {c.id for c in report.conditions if not c.holds}
         assert failed == {"slope-exceeds-one-plus-inverse-rank"}
         assert report.stability_assumed
 
@@ -189,12 +189,12 @@ class TestObstructions:
         v = make_character(2, F1.divisor(2, 4), 3)  # nu.F = 1
         report = necessary_obstructions(v)
         assert report.verdict is ObstructionVerdict.OBSTRUCTED
-        assert "line-bundle-forcing" in {c.id for c in report.failed}
+        assert "line-bundle-forcing" in {c.id for c in report.conditions if not c.holds}
 
     def test_unobstructed_example(self):
         report = necessary_obstructions(make_character(2, P2.divisor(4), 0))
         assert report.verdict is ObstructionVerdict.UNOBSTRUCTED
-        assert report.failed == ()
+        assert [c for c in report.conditions if not c.holds] == []
 
     def test_rank_one_skips_rank_sensitive_clauses(self):
         report = necessary_obstructions(make_character(1, F2.divisor(1, 3), 0))

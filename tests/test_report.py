@@ -245,15 +245,15 @@ def _count_calls(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize(("surface", "text", "counts"), [
-    ("F2", "2:3,8:2", (0, 11, 8)),     # 15, 17 and 14 before
-    ("P2", "2:20:-142", (0, 5, 5)),    # 11, 8 and 8 before
-    ("F0", "2:3,3:1", (0, 13, 9)),     # 15, 21 and 17 before
+    ("F2", "2:3,8:2", (0, 1, 0)),      # 0, 11 and 8 before
+    ("P2", "2:20:-142", (0, 1, 0)),    # 0, 5 and 5 before
+    ("F0", "2:3,3:1", (0, 1, 0)),      # 0, 13 and 9 before
 ])
 def test_a_report_decides_no_sign_on_a_fraction(monkeypatch, surface, text, counts):
-    """Sign tests read numerators, and the gg ladder's ``-D``, the quick criterion's ``-L``
-    and the dimension count's ``K + D`` are int tuples: one warm report makes no
-    ``Fraction`` comparison, and checks integrality and surfaces only where a class comes
-    from outside the twist arithmetic (parsed ``c1``, curves, the certificate's twists)."""
+    """Sign tests read numerators, and the gg ladder's ``-D``, the quick criterion's ``-L``,
+    the dimension count's curves and the certificate's twists are int tuples: one warm
+    report makes no ``Fraction`` comparison and no surface check, and checks integrality
+    once, on the parsed ``c1``."""
     surface = parse_surface(surface)
     expected = render_structured(run_report(surface, parse_character(text, surface)))
     made = _count_calls(monkeypatch)

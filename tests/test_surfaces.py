@@ -371,8 +371,9 @@ class TestSectionCounts:
         assert h0_line_bundle(F2.divisor(-1, 5)) == 0
 
     def test_non_integral_rejected(self):
-        with pytest.raises(InvalidDivisorError):
+        with pytest.raises(InvalidDivisorError) as exc:
             h0_line_bundle(F1.divisor(Fraction(1, 2), 0))
+        assert str(exc.value) == "section counts are asked of integral classes, got (1/2)E"
 
     @pytest.mark.parametrize("surface", [F0, F1, F2, F3])
     def test_h0_equals_chi_on_nef_classes(self, surface):
