@@ -11,16 +11,18 @@ by its ``mu``, ``nu``, ``delta`` and Euler characteristic), a record
 naming the failing precondition.  ``to_json`` lays out each record by its table
 in ``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
 appears), so ``json.dumps(report, default=to_json)`` serialises a report and
-``parse_structured(render_structured(report))`` is its JSON-native form.
+``to_json(report)``, equal to ``parse_structured(render_structured(report))``, is
+its JSON-native form.  Both writers take a record of ``_LAYOUTS`` and nothing
+else; any other value raises the ``TypeError`` of ``json.dumps``.
 ``render_structured`` writes a record with the cached filler of its type and
 pad, compiled from the type's table by ``_template``: a ``%`` template that
 inlines the record and row tables it holds, writes a record tuple as its item
 template in a comprehension and a "?" row as one slot, empty when the value is
 absent.  No value picks a template, so the cache holds one filler per (record
 type, pad) met; a report is one fill, which calls the filler of the record in
-each section row.  ``render_text`` walks the layouts.  Each section carries a
-``tag`` naming the criterion that backs its verdict; ``VERDICT_TAGS`` collects
-them from the tables.
+each ANY row.  ``render_text`` writes the lines of ``to_json(report)``.  Each
+section carries a ``tag`` naming the criterion that backs its verdict;
+``VERDICT_TAGS`` collects them from the tables.
 
 ``command_report`` picks each CLI subcommand's sections and verdict.  The
 envelope writes ``schema_version``, ``command``, ``d`` (``gieseker`` only),
@@ -181,13 +183,12 @@ def command_report(command: str, v: ChernCharacter | None, *, s: int = 2,
 # an attribute path, "" for the object itself, an index or the builtin ``str``; in a CONST
 # row it is the value.  INT, BOOL and STR values fill a slot; COORDS is a tuple of one
 # or two rationals, each laid out as a Fraction; STRS, a tuple of strings from a fixed set,
-# is written once per tuple and pad; WALK is written by the walk, whatever it holds.  A
-# record type (Fraction for a rational, held as an int or a Fraction) is its own table
-# inlined, a tuple of rows a nested dict, ``[Condition]`` a tuple of Condition records; an
-# ANY value is laid out, and written, by its own type's table.  A key ending in "?" is left
-# out when its value is None (a STR value: when it is empty).
-CONST, INT, BOOL, STR, COORDS, STRS, WALK, ANY = (
-    "const", "int", "bool", "str", "coords", "strs", "walk", "any")
+# is written once per tuple and pad.  A record type (Fraction for a rational, held as an
+# int or a Fraction) is its own table inlined, a tuple of rows a nested dict, ``[Condition]``
+# a tuple of Condition records; an ANY value is laid out, and written, by its own type's
+# table, or as null when it is None.  A key ending in "?" is left out when its value is
+# None (a STR value: when it is empty).
+CONST, INT, BOOL, STR, COORDS, STRS, ANY = "const", "int", "bool", "str", "coords", "strs", "any"
 _BAD_CURVES = (("tag", "bad-curves", CONST), ("classes", "", [BadCurve]))  # of BadCurves
 _INVARIANTS = (("tag", "riemann-roch", CONST), ("mu", "mu", Fraction),  # of a character
                ("nu", "nu", DivisorClass), ("delta", "delta", Fraction),
@@ -235,7 +236,7 @@ _LAYOUTS: dict[type, tuple] = {
         ("kernel", "", (("tag", "kernel-discriminant", CONST),
                         ("character", "kernel", ChernCharacter),
                         ("delta", "kernel.delta", Fraction),
-                        ("delta_at_previous_n", "delta_kernel_prev", WALK))),
+                        ("delta_at_previous_n", "delta_kernel_prev", ANY))),
         ("chi_dual_twist", "chi_dual_twist", INT),
         ("chi_kernel_dual_twist", "chi_kernel_dual_twist", INT),
         ("kernel_twist_nu", "kernel_twist_nu", DivisorClass),
@@ -289,7 +290,7 @@ def _code(expr: str, part) -> str:
 
 
 def _layout(rows, obj) -> dict:
-    """The JSON-native layout of ``obj`` by ``rows``, WALK values left as they are."""
+    """The JSON-native layout of ``obj`` by ``rows``."""
     out: dict = {}
     for key, part, kind in rows:
         value = part if kind == CONST else _get(obj, part)
@@ -302,9 +303,10 @@ def _layout(rows, obj) -> dict:
         elif kind == COORDS or type(kind) is list:
             item = _LAYOUTS[Fraction if kind == COORDS else kind[0]]
             value = [_layout(item, x) for x in value]
-        elif kind not in (CONST, INT, BOOL, STR, WALK):  # a record, or a nested dict
-            value = _layout(kind if type(kind) is tuple
-                            else _LAYOUTS[type(value) if kind == ANY else kind], value)
+        elif kind == ANY:
+            value = None if value is None else to_json(value)
+        elif kind not in (CONST, INT, BOOL, STR):  # a record, or a nested dict
+            value = _layout(kind if type(kind) is tuple else _LAYOUTS[kind], value)
         out[key] = value
     return out
 
@@ -326,17 +328,17 @@ def _filled(template: str, slots: list[str]) -> str:
     return f"{template!r} % ({''.join(slot + ', ' for slot in slots)})"
 
 
-def _items(texts, pad: str, brackets: str = "[]") -> str:
-    """The written ``texts`` as the items of a list (or a dict) on a line at ``pad``."""
+def _items(texts, pad: str) -> str:
+    """The written ``texts`` as the items of a list on a line at ``pad``."""
     if not texts:
-        return brackets
+        return "[]"
     inner = pad + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}{brackets[1]}"
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}]"
 
 
 # the slot of a value of each kind read by the code {0}, written on a line at the pad {1}
 _SLOTS = {INT: "{0}", BOOL: "('true' if {0} else 'false')", STR: "_ascii({0})",
-          STRS: "_texts({0}, {1!r})", WALK: "_walked({0}, {1!r})", ANY: "_fill({0}, {1!r})"}
+          STRS: "_texts({0}, {1!r})", ANY: "('null' if {0} is None else _fill({0}, {1!r}))"}
 
 
 def _template(rows, expr: str, pad: str) -> tuple[str, list[str]]:
@@ -381,9 +383,9 @@ def _fill(record, pad: str) -> str:
     compiled on first use (a record's values are only ever arguments, never code)."""
     fill = _FILLERS.get((type(record), pad))
     if fill is None:
-        names = {"_ascii": _ascii, "_fill": _fill, "_items": _items, "_texts": _texts,
-                 "_walked": _walked}
-        code = _filled(*_template(_LAYOUTS[type(record)], "r", pad))
+        names = {"_ascii": _ascii, "_fill": _fill, "_items": _items, "_texts": _texts}
+        rows = _LAYOUTS.get(type(record)) or to_json(record)  # raises json's TypeError
+        code = _filled(*_template(rows, "r", pad))
         fill = _FILLERS[type(record), pad] = eval(f"lambda r: {code}", names)
     return fill(record)
 
@@ -391,41 +393,18 @@ def _fill(record, pad: str) -> str:
 @lru_cache(maxsize=128)  # the library's reports fill 13 keys; a caller's warnings may add more
 def _texts(strs: tuple, pad: str) -> str:
     """A STRS tuple written on a line at ``pad``: mostly one of a fixed set, so written once."""
-    return _walked(strs, pad)
-
-
-def _walked(node, pad: str) -> str:
-    """``json.dumps(node, indent=2, ensure_ascii=True, default=to_json)`` written on a line
-    at ``pad``.  Only the values reports are built from are accepted: the records of
-    ``_LAYOUTS``, each written by its filler, dicts with string keys, lists (and tuples,
-    written as lists), strings, ints, bools and None."""
-    if type(node) in _LAYOUTS:
-        return _fill(node, pad)
-    if isinstance(node, str):
-        return _ascii(node)
-    if node is None:
-        return "null"
-    if node is True or node is False:
-        return "true" if node else "false"
-    if isinstance(node, int):
-        return int.__repr__(node)
-    inner = pad + "  "
-    if isinstance(node, dict):
-        return _items([f"{_ascii(key)}: {_walked(value, inner)}" for key, value in node.items()],
-                      pad, "{}")
-    if isinstance(node, (list, tuple)):
-        return _items([_walked(item, inner) for item in node], pad)
-    return to_json(node)  # not a record: raises the TypeError of json.dumps
+    return _items([_ascii(text) for text in strs], pad)
 
 
 def render_structured(report) -> bytes:
-    """Stable machine-readable rendering; deterministic field order.
+    """Stable machine-readable rendering of a record; deterministic field order.
 
     The bytes are those of ``json.dumps(report, indent=2, ensure_ascii=True,
-    default=to_json)`` plus a newline, written in one pass: ``indent`` turns
-    off the C encoder of ``json.dumps``.
+    default=to_json)`` plus a newline, written in one fill: ``indent`` turns
+    off the C encoder of ``json.dumps``.  A value with no layout raises the
+    ``TypeError`` of ``json.dumps``.
     """
-    return (_walked(report, "") + "\n").encode("ascii")
+    return (_fill(report, "") + "\n").encode("ascii")
 
 
 def parse_structured(payload: bytes) -> dict:
@@ -443,12 +422,10 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
     else:
         heads = [pad + "-"] * len(node)
     for head, value in zip(heads, node):
-        if type(value) in _LAYOUTS:
-            value = to_json(value)
         if isinstance(value, dict) and set(value) == {"num", "den"}:
             den = "" if value["den"] == 1 else f"/{value['den']}"
             lines.append(f"{head} {value['num']}{den}")
-        elif isinstance(value, (dict, list, tuple)):
+        elif isinstance(value, (dict, list)):
             lines.append(head)
             _render_lines(value, indent + 1, lines)
         else:
@@ -456,7 +433,7 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
 
 
 def render_text(report) -> str:
-    """Human-readable rendering with exactly one final verdict line."""
+    """Human-readable rendering of a record's layout, with exactly one final verdict line."""
     lines: list[str] = []
-    _render_lines(to_json(report) if type(report) in _LAYOUTS else report, 0, lines)
+    _render_lines(to_json(report), 0, lines)
     return "\n".join(lines) + "\n"

@@ -14,8 +14,10 @@ import hypothesis.strategies as st
 
 from amplecheck import ampleness
 from amplecheck.cli import _canonical, build_parser
-from amplecheck.report import VERDICT_TAGS, parse_structured, render_structured, run_report
-from amplecheck import EnumerationLimitError, PreconditionError, Surface, make_character
+from amplecheck.report import (
+    VERDICT_TAGS, command_report, parse_structured, render_structured, run_report, to_json)
+from amplecheck import (
+    EnumerationLimitError, PreconditionError, Surface, make_character, parse_character)
 from replay import run_cli
 from test_acceptance import CORPUS
 from test_golden import CASES, SKIPPED_SECTIONS
@@ -410,8 +412,9 @@ class TestStructuredOutput:
             ["report", "--surface", "P2", "--ch", "2:4:0", "--format", "structured"]
         )
         assert code == 0
-        report = parse_structured(out)
+        report = command_report("report", parse_character("2:4:0", Surface.projective_plane()))
         assert render_structured(report) == out
+        assert to_json(report) == parse_structured(out)
 
     def test_no_floats_anywhere(self):
         def walk(node):

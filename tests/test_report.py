@@ -1,11 +1,10 @@
 """The structured writer against ``json.dumps`` as the reference.
 
-``render_structured`` writes reports in one pass instead of calling
-``json.dumps(report, indent=2, ensure_ascii=True)``; the reference stays
-here as the oracle, on every golden structured report, on built reports
-and on generated JSON trees.  Built reports hold records (``DivisorClass``,
-``ChernCharacter``, ``Condition``, ``BadCurve``) and ``Fraction`` leaves,
-which the reference writes through ``default=to_json``.
+``render_structured`` writes a record in one fill instead of calling
+``json.dumps(report, indent=2, ensure_ascii=True, default=to_json)``; the
+reference stays here as the oracle, on the report of every golden structured
+case, on built reports and on generated records of every ``_LAYOUTS`` type.
+Both writers take such a record and nothing else.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from amplecheck import (
 )
 from amplecheck import report as rpt
 from amplecheck.ampleness import GENERAL_MEMBER_NOTE, STABILITY_NOTE
+from amplecheck.cli import _parse_inputs, build_parser
 from amplecheck.report import (
     SECTIONS,
     VERDICT_TAGS,
@@ -56,6 +56,7 @@ from amplecheck.report import (
     Report,
     Skipped,
     bad_curves_report,
+    command_report,
     gieseker_report,
     parse_structured,
     render_structured,
@@ -83,10 +84,18 @@ def test_golden_corpus_has_structured_reports():
     assert len(STRUCTURED) >= 60
 
 
+def _golden_report(name: str) -> Report:
+    """The report of the golden case ``name``, built by ``command_report`` from its argv."""
+    args = build_parser().parse_args(next(c["argv"] for c in MANIFEST if c["name"] == name))
+    v = None if args.command == "gieseker" else _parse_inputs(args)
+    options = {o: getattr(args, o) for o in ("s", "direct", "d") if hasattr(args, o)}
+    return command_report(args.command, v, **options)
+
+
 @pytest.mark.parametrize("name", STRUCTURED)
 def test_writer_matches_reference_on_golden_reports(name):
     payload = (GOLDEN / f"{name}.stdout").read_bytes()
-    report = parse_structured(payload)
+    report = _golden_report(name)
     assert render_structured(report) == reference(report) == payload
 
 
@@ -153,9 +162,8 @@ def test_warm_template_cache_renders_reports_without_layout_calls(monkeypatch):
     monkeypatch.setattr(rpt, "_FILLERS", {})
     assert [render_structured(r) for r in reports] == expected
     assert len(compiles) == len(rpt._FILLERS)
-    # the report's template inlines its character, invariants and bad curves; a section
-    # record of an ANY row has its own, and so has the Fraction of delta_at_previous_n,
-    # written by the walk
+    # the report's template inlines its character, invariants and bad curves; the record
+    # of an ANY row has its own: each section, and the Fraction of delta_at_previous_n
     sections = {CohomologyTriple, ObstructionReport, GGSection, QuickCriterion,
                 AmpleGGCertificate, AsymptoticCertificate}
     assert Counter(cls for cls, _ in rpt._FILLERS) == Counter([Report, Fraction, *sections])
@@ -174,9 +182,8 @@ def test_a_filler_does_not_depend_on_values(monkeypatch):
     assert [(c.case, c.balanced_split is None) for c in classifications] == [(2, True), (1, False)]
     monkeypatch.setattr(rpt, "_FILLERS", {})
     for record in (*certificates, *classifications):
-        tree = {"s": record}
-        assert render_structured(tree) == reference(tree)
-    assert set(rpt._FILLERS) == {(AmpleGGCertificate, "  "), (GGClassification, "  ")}
+        assert render_structured(record) == reference(record)
+    assert set(rpt._FILLERS) == {(AmpleGGCertificate, ""), (GGClassification, "")}
 
 
 def _count_validated(monkeypatch) -> Counter:
@@ -316,7 +323,7 @@ def test_to_json_lays_out_nested_records():
     F2 = Surface.hirzebruch(2)
     v = parse_character("2:3,8:2", F2)
     for record in (v, v.c1, run_report(F2, v).obstructions):
-        assert to_json(record) == parse_structured(render_structured({"r": record}))["r"]
+        assert to_json(record) == parse_structured(render_structured(record))
 
 
 def test_a_report_names_the_surface_of_its_character():
@@ -358,37 +365,18 @@ def test_command_report_raises_the_cli_precondition():
     assert (case["exit"], f"precondition error: {raised.value}\n") == (3, case["stderr"])
 
 
-SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**400), max_value=10**400)
-    | st.text(st.characters(exclude_categories=()))
-    | st.sampled_from(["", "\x00\x1f\x7f", "é–\U0001f600", "\ud800", '"\\/\b\f\n\r\t'])
-)
-JSON_TREES = st.recursive(
-    SCALARS,
-    lambda children: st.lists(children, max_size=5)
-    | st.dictionaries(st.text(st.characters(exclude_categories=())), children, max_size=5),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=300)
-@given(JSON_TREES)
-def test_writer_matches_reference_on_generated_trees(tree):
-    assert render_structured(tree) == reference(tree)
-
-
-@pytest.mark.parametrize("tree", [{}, [], {"a": {}}, {"a": []}, [[], {}], {"": [{}]}])
-def test_writer_matches_reference_on_empty_containers(tree):
-    assert render_structured(tree) == reference(tree)
-
-
-@pytest.mark.parametrize("tree", [{"x": 0.5}, [1.0], {1: "a"}, {"s": {1, 2}}])
+@pytest.mark.parametrize("tree", [  # a value with no layout, and the name of its type
+    (parse_structured((GOLDEN / f"{STRUCTURED[0]}.stdout").read_bytes()), "dict"),
+    ([1.0], "list"), (1, "int"), (0.5, "float"),
+])
 def test_writer_rejects_non_report_values(tree):
-    with pytest.raises(TypeError):
-        render_structured(tree)
+    """Both writers take a record of ``_LAYOUTS``: any other value, a parsed report among
+    them, raises the ``TypeError`` of ``json.dumps``, word for word."""
+    value, name = tree
+    for write in (render_structured, render_text):
+        with pytest.raises(TypeError) as info:
+            write(value)
+        assert str(info.value) == f"Object of type {name} is not JSON serializable"
 
 
 @pytest.mark.parametrize("value, name", [(0.5, "float"), ({1, 2}, "set"), (b"x", "bytes")])
@@ -396,6 +384,57 @@ def test_to_json_rejects_what_json_rejects(value, name):
     with pytest.raises(TypeError) as info:
         to_json(value)
     assert str(info.value) == f"Object of type {name} is not JSON serializable"
+
+
+def test_to_json_is_the_parsed_structured_form_of_every_layout():
+    """For a record of each ``_LAYOUTS`` type, ``to_json`` is what ``render_structured``
+    writes, read back: no ``Fraction`` is left in place, ``delta_at_previous_n`` included,
+    whether the certificate has none (P2 ``2:10:25``, n_min = 1) or one (F2 ``2:3,8:2``,
+    n_min = 10)."""
+    F2, F3 = Surface.hirzebruch(2), Surface.hirzebruch(3)
+    report = run_report(F2, parse_character("2:3,8:2", F2))
+    plane = asymptotic_ample_certificate(parse_character("2:10:25", Surface.projective_plane()))
+    skipping = run_report(F3, parse_character("4:1,-5:-29/2", F3))
+    assert (plane.n_min, plane.delta_kernel_prev) == (1, None)
+    assert (report.asymptotic.n_min, report.asymptotic.delta_kernel_prev) == (10, Fraction(-9, 4))
+    gg, ample, v = report.global_generation, report.ample_gg, report.character
+    records = [report, v, v.c1, v.delta, report.general_cohomology, report.obstructions,
+               report.obstructions.conditions[0], gg, gg.classification, gg.quick_criterion,
+               ample, ample.bad_curves[0], ample.nonspecial, report.asymptotic, plane,
+               skipping.asymptotic]
+    assert {type(record) for record in records} == set(rpt._LAYOUTS)
+    for record in records:
+        assert to_json(record) == parse_structured(render_structured(record)), record
+
+
+def _replaced(record, **fields):
+    """A copy of ``record`` with ``fields`` replaced."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **fields})
+
+
+def _empty_containers() -> list:
+    """Records whose tuples are empty, each from one that the library made."""
+    v = parse_character("2:3,8:2", Surface.hirzebruch(2))
+    plane = asymptotic_ample_certificate(parse_character("2:10:25", Surface.projective_plane()))
+    w = make_character(2, Surface.hirzebruch(3).divisor(3, 11), Fraction(19, 2))
+    no_bad_curves = ample_gg_verdict(w)
+    assert plane.wbn_kernel.failures == () and no_bad_curves.bad_curves == ()
+    return [
+        Report("bad-curves", v, "0 bad curve class(es)", bad_curves=(), warnings=()),
+        _replaced(rpt.necessary_obstructions(v), conditions=()),
+        _replaced(ample_gg_verdict(v), slope_conditions=(), bad_curves=(), notes=()),
+        _replaced(plane, slope_conditions=()),  # and no weak Brill-Noether failure
+        _replaced(asymptotic_ample_certificate(v), notes=()),
+        Report("ample-gg", w, no_bad_curves.verdict, ample_gg=no_bad_curves),  # one level down
+    ]
+
+
+@pytest.mark.parametrize("tree", _empty_containers())
+def test_writer_matches_reference_on_empty_containers(tree):
+    out = render_structured(tree)
+    assert b"[]" in out
+    assert out == reference(tree)
+    assert to_json(tree) == parse_structured(out)
 
 
 SURFACES = [Surface.projective_plane()] + [Surface.hirzebruch(e) for e in range(6)]
@@ -416,13 +455,17 @@ def characters(surface: Surface):
     return st.builds(build, st.integers(1, 10**6), divisors(surface), VALUES)
 
 
+# Free text over every code point, lone surrogates and control characters among them, and a
+# few strings that need escaping, so that the writer's escaping meets them all.
+TEXTS = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "é–\U0001f600", "\ud800", '"\\/\b\f\n\r\t'])
 RECORD_KINDS = [  # each record type a report holds, on a surface, and Fraction leaves
     lambda surface: st.builds(BadCurve, divisors(surface), VALUES, VALUES, VALUES),
     divisors,
     lambda surface: divisors(surface, st.integers(-50, 50) | FRACTIONS),
     characters,
     lambda surface: st.builds(
-        Condition, st.text(max_size=8), st.text(), st.booleans(), st.integers() | FRACTIONS
+        Condition, TEXTS, TEXTS, st.booleans(), st.integers() | FRACTIONS
     ),
     lambda surface: FRACTIONS,
 ]
@@ -433,45 +476,14 @@ def records(draw, surfaces=st.sampled_from(SURFACES)):
     return draw(draw(st.sampled_from(RECORD_KINDS))(draw(surfaces)))
 
 
-@st.composite
-def record_sequences(draw):
-    """A non-empty tuple or list of records of one type, on one surface or on two."""
-    kind = draw(st.sampled_from(RECORD_KINDS))
-    surfaces = st.sampled_from(draw(st.lists(st.sampled_from(SURFACES), min_size=1, max_size=2)))
-    items = draw(st.lists(surfaces.flatmap(kind), min_size=1, max_size=4))
-    return draw(st.sampled_from([tuple, list]))(items)
-
-
-TREES_WITH_RECORDS = st.recursive(
-    SCALARS | records() | record_sequences(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=3), children, max_size=4),
-    max_leaves=12,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(TREES_WITH_RECORDS)
-def test_writer_matches_reference_on_trees_with_records(tree):
-    assert render_structured(tree) == reference(tree)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.text(max_size=3), TREES_WITH_RECORDS, max_size=4))
-def test_text_of_records_is_the_text_of_their_layouts(tree):
-    # the JSON-native form holds every record as its layout and every rational as {num, den}
-    assert render_text(tree) == render_text(parse_structured(reference(tree)))
-
-
 # The five certificate records, the section records of a report and its envelope, each
 # optional field drawn present and absent, and a Skipped entry in each section row but
 # ``invariants``, which holds the character and is never skipped.  Notes, weak Brill-Noether
 # failures and warnings are tuples from the library's fixed sets, as in the library's own
-# reports; every other string is drawn freely.
+# reports; every other string is drawn from ``TEXTS``.
 KERNEL_NOTE = "the kernel discriminant is nonnegative for every n >= n_min"
 NOTES = st.lists(st.sampled_from([STABILITY_NOTE, GENERAL_MEMBER_NOTE, KERNEL_NOTE]),
                  max_size=3).map(tuple)
-TEXTS = st.text(max_size=12)
 MAYBE_INT = st.none() | st.integers()
 MAYBE_RAT = st.none() | FRACTIONS
 SMALL = st.integers(-50, 50) | st.fractions(-50, 50, max_denominator=50)
@@ -538,17 +550,23 @@ WARNING = "stability of the input character is assumed, not verified"
 
 
 @st.composite
-def section_trees(draw):
-    """A certificate record, at the top of a report or nested in a dict or list."""
-    record = draw(draw(st.sampled_from(SECTION_KINDS))(draw(st.sampled_from(SURFACES))))
-    return draw(st.sampled_from([{"s": record}, {"s": [record]}, {"a": {"b": record, "c": 1}}]))
+def section_records(draw):
+    """A section record, a classification, a trace or a character, on any surface."""
+    return draw(draw(st.sampled_from(SECTION_KINDS))(draw(st.sampled_from(SURFACES))))
+
+
+def _assert_written_as_laid_out(record):
+    """``record`` is written as ``json.dumps`` writes it, and read back as its layout; the
+    text writer writes the lines of that layout, so this covers it as well."""
+    out = render_structured(record)
+    assert out == reference(record)
+    assert to_json(record) == parse_structured(out)
 
 
 @settings(max_examples=300, deadline=None)
-@given(section_trees())
-def test_section_records_render_as_their_layouts(tree):
-    assert render_structured(tree) == reference(tree)
-    assert render_text(tree) == render_text(parse_structured(render_structured(tree)))
+@given(section_records())
+def test_section_records_render_as_their_layouts(record):
+    _assert_written_as_laid_out(record)
 
 
 @st.composite
@@ -566,13 +584,48 @@ def reports(draw):
                   **sections)
 
 
+def holding_sequences():
+    """A report, an ample certificate or an obstruction report holding a tuple of 0 to 4
+    records: bad curves on one surface or on two (a plane class has one coordinate, a
+    Hirzebruch class two), or conditions."""
+    surfaces = st.lists(st.sampled_from(SURFACES), min_size=1, max_size=2).map(st.sampled_from)
+    bad = surfaces.flatmap(
+        lambda on: st.lists(on.flatmap(RECORD_KINDS[0]), max_size=4).map(tuple))
+    character = st.sampled_from(SURFACES).flatmap(characters)
+    return st.one_of(
+        st.builds(Report, TEXTS, character, TEXTS, bad_curves=bad),
+        st.builds(AmpleGGCertificate, conditions(), st.none(), st.none(), bad, TEXTS, NOTES),
+        obstruction_reports(None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records() | section_records())
+def test_writer_matches_reference_on_generated_trees(record):
+    """A record of any ``_LAYOUTS`` type but ``Report``, drawn below, its free text over
+    every code point."""
+    _assert_written_as_laid_out(record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(holding_sequences())
+def test_writer_matches_reference_on_trees_with_records(record):
+    _assert_written_as_laid_out(record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records())
+def test_text_of_records_is_the_text_of_their_layouts(record):
+    """``render_text`` writes the lines of ``to_json``, and ``to_json`` is the parsed
+    structured form: the text of a record is the text of its layout."""
+    _assert_written_as_laid_out(record)
+
+
 @settings(max_examples=150, deadline=None)
 @given(reports())
 def test_reports_render_as_their_layouts(report):
     """The envelope is one record: one fill writes the whole report, in the key order of
     ``json.dumps`` on its layout."""
-    assert render_structured(report) == reference(report)
-    assert render_text(report) == render_text(parse_structured(render_structured(report)))
+    _assert_written_as_laid_out(report)
     d = ["d"] if report.d is not None else []
     sections = [key for key in SECTIONS if getattr(report, key) is not None]
     keys = ["schema_version", "command", *d, "surface", "character", *sections, "verdict"]
@@ -589,17 +642,22 @@ def test_the_cache_of_written_texts_is_bounded():
 
 
 def test_a_report_makes_few_walk_calls(monkeypatch):
-    """The report is filled from its template; the walk writes only the report itself and
-    its one WALK slot, ``delta_at_previous_n``: 2 calls."""
+    """The report is filled from its template, which calls ``_fill`` once for the record
+    in each ANY row: the five sections, the quick criterion and the ``Fraction`` of
+    ``delta_at_previous_n``, so 8 calls in all.  No row is walked: the walk made 2 calls
+    when it wrote the report and ``delta_at_previous_n``, 29 when it wrote the envelope
+    and 87 when it wrote every section."""
     F2 = Surface.hirzebruch(2)
     report = run_report(F2, parse_character("2:3,8:2", F2))
     expected = render_structured(report)  # warm caches
     calls = []
-    original = rpt._walked
-    monkeypatch.setattr(rpt, "_walked", lambda *a: calls.append(1) or original(*a))
-    monkeypatch.setattr(rpt, "_FILLERS", {})  # fillers compiled now call the counted walk
+    original = rpt._fill
+    monkeypatch.setattr(rpt, "_fill", lambda *a: calls.append(type(a[0])) or original(*a))
+    monkeypatch.setattr(rpt, "_FILLERS", {})  # fillers compiled now call the counted fill
     assert render_structured(report) == expected
-    assert len(calls) <= 10  # 29 when the envelope and 87 when every section were walked
+    assert Counter(calls) == Counter([Report, CohomologyTriple, ObstructionReport, GGSection,
+                                      QuickCriterion, AmpleGGCertificate, AsymptoticCertificate,
+                                      Fraction])
 
 
 OVERSIZED = {  # one field of 4,301 digits, past the interpreter's default limit
@@ -623,12 +681,12 @@ def test_oversized_record_field_raises_the_interpreters_value_error(monkeypatch)
     sys.set_int_max_str_digits(4300)
     try:
         for kind, make in OVERSIZED.items():
-            tree = {"classes": (make(),)}
+            record = make()
             with pytest.raises(ValueError) as want:
-                reference(tree)
+                reference(record)
             for cache in ("cold", "warm"):
                 with pytest.raises(ValueError, match="Exceeds the limit") as got:
-                    render_structured(tree)
+                    render_structured(record)
                 assert str(got.value) == str(want.value), (kind, cache)
     finally:
         sys.set_int_max_str_digits(saved)

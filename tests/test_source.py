@@ -1,6 +1,8 @@
 """Checks on the library's source text."""
 
 import ast
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -117,8 +119,8 @@ def test_cli_process_loads_argparse_only_for_a_declined_argv(ch, declined):
 @pytest.mark.parametrize(
     "fmt, compiled", [([], False), (["--format", "structured"], True)], ids=["text", "structured"])
 def test_only_a_structured_cli_process_compiles_templates(fmt, compiled):
-    """``render_text`` walks the layouts, so a text request compiles no filler; a
-    structured one compiles some."""
+    """``render_text`` writes the lines of ``to_json``'s layout, so a text request compiles
+    no filler; a structured one compiles some."""
     argv = ["report", "--surface", "F2", "--ch", "2:3,8:2", *fmt]
     probe = ("import sys; from amplecheck import cli, report; "
              f"code = cli.main({argv!r}); "
@@ -138,7 +140,7 @@ def test_a_structured_cli_request_compiles_few_templates():
     """A filler is compiled once per record type and pad, so a structured F2 ``report``
     request makes 8 ``eval`` compiles: the report, whose template inlines its character,
     invariants and bad curves, its 5 section records and the quick criterion held in an
-    ANY row, and the ``Fraction`` of ``delta_at_previous_n``, written by the walk.  It
+    ANY row, and the ``Fraction`` of ``delta_at_previous_n``, another ANY row.  It
     made 9 when each whole-report shape had its own template and each record type its own
     shape function, and 17 when the envelope was walked and each section had its own
     template."""
@@ -263,6 +265,33 @@ def _rendered(rows) -> set[str]:
     return names
 
 
+def _kinds_used(rows) -> set[str]:
+    """The kind constants the rows of ``rows`` name, nested row tables included."""
+    kinds = set()
+    for _, _, kind in rows:
+        if type(kind) is str:
+            kinds.add(kind)
+        elif type(kind) is tuple:
+            kinds |= _kinds_used(kind)
+    return kinds
+
+
+def test_every_layout_kind_is_used():
+    """Each kind constant ``report`` binds, in the one assignment that binds ``CONST``, is
+    the kind of at least one ``_LAYOUTS`` row: a kind that no row names is deleted, with
+    its slot, as the walked kind was."""
+    tree = ast.parse((SOURCE / "report.py").read_text())
+    targets = next(
+        node.targets[0].elts for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+        and "CONST" in [t.id for t in node.targets[0].elts]
+    )
+    kinds = {getattr(report, t.id) for t in targets}
+    used = set().union(*map(_kinds_used, report._LAYOUTS.values()))
+    assert len(kinds) == len(targets) >= 7
+    assert kinds - used == set(), f"kinds no row uses: {sorted(kinds - used)}"
+
+
 def test_every_record_field_is_read():
     """Each field of a record class in ``src/`` is rendered by a row of its own class's
     ``_LAYOUTS`` table (nested row tables, and ``GGSection``'s ``classification.`` rows,
@@ -312,3 +341,16 @@ def test_the_exported_names_are_pinned():
     exec("from amplecheck import *", namespace)
     assert amplecheck.__all__ == EXPORTS
     assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+
+
+def test_readme_examples_print_what_they_show():
+    """Each ``python`` block of the README is followed by a ``text`` block of what it prints:
+    running the block in a fresh namespace prints exactly that."""
+    readme = (ROOT / "README.md").read_text()
+    examples = re.findall(r"```python\n(.*?)```\n\nprints\n\n```text\n(.*?)```", readme, re.S)
+    assert len(examples) == readme.count("```python") >= 1
+    for code, shown in examples:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), {})
+        assert out.getvalue() == shown
