@@ -35,7 +35,8 @@ and the twists it builds of its own classes to ``_twist_at``.
 
 The canonical textual form used by the CLI and reports is ``r:c1:ch2`` with
 ``c1`` rendered as ``a`` (plane) or ``a,b`` (meaning ``aE + bF``) and
-``ch2`` as ``p/q``.
+``ch2`` as ``p/q``, written from the int ``p = c1^2 - 2*c2 = 2*ch2`` as
+``p//2`` or ``p/2`` without building the ``Fraction``.
 """
 
 from __future__ import annotations
@@ -162,7 +163,9 @@ class ChernCharacter(Record):
         return _trusted(self.rank + other.rank, c1, c2)
 
     def __str__(self) -> str:
-        return f"{self.rank}:{','.join(map(str, self.c1.coords))}:{self.ch2}"
+        p = self._c1_squared - 2 * self.c2  # 2*ch2, written as p//2 or p/2
+        ch2 = f"{p}/2" if p & 1 else p >> 1
+        return f"{self.rank}:{','.join(map(str, self.c1.coords))}:{ch2}"
 
 
 _set_rank, _set_c1, _set_c2 = ChernCharacter._setters

@@ -13,7 +13,11 @@ exception), and ``nu.F > 1`` together with ``nu.E >= 1`` (``> 1`` on
 ``F_0``) on Hirzebruch surfaces.  A stable bundle with ``nu.F = 1`` is
 forced to be a line bundle, so for rank >= 2 that equality is itself an
 obstruction.  Stability of the input character is an assumption recorded in
-the report, never a computed fact.
+the report, never a computed fact.  The sharp inequalities gate every
+procedure (``require_slope_hypotheses``); ``slope_conditions`` builds them
+once per character and stores them in it, like ``delta``, so the verdict,
+the nonspecial trace, the obstructions and the asymptotic gate share one
+tuple (on the plane, one per threshold).
 
 *Global generation.*  For ``delta >= 0``, rank >= 2 and ``nu`` nef (on the
 plane, ``nu.H >= 0``) the general prioritary bundle is globally generated
@@ -37,8 +41,9 @@ A uniform sufficient criterion: if ``nu`` is big and nef and
 ``nu.F > 1`` as ``c1.F > rank`` and ``nu.E >= 1`` as ``c1.E >= rank``,
 with ``(c1.F, c1.E) = (a, b - e*a)`` for ``c1 = aE + bF``.  Nef and big
 are scale-invariant, so they are tested on ``c1`` in place of ``nu``.  A
-margin is built once, as ``Fraction(pairing - threshold, rank)``, and
-equals the slope's distance from its threshold.  The Fulton-Lazarsfeld
+margin is built once per character, as ``Fraction(pairing - threshold,
+rank)``, and equals the slope's distance from its threshold; on ``F_e`` the
+obstructions read theirs from the sharp conditions.  The Fulton-Lazarsfeld
 margin is ``(c1^2 - c2) / (rank*(rank+1))``: put ``2 rank^2 delta =
 (1-rank) c1^2 + 2 rank c2`` into ``nu^2/2 - delta/(rank+1)``.  A sign test
 on a ``Fraction`` (``delta``, a margin) reads its numerator, as denominators
@@ -95,8 +100,18 @@ def slope_conditions(v: ChernCharacter, *, asymptotic: bool = False) -> tuple[Co
     ``nu.H > 1 + 1/rank``.  The Hirzebruch conditions do not depend on the
     mode: ``nu.F > 1`` and ``nu.E > 1`` on ``F_0``, ``nu.E >= 1`` for
     ``e >= 1``.  Each is tested as ``c1.H``, ``c1.F`` or ``c1.E`` against a
-    multiple of the rank.
+    multiple of the rank.  The tuple is stored in ``v.__dict__``, one per
+    mode on the plane; a twist, dual, multiple or kernel builds its own.
     """
+    key = "_asymptotic_slopes" if asymptotic and v.surface.is_plane else "_slopes"
+    facts = v.__dict__  # stored past Record.__setattr__, as a twist's delta is
+    conditions = facts.get(key)
+    if conditions is None:
+        conditions = facts[key] = _sharp_slopes(v, asymptotic)
+    return conditions
+
+
+def _sharp_slopes(v: ChernCharacter, asymptotic: bool) -> tuple[Condition, ...]:
     r = v.rank
     if v.surface.is_plane:
         slope = v.c1.coords[0]
@@ -156,27 +171,19 @@ def necessary_obstructions(v: ChernCharacter) -> ObstructionReport:
         conditions.append(
             _slope_condition("slope-at-least-one", "mu >= 1", slope, r, r, strict=False)
         )
-    else:
-        fiber, section = ruling_degrees(v.c1)
-        conditions.append(
-            _slope_condition("fiber-slope-at-least-one", "nu.F >= 1", fiber, r, r, strict=False)
-        )
-        conditions.append(
-            _slope_condition(
-                "section-slope-at-least-one", "nu.E >= 1", section, r, r, strict=False
-            )
-        )
+    else:  # margins (c1.F - rank)/rank and (c1.E - rank)/rank, read from the sharp conditions
+        fiber, section = slope_conditions(v)
+        conditions.append(Condition("fiber-slope-at-least-one", "nu.F >= 1",
+                                    fiber.margin.numerator >= 0, fiber.margin))
+        conditions.append(section if surface.e else Condition(
+            "section-slope-at-least-one", "nu.E >= 1", section.margin.numerator >= 0,
+            section.margin))
     if r >= 2:
         conditions.extend(slope_conditions(v))
         if not surface.is_plane:
-            conditions.append(
-                Condition(
-                    "line-bundle-forcing",
-                    "nu.F != 1 (a stable bundle with nu.F = 1 is a line bundle)",
-                    fiber != r,
-                    Fraction(fiber - r, r),
-                )
-            )
+            text = "nu.F != 1 (a stable bundle with nu.F = 1 is a line bundle)"
+            conditions.append(Condition("line-bundle-forcing", text, fiber.margin.numerator != 0,
+                                        fiber.margin))
 
     note = None
     if is_tangent_bundle(v):

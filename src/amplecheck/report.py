@@ -413,6 +413,10 @@ def parse_structured(payload: bytes) -> dict:
     return json.loads(payload.decode("ascii"))
 
 
+# each character that ends a line for ``str.splitlines``, written as its JSON escape
+_LINE_BREAKS = {ord(c): _ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _render_lines(node, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(node, dict):
@@ -429,11 +433,14 @@ def _render_lines(node, indent: int, lines: list[str]) -> None:
             lines.append(head)
             _render_lines(value, indent + 1, lines)
         else:
+            if type(value) is str and not value.isprintable():  # any line break is in here
+                value = value.translate(_LINE_BREAKS)
             lines.append(f"{head} {value}")
 
 
 def render_text(report) -> str:
-    """Human-readable rendering of a record's layout, with exactly one final verdict line."""
+    """Human-readable rendering of a record's layout, with exactly one final verdict line:
+    a line break inside a text value is written as its JSON escape (``\\n``, ``\\u2028``)."""
     lines: list[str] = []
     _render_lines(to_json(report), 0, lines)
     return "\n".join(lines) + "\n"

@@ -32,6 +32,9 @@ line bundles are counted through the pushforward to the base line: on
 
 which agrees with the Euler characteristic ``P(aE + bF)`` whenever the class
 is nef (nef line bundles on these surfaces have no higher cohomology).
+The text of an integral class is written from its ints: a zero term is left
+out, ``1`` and ``-1`` are the bare basis name, a later negative term follows
+`` - `` (``2E - F``); a ``Fraction`` coordinate is written ``(p/q)E``.
 """
 
 from __future__ import annotations
@@ -177,8 +180,15 @@ class DivisorClass(Record):
         return self.dot(self)
 
     def __str__(self) -> str:
-        out = ""
-        for c, name in zip(self.coords, self.surface.basis):
+        out, coords = "", self.coords
+        if type(coords[0]) is int and type(coords[-1]) is int:  # written from the ints
+            for c, name in zip(coords, self.surface.basis):
+                if c:
+                    if out:
+                        out, c = out + (" - " if c < 0 else " + "), abs(c)
+                    out += name if c == 1 else "-" + name if c == -1 else f"{c}{name}"
+            return out or "0"
+        for c, name in zip(coords, self.surface.basis):
             text = str(c)  # decided on its digits: no Fraction comparison, int or not
             if text != "0":
                 term = (name if text == "1" else "-" + name if text == "-1"

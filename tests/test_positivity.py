@@ -17,6 +17,7 @@ from amplecheck import (
     gg_quick_criterion,
     is_big_and_nef,
     is_nef,
+    kernel_character,
     make_character,
     necessary_obstructions,
     nonspecial_all_twists,
@@ -28,7 +29,7 @@ from amplecheck import (
 )
 from amplecheck import positivity, surfaces
 from amplecheck.positivity import is_tangent_bundle
-from conftest import ALL_SURFACES, characters, random_valid_character
+from conftest import ALL_SURFACES, characters, random_divisor, random_valid_character
 from oracles import fulton_lazarsfeld_margin, slope_conditions_oracle, tangent_bundle_character
 
 P2 = Surface.projective_plane()
@@ -116,6 +117,55 @@ class TestIntegerSlopes:
         if not v.surface.is_plane:
             assert w.fiber_ok == (v.nu.dot(v.surface.fiber_class) >= -1)
             assert w.section_ok == (v.nu.dot(v.surface.divisor(1, 0)) >= -1)
+
+
+class TestSlopeConditionsOncePerCharacter:
+    """``slope_conditions`` stores its tuple in the character, one per mode on the plane
+    and one for both modes on F_e; a twist, dual, multiple or kernel builds its own."""
+
+    def test_a_character_returns_its_stored_tuple(self):
+        for surface, ch in (("P2", "2:20:-142"), ("F2", "2:3,8:2")):
+            v = parse_character(ch, parse_surface(surface))
+            for asymptotic in (False, True):
+                assert slope_conditions(v, asymptotic=asymptotic) is slope_conditions(
+                    v, asymptotic=asymptotic)
+            shared = slope_conditions(v, asymptotic=True) is slope_conditions(v)
+            assert shared is not v.surface.is_plane
+
+    @pytest.mark.parametrize("first", [False, True], ids=["default-first", "asymptotic-first"])
+    def test_plane_modes_match_the_oracle_in_either_order(self, first):
+        rng = random.Random(33 + first)
+        for _ in range(300):
+            v = random_valid_character(rng, P2)
+            for asymptotic in (first, not first, first):
+                got = slope_conditions(v, asymptotic=asymptotic)
+                assert tuple((c.id, c.holds, c.margin) for c in got) == (
+                    slope_conditions_oracle(v, asymptotic)), (v, asymptotic)
+
+    def test_derived_characters_do_not_inherit_the_conditions(self):
+        """Each derived character's conditions equal those of the same character rebuilt
+        through the validating constructor, which starts with no stored tuple."""
+        rng = random.Random(33)
+        for surface in ALL_SURFACES:
+            for _ in range(150):
+                v = random_valid_character(rng, surface)
+                stored = [slope_conditions(v, asymptotic=a) for a in (False, True)]
+                derived = {"twist": v.twist(random_divisor(rng, surface)), "dual": v.dual(),
+                           "scale": v.scale(3), "kernel": kernel_character(v, rng.randint(1, 4))}
+                for label, w in derived.items():
+                    rebuilt = ChernCharacter(w.rank, w.c1, w.ch2)
+                    for asymptotic in (False, True):
+                        assert slope_conditions(w, asymptotic=asymptotic) == slope_conditions(
+                            rebuilt, asymptotic=asymptotic), (v, label, asymptotic)
+                assert stored == [slope_conditions(v, asymptotic=a) for a in (False, True)]
+
+    def test_the_obstructions_reuse_the_sharp_section_condition(self):
+        """On F_e, e >= 1, ``section-slope-at-least-one`` is the sharp section condition, so
+        the two entries the obstructions list for rank >= 2 are one object."""
+        v = make_character(2, F1.divisor(3, 5), Fraction(5, 2))
+        conditions = necessary_obstructions(v).conditions
+        entries = [c for c in conditions if c.id == "section-slope-at-least-one"]
+        assert len(entries) == 2 and entries[0] is entries[1] is slope_conditions(v)[1]
 
 
 class TestFultonLazarsfeld:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 import hypothesis.strategies as st
 
 from amplecheck import (
@@ -45,6 +45,7 @@ from amplecheck import (
     parse_character,
     parse_surface,
 )
+from amplecheck import positivity
 from amplecheck import report as rpt
 from amplecheck.ampleness import GENERAL_MEMBER_NOTE, STABILITY_NOTE
 from amplecheck.cli import _parse_inputs, build_parser
@@ -220,16 +221,39 @@ def _count_fractions(monkeypatch) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize(("e", "text", "most"), [(3, "4:1,-5:-29/2", 15), (2, "2:3,8:2", 31)])
+@pytest.mark.parametrize(("e", "text", "most"), [(3, "4:1,-5:-29/2", 8), (2, "2:3,8:2", 14)])
 def test_a_report_makes_few_fractions(monkeypatch, e, text, most):
-    """Numbers are parsed once, and the Fulton-Lazarsfeld margin and ``B_squared`` come
-    from integers: the F3 report (hypotheses-fail) made 26 Fractions and the F2 report
-    (certified) 54 before."""
+    """Numbers are parsed once, the Fulton-Lazarsfeld margin and ``B_squared`` come from
+    integers, and the slope conditions and their margins are built once: the F3 report
+    (hypotheses-fail) made 26 Fractions and the F2 report (certified) 54 before the
+    integer margins, and 15 and 23 before the shared slope conditions."""
     surface = Surface.hirzebruch(e)
     expected = render_structured(run_report(surface, parse_character(text, surface)))
     counts = _count_fractions(monkeypatch)
     assert render_structured(run_report(surface, parse_character(text, surface))) == expected
     assert counts[Fraction] <= most
+
+
+@pytest.mark.parametrize(("surface", "text", "modes", "conditions"), [
+    ("F2", "2:3,8:2", [False], 2),           # 10 conditions before
+    ("F3", "4:1,-5:-29/2", [False], 2),      # 8 before
+    ("P2", "2:20:-142", [False, True], 3),   # 4 before, "mu >= 1" among them
+])
+def test_a_report_builds_its_slope_conditions_once(monkeypatch, surface, text, modes,
+                                                   conditions):
+    """The verdict, the nonspecial trace, the obstructions and the asymptotic gate share
+    one tuple of sharp slope conditions per character, two on the plane (one per mode);
+    the obstructions on F_e read their margins from it and build no condition."""
+    surface = parse_surface(surface)
+    expected = render_structured(run_report(surface, parse_character(text, surface)))
+    built, made = [], Counter()
+    sharp, one = positivity._sharp_slopes, positivity._slope_condition
+    monkeypatch.setattr(positivity, "_sharp_slopes",
+                        lambda v, asymptotic: built.append(asymptotic) or sharp(v, asymptotic))
+    monkeypatch.setattr(positivity, "_slope_condition",
+                        lambda *a, **k: made.update(["condition"]) or one(*a, **k))
+    assert render_structured(run_report(surface, parse_character(text, surface))) == expected
+    assert (built, made["condition"]) == (modes, conditions)
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -439,6 +463,9 @@ def test_writer_matches_reference_on_empty_containers(tree):
 
 SURFACES = [Surface.projective_plane()] + [Surface.hirzebruch(e) for e in range(6)]
 HUGE = 10**3999  # within the interpreter's default limit of 4300 digits
+# Draws from VALUES build large records, and shrinking a failing one can run for over ten
+# minutes: the tests below report the failing example as found, unshrunk.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 VALUES = st.integers(min_value=-1000, max_value=1000) | st.integers(min_value=-HUGE, max_value=HUGE)
 FRACTIONS = st.fractions(max_denominator=50) | st.builds(Fraction, VALUES, st.integers(1, 10**40))
 
@@ -563,7 +590,7 @@ def _assert_written_as_laid_out(record):
     assert to_json(record) == parse_structured(out)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(section_records())
 def test_section_records_render_as_their_layouts(record):
     _assert_written_as_laid_out(record)
@@ -598,7 +625,7 @@ def holding_sequences():
         obstruction_reports(None))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(records() | section_records())
 def test_writer_matches_reference_on_generated_trees(record):
     """A record of any ``_LAYOUTS`` type but ``Report``, drawn below, its free text over
@@ -606,13 +633,13 @@ def test_writer_matches_reference_on_generated_trees(record):
     _assert_written_as_laid_out(record)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(holding_sequences())
 def test_writer_matches_reference_on_trees_with_records(record):
     _assert_written_as_laid_out(record)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(records())
 def test_text_of_records_is_the_text_of_their_layouts(record):
     """``render_text`` writes the lines of ``to_json``, and ``to_json`` is the parsed
@@ -620,7 +647,7 @@ def test_text_of_records_is_the_text_of_their_layouts(record):
     _assert_written_as_laid_out(record)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(reports())
 def test_reports_render_as_their_layouts(report):
     """The envelope is one record: one fill writes the whole report, in the key order of
@@ -630,6 +657,29 @@ def test_reports_render_as_their_layouts(report):
     sections = [key for key in SECTIONS if getattr(report, key) is not None]
     keys = ["schema_version", "command", *d, "surface", "character", *sections, "verdict"]
     assert list(parse_structured(render_structured(report))) == keys
+
+
+def test_a_line_break_in_free_text_is_escaped():
+    """A caller's warning holding a newline printed ``verdict: ample`` on line 17, before
+    the report's own verdict line."""
+    v = parse_character("2:3:1/2", Surface.projective_plane())
+    lines = render_text(Report("invariants", v, "computed",
+                               warnings=("a\nverdict: ample",))).splitlines()
+    assert lines[-2:] == ["  - a\\nverdict: ample", "verdict: computed"]
+    assert [line for line in lines if line.startswith("verdict:")] == ["verdict: computed"]
+
+
+# each line break of ``str.splitlines``, and a verdict line to follow one
+LINE_PIECES = st.sampled_from(["verdict: ample", "\n", "\r\n", *"\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(LINE_PIECES | TEXTS, max_size=6).map("".join), min_size=1, max_size=3)
+       .map(tuple))
+def test_free_text_leaves_one_final_verdict_line(warnings):
+    v = parse_character("2:3:1/2", Surface.projective_plane())
+    lines = render_text(Report("invariants", v, "computed", warnings=warnings)).splitlines()
+    assert [i for i, line in enumerate(lines) if line.startswith("verdict:")] == [len(lines) - 1]
 
 
 def test_the_cache_of_written_texts_is_bounded():

@@ -315,6 +315,57 @@ def test_every_record_field_is_read():
     assert not found, f"record fields neither rendered nor read: {found}"
 
 
+def _is_dict(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def _writes_a_dict(node: ast.AST) -> bool:
+    """A store or delete through ``x.__dict__[...]``, a mutating call on ``x.__dict__``,
+    or a name bound to ``x.__dict__`` (``facts = self.__dict__``), which is then written."""
+    if isinstance(node, ast.Subscript):
+        return type(node.ctx) is not ast.Load and _is_dict(node.value)
+    if isinstance(node, ast.Call):
+        mutators = ("update", "setdefault", "pop", "popitem", "clear", "__setitem__")
+        return isinstance(node.func, ast.Attribute) and node.func.attr in mutators and _is_dict(
+            node.func.value)
+    return isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and _is_dict(node.value)
+
+
+def _dict_writers(tree: ast.AST, scope: str) -> set[str]:
+    """The qualified names of the functions in ``tree`` that write a ``__dict__``."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _dict_writers(node, f"{scope}.{node.name}")
+        else:
+            if _writes_a_dict(node):
+                found.add(scope)
+            found |= _dict_writers(node, scope)
+    return found
+
+
+# Where a record's ``__dict__`` is written past ``Record.__setattr__``: the lazy values, the
+# facts the constructors set, a twist's carried ``delta``, the builder's ``B_squared`` and
+# the stored slope conditions.  A new cache is added here on purpose.
+DICT_WRITERS = {
+    "records.lazy.__get__", "surfaces.Surface.__init__", "characters.ChernCharacter.__init__",
+    "characters.ChernCharacter._keeping_delta", "ampleness.asymptotic_ample_certificate",
+    "positivity.slope_conditions",
+}
+
+
+def test_record_dicts_are_written_in_known_places():
+    sample = ast.parse("def f(r):\n    r.__dict__['k'] = 1\n"
+                       "class C:\n    def g(self):\n        self.__dict__.update(k=1)\n"
+                       "    def h(self):\n        facts = self.__dict__\n"
+                       "def k(r):\n    return 'k' in r.__dict__ and r.__dict__['k']\n")
+    assert _dict_writers(sample, "m") == {"m.f", "m.C.g", "m.C.h"}  # k only reads
+    found = set().union(*(
+        _dict_writers(ast.parse(path.read_text(), filename=str(path)), path.stem)
+        for path in sorted(SOURCE.glob("*.py"))))
+    assert found == DICT_WRITERS
+
+
 # The package's public names, written out: ``__all__`` is computed from the imports of
 # ``__init__``, so deleting an import would drop an export without this list.
 EXPORTS = [
