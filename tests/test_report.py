@@ -221,7 +221,10 @@ def _count_fractions(monkeypatch) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize(("e", "text", "most"), [(3, "4:1,-5:-29/2", 8), (2, "2:3,8:2", 14)])
+@pytest.mark.parametrize(("e", "text", "most"), [  # ids name the bounds before, 15 and 31
+    pytest.param(3, "4:1,-5:-29/2", 8, id="3-4:1,-5:-29/2-15"),
+    pytest.param(2, "2:3,8:2", 14, id="2-2:3,8:2-31"),
+])
 def test_a_report_makes_few_fractions(monkeypatch, e, text, most):
     """Numbers are parsed once, the Fulton-Lazarsfeld margin and ``B_squared`` come from
     integers, and the slope conditions and their margins are built once: the F3 report
