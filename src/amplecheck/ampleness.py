@@ -141,7 +141,7 @@ def _family_bad_members(
     step, dd, dc = chi1 - chi0, d1 - d0, c1 - c0
     # step is c1.F (c1.E along bE + F), past the rank by the slope gate
     _obligation(step > 0, f"twisted chi increases along family {name}", v)
-    count = ceil_frac(Fraction(-chi0, step))
+    count = -(chi0 // step)  # ceil(-chi0 / step), chi0 < 0 < step
     if count > BAD_CURVE_CAP:
         raise EnumerationLimitError(
             f"{count} bad members in one family exceeds the cap {BAD_CURVE_CAP}"

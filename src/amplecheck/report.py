@@ -8,20 +8,21 @@ by its ``mu``, ``nu``, ``delta`` and Euler characteristic), a record
 ``BadCurve``s or the ``warnings`` tuple, read by attribute as in
 ``report.asymptotic.n_min``; a section whose preconditions fail is not omitted:
 ``_section``, the one place this rule is written, gives it a ``Skipped`` entry
-naming the failing precondition.  ``to_json`` lays out each record by its table
-in ``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
-appears), so ``json.dumps(report, default=to_json)`` serialises a report and
-``to_json(report)``, equal to ``parse_structured(render_structured(report))``, is
-its JSON-native form.  Both writers take a record of ``_LAYOUTS`` and nothing
-else; any other value raises the ``TypeError`` of ``json.dumps``.
+naming the failing precondition.  Each record is laid out by its table in
+``_LAYOUTS``, a rational as ``{"num", "den"}`` (no floating point value ever
+appears), and each format has one writer of the tables; both take a record of
+``_LAYOUTS`` and nothing else, any other value raising json's ``TypeError``.
 ``render_structured`` writes a record with the cached filler of its type and
 pad, compiled from the type's table by ``_template``: a ``%`` template that
 inlines the record and row tables it holds, writes a record tuple as its item
 template in a comprehension and a "?" row as one slot, empty when the value is
 absent.  No value picks a template, so the cache holds one filler per (record
 type, pad) met; a report is one fill, which calls the filler of the record in
-each ANY row.  ``render_text`` writes the lines of ``to_json(report)``.  Each
-section carries a ``tag`` naming the criterion that backs its verdict;
+each ANY row.  ``render_text`` walks the same rows into lines, compiling nothing.
+``to_json(report)``, the JSON-native form that ``default=to_json`` serialises, is
+``parse_structured(render_structured(report))``; the reference walks of the tables
+that both writers are tested against are in ``tests/oracles.py``.  Each section
+carries a ``tag`` naming the criterion that backs its verdict;
 ``VERDICT_TAGS`` collects them from the tables.
 
 ``command_report`` picks each CLI subcommand's sections and verdict.  The
@@ -289,33 +290,12 @@ def _code(expr: str, part) -> str:
     return f"{expr}[{part}]" if type(part) is int else f"{expr}.{part}" if part else expr
 
 
-def _layout(rows, obj) -> dict:
-    """The JSON-native layout of ``obj`` by ``rows``."""
-    out: dict = {}
-    for key, part, kind in rows:
-        value = part if kind == CONST else _get(obj, part)
-        if key[-1] == "?":
-            if not value if kind == STR else value is None:
-                continue
-            key = key[:-1]
-        if kind == STRS:
-            value = list(value)
-        elif kind == COORDS or type(kind) is list:
-            item = _LAYOUTS[Fraction if kind == COORDS else kind[0]]
-            value = [_layout(item, x) for x in value]
-        elif kind == ANY:
-            value = None if value is None else to_json(value)
-        elif kind not in (CONST, INT, BOOL, STR):  # a record, or a nested dict
-            value = _layout(kind if type(kind) is tuple else _LAYOUTS[kind], value)
-        out[key] = value
-    return out
-
-
-def to_json(x) -> dict:
-    """The layout of a record or ``Fraction``; ``default=to_json`` serialises a report."""
-    if type(x) not in _LAYOUTS:
+def _rows(x) -> tuple:
+    """The table of ``x``'s type: a value with no table raises json's ``TypeError``."""
+    rows = _LAYOUTS.get(type(x))
+    if rows is None:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    return _layout(_LAYOUTS[type(x)], x)
+    return rows
 
 
 def _literal(text: str) -> str:
@@ -384,8 +364,7 @@ def _fill(record, pad: str) -> str:
     fill = _FILLERS.get((type(record), pad))
     if fill is None:
         names = {"_ascii": _ascii, "_fill": _fill, "_items": _items, "_texts": _texts}
-        rows = _LAYOUTS.get(type(record)) or to_json(record)  # raises json's TypeError
-        code = _filled(*_template(rows, "r", pad))
+        code = _filled(*_template(_rows(record), "r", pad))
         fill = _FILLERS[type(record), pad] = eval(f"lambda r: {code}", names)
     return fill(record)
 
@@ -400,9 +379,9 @@ def render_structured(report) -> bytes:
     """Stable machine-readable rendering of a record; deterministic field order.
 
     The bytes are those of ``json.dumps(report, indent=2, ensure_ascii=True,
-    default=to_json)`` plus a newline, written in one fill: ``indent`` turns
-    off the C encoder of ``json.dumps``.  A value with no layout raises the
-    ``TypeError`` of ``json.dumps``.
+    default=layout)``, with ``layout`` of ``tests/oracles.py``, plus a newline,
+    written in one fill: ``indent`` turns off the C encoder of ``json.dumps``.
+    A value with no layout raises the ``TypeError`` of ``json.dumps``.
     """
     return (_fill(report, "") + "\n").encode("ascii")
 
@@ -413,34 +392,54 @@ def parse_structured(payload: bytes) -> dict:
     return json.loads(payload.decode("ascii"))
 
 
+def to_json(x) -> dict:
+    """A record's JSON-native form, its structured bytes read back (reference: ``layout`` in
+    ``tests/oracles.py``); ``default=to_json`` serialises a report."""
+    return parse_structured(render_structured(x))
+
+
 # each character that ends a line for ``str.splitlines``, written as its JSON escape
 _LINE_BREAKS = {ord(c): _ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-def _render_lines(node, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(node, dict):
-        # the envelope's verdict, its last key, is the one "verdict:" line
-        heads = [f"{pad}{'outcome' if key == 'verdict' and indent else key}:" for key in node]
-        node = node.values()
-    else:
-        heads = [pad + "-"] * len(node)
-    for head, value in zip(heads, node):
-        if isinstance(value, dict) and set(value) == {"num", "den"}:
-            den = "" if value["den"] == 1 else f"/{value['den']}"
-            lines.append(f"{head} {value['num']}{den}")
-        elif isinstance(value, (dict, list)):
-            lines.append(head)
-            _render_lines(value, indent + 1, lines)
-        else:
-            if type(value) is str and not value.isprintable():  # any line break is in here
-                value = value.translate(_LINE_BREAKS)
-            lines.append(f"{head} {value}")
+def _text_lines(rows, obj, pad: str, lines: list[str]) -> None:
+    """The lines of ``obj`` by ``rows``, keys at ``pad``; a nested ``verdict`` is ``outcome``."""
+    for key, part, kind in rows:
+        value = part if kind == CONST else _get(obj, part)
+        if key[-1] == "?":
+            if not value if kind == STR else value is None:
+                continue
+            key = key[:-1]
+        _text_value(f"{pad}{'outcome' if key == 'verdict' and pad else key}:", value, kind,
+                    pad + "  ", lines)
+
+
+def _text_value(head: str, value, kind, pad: str, lines: list[str]) -> None:
+    """``head`` with ``value`` of ``kind`` on one line, or then its items or rows at ``pad``."""
+    if kind == ANY and value is not None:  # laid out by its own type's table
+        _rows(value)  # raises json's TypeError
+        kind = type(value)
+    if kind is Fraction:
+        den = value.denominator
+        lines.append(f"{head} {value.numerator}" + ("" if den == 1 else f"/{den}"))
+    elif kind in (STRS, COORDS) or type(kind) is list:
+        lines.append(head)
+        item = STR if kind == STRS else Fraction if kind == COORDS else kind[0]
+        for x in value:
+            _text_value(pad + "-", x, item, pad + "  ", lines)
+    elif type(kind) is str:  # CONST, INT, BOOL, STR, or ANY holding None
+        if type(value) is str and not value.isprintable():  # any line break is in here
+            value = value.translate(_LINE_BREAKS)
+        lines.append(f"{head} {value}")
+    else:  # a record, or a nested row table
+        lines.append(head)
+        _text_lines(kind if type(kind) is tuple else _LAYOUTS[kind], value, pad, lines)
 
 
 def render_text(report) -> str:
-    """Human-readable rendering of a record's layout, with exactly one final verdict line:
-    a line break inside a text value is written as its JSON escape (``\\n``, ``\\u2028``)."""
+    """Human-readable rendering of a record, walked from its table (reference: ``text_of_tree``
+    in ``tests/oracles.py``), with exactly one final verdict line: a line break inside a text
+    value is written as its JSON escape (``\\n``, ``\\u2028``)."""
     lines: list[str] = []
-    _render_lines(to_json(report), 0, lines)
+    _text_lines(_rows(report), report, "", lines)
     return "\n".join(lines) + "\n"

@@ -8,12 +8,20 @@ reference formulas the oracles and tests evaluate (the Hilbert polynomial,
 the effective cone, the splitting codimension, the Fulton-Lazarsfeld margin
 on the logarithmic invariants, the plane's tangent bundle character and the
 character of a line bundle) are defined here, not in the library they check.
+
+The reference for the report writers is here too: ``layout`` reads a record
+through the tables of ``report._LAYOUTS`` into a JSON-native tree, so that
+``json.dumps(report, default=layout)`` gives the structured bytes, and
+``text_of_tree`` writes such a tree as the text lines.  Neither calls the
+library's writers.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from amplecheck import (
     ChernCharacter,
@@ -25,6 +33,7 @@ from amplecheck import (
     kernel_character,
 )
 from amplecheck.rationals import RATIONAL, Rational, check_digits, rat
+from amplecheck.report import _LAYOUTS, ANY, BOOL, CONST, COORDS, INT, STR, STRS
 
 SCAN_CAP = 10_000
 
@@ -332,3 +341,73 @@ def brute_min_multiplier(base: ChernCharacter, s: int, cap: int = 5000) -> int:
         if n > cap:
             raise AssertionError("runaway multiplier search")
     return n
+
+
+def _part(obj, part):
+    """The value that a row's ``part`` reads from ``obj``."""
+    if callable(part):
+        return part(obj)
+    return obj[part] if type(part) is int else attrgetter(part)(obj) if part else obj
+
+
+def _laid_out(rows, obj) -> dict:
+    out: dict = {}
+    for key, part, kind in rows:
+        value = part if kind == CONST else _part(obj, part)
+        if key[-1] == "?":
+            if not value if kind == STR else value is None:
+                continue
+            key = key[:-1]
+        if kind == STRS:
+            value = list(value)
+        elif kind == COORDS or type(kind) is list:
+            item = _LAYOUTS[Fraction if kind == COORDS else kind[0]]
+            value = [_laid_out(item, x) for x in value]
+        elif kind == ANY:
+            value = None if value is None else layout(value)
+        elif kind not in (CONST, INT, BOOL, STR):  # a record, or a nested dict
+            value = _laid_out(kind if type(kind) is tuple else _LAYOUTS[kind], value)
+        out[key] = value
+    return out
+
+
+def layout(x) -> dict:
+    """The JSON-native layout of a record or ``Fraction`` by its table, a rational as
+    ``{"num", "den"}``; a value with no table raises the ``TypeError`` of ``json.dumps``."""
+    if type(x) not in _LAYOUTS:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return _laid_out(_LAYOUTS[type(x)], x)
+
+
+# each character that ends a line for ``str.splitlines``, written as its JSON escape
+_LINE_BREAKS = {ord(c): json.dumps(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _tree_lines(node, indent: int, lines: list[str]) -> None:
+    pad = "  " * indent
+    if isinstance(node, dict):
+        # the envelope's verdict, its last key, is the one "verdict:" line
+        heads = [f"{pad}{'outcome' if key == 'verdict' and indent else key}:" for key in node]
+        node = node.values()
+    else:
+        heads = [pad + "-"] * len(node)
+    for head, value in zip(heads, node):
+        if isinstance(value, dict) and set(value) == {"num", "den"}:
+            den = "" if value["den"] == 1 else f"/{value['den']}"
+            lines.append(f"{head} {value['num']}{den}")
+        elif isinstance(value, (dict, list)):
+            lines.append(head)
+            _tree_lines(value, indent + 1, lines)
+        else:
+            if type(value) is str and not value.isprintable():  # any line break is in here
+                value = value.translate(_LINE_BREAKS)
+            lines.append(f"{head} {value}")
+
+
+def text_of_tree(tree: dict) -> str:
+    """The text report of a layout tree: a key and its value per line, nested values
+    indented two spaces, a list item after "-", a ``{"num", "den"}`` dict below the top as
+    ``p/q``, a nested ``verdict`` as ``outcome`` and a line break in text as its JSON escape."""
+    lines: list[str] = []
+    _tree_lines(tree, 0, lines)
+    return "\n".join(lines) + "\n"

@@ -147,6 +147,18 @@ class TestFamilyProgression:
         with pytest.raises(CertificateError, match=r"family bE \+ F is affine"):
             enumerate_bad_curves(parse_character("2:4000,3:-2009", F0))
 
+    @pytest.mark.parametrize("e, ch, n_bad", [(0, "2:400,3:-209", 72), (1, "2:3,5:5/2", 2)])
+    def test_bad_curves_are_counted_in_ints(self, monkeypatch, e, ch, n_bad):
+        """A family's number of bad members is a floor division of ints: ``_bad_curves``
+        built 2 ``Fraction``s on the F0 character (one per family) and 1 on the F1 one."""
+        v = parse_character(ch, Surface.hirzebruch(e))
+        expected = ampleness._bad_curves(v)
+        made, new = [], Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+        assert ampleness._bad_curves(v) == expected and len(expected) == n_bad
+        assert made == []
+
 
 class TestEffectiveShortcut:
     """Irreducible D with K+D effective are never bad for a gg character.

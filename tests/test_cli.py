@@ -18,6 +18,7 @@ from amplecheck.report import (
     VERDICT_TAGS, command_report, parse_structured, render_structured, run_report, to_json)
 from amplecheck import (
     EnumerationLimitError, PreconditionError, Surface, make_character, parse_character)
+import oracles
 from replay import run_cli
 from test_acceptance import CORPUS
 from test_golden import CASES, SKIPPED_SECTIONS
@@ -414,7 +415,7 @@ class TestStructuredOutput:
         assert code == 0
         report = command_report("report", parse_character("2:4:0", Surface.projective_plane()))
         assert render_structured(report) == out
-        assert to_json(report) == parse_structured(out)
+        assert to_json(report) == oracles.layout(report) == parse_structured(out)
 
     def test_no_floats_anywhere(self):
         def walk(node):

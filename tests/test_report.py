@@ -1,9 +1,12 @@
-"""The structured writer against ``json.dumps`` as the reference.
+"""Both writers against ``json.dumps`` and the text walk of ``oracles`` as the reference.
 
 ``render_structured`` writes a record in one fill instead of calling
-``json.dumps(report, indent=2, ensure_ascii=True, default=to_json)``; the
-reference stays here as the oracle, on the report of every golden structured
-case, on built reports and on generated records of every ``_LAYOUTS`` type.
+``json.dumps(report, indent=2, ensure_ascii=True, default=oracles.layout)``, and
+``render_text`` walks the layout rows instead of writing the lines of
+``oracles.text_of_tree(oracles.layout(report))``; the references stay in
+``oracles`` as the oracle, on the report of every golden structured case, on
+built reports and on generated records of every ``_LAYOUTS`` type.  ``to_json``
+is the structured bytes read back, so it is checked against ``oracles.layout``.
 Both writers take such a record and nothing else.
 """
 
@@ -65,6 +68,7 @@ from amplecheck.report import (
     run_report,
     to_json,
 )
+import oracles
 import replay
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -77,7 +81,7 @@ STRUCTURED = sorted(
 
 
 def reference(report) -> bytes:
-    text = json.dumps(report, indent=2, ensure_ascii=True, default=to_json)
+    text = json.dumps(report, indent=2, ensure_ascii=True, default=oracles.layout)
     return (text + "\n").encode("ascii")
 
 
@@ -121,13 +125,13 @@ def _f0_report_with_672_bad_curves():
     return report
 
 
-LAYOUTS = ("to_json", "_layout", "_template")
+LAYOUTS = ("to_json", "_template", "_text_lines")
 
 
-def _count_layout_calls(monkeypatch) -> tuple[list[str], list[int]]:
-    """Calls of each layout function by name, and the fillers compiled."""
+def _count_layout_calls(monkeypatch, names=LAYOUTS) -> tuple[list[str], list[int]]:
+    """Calls of each function of ``report`` in ``names``, by name, and the fillers compiled."""
     calls: list[str] = []
-    for name in LAYOUTS:
+    for name in names:
         original = getattr(rpt, name)
         monkeypatch.setattr(
             rpt, name, lambda *a, name=name, original=original: calls.append(name) or original(*a)
@@ -346,11 +350,12 @@ def test_text_rendering_of_bad_curve_records_is_unchanged():
 
 
 def test_to_json_lays_out_nested_records():
-    """``to_json`` gives the JSON-native layout, nested records and rationals included."""
+    """``to_json`` gives the JSON-native layout of ``oracles.layout``, nested records and
+    rationals included."""
     F2 = Surface.hirzebruch(2)
     v = parse_character("2:3,8:2", F2)
     for record in (v, v.c1, run_report(F2, v).obstructions):
-        assert to_json(record) == parse_structured(render_structured(record))
+        assert to_json(record) == oracles.layout(record)
 
 
 def test_a_report_names_the_surface_of_its_character():
@@ -414,10 +419,10 @@ def test_to_json_rejects_what_json_rejects(value, name):
 
 
 def test_to_json_is_the_parsed_structured_form_of_every_layout():
-    """For a record of each ``_LAYOUTS`` type, ``to_json`` is what ``render_structured``
-    writes, read back: no ``Fraction`` is left in place, ``delta_at_previous_n`` included,
-    whether the certificate has none (P2 ``2:10:25``, n_min = 1) or one (F2 ``2:3,8:2``,
-    n_min = 10)."""
+    """For a record of each ``_LAYOUTS`` type, ``to_json``, which is what
+    ``render_structured`` writes read back, is the layout of ``oracles.layout``: no
+    ``Fraction`` is left in place, ``delta_at_previous_n`` included, whether the certificate
+    has none (P2 ``2:10:25``, n_min = 1) or one (F2 ``2:3,8:2``, n_min = 10)."""
     F2, F3 = Surface.hirzebruch(2), Surface.hirzebruch(3)
     report = run_report(F2, parse_character("2:3,8:2", F2))
     plane = asymptotic_ample_certificate(parse_character("2:10:25", Surface.projective_plane()))
@@ -431,7 +436,7 @@ def test_to_json_is_the_parsed_structured_form_of_every_layout():
                skipping.asymptotic]
     assert {type(record) for record in records} == set(rpt._LAYOUTS)
     for record in records:
-        assert to_json(record) == parse_structured(render_structured(record)), record
+        assert to_json(record) == oracles.layout(record), record
 
 
 def _replaced(record, **fields):
@@ -458,10 +463,8 @@ def _empty_containers() -> list:
 
 @pytest.mark.parametrize("tree", _empty_containers())
 def test_writer_matches_reference_on_empty_containers(tree):
-    out = render_structured(tree)
-    assert b"[]" in out
-    assert out == reference(tree)
-    assert to_json(tree) == parse_structured(out)
+    assert b"[]" in render_structured(tree)
+    _assert_written_as_laid_out(tree)
 
 
 SURFACES = [Surface.projective_plane()] + [Surface.hirzebruch(e) for e in range(6)]
@@ -508,9 +511,10 @@ def records(draw, surfaces=st.sampled_from(SURFACES)):
 
 # The five certificate records, the section records of a report and its envelope, each
 # optional field drawn present and absent, and a Skipped entry in each section row but
-# ``invariants``, which holds the character and is never skipped.  Notes, weak Brill-Noether
-# failures and warnings are tuples from the library's fixed sets, as in the library's own
-# reports; every other string is drawn from ``TEXTS``.
+# ``invariants``, which holds the character and is never skipped.  Notes and weak
+# Brill-Noether failures are tuples from the library's fixed sets, as in the library's own
+# reports; a report's warnings mix the library's with a caller's free text, and every other
+# string is drawn from ``TEXTS``.
 KERNEL_NOTE = "the kernel discriminant is nonnegative for every n >= n_min"
 NOTES = st.lists(st.sampled_from([STABILITY_NOTE, GENERAL_MEMBER_NOTE, KERNEL_NOTE]),
                  max_size=3).map(tuple)
@@ -586,11 +590,12 @@ def section_records(draw):
 
 
 def _assert_written_as_laid_out(record):
-    """``record`` is written as ``json.dumps`` writes it, and read back as its layout; the
-    text writer writes the lines of that layout, so this covers it as well."""
-    out = render_structured(record)
-    assert out == reference(record)
-    assert to_json(record) == parse_structured(out)
+    """``record`` is written as ``json.dumps`` writes its ``oracles.layout``, read back as
+    that layout, and written as text as the lines of that layout."""
+    tree = oracles.layout(record)
+    assert render_structured(record) == reference(record)
+    assert to_json(record) == tree
+    assert render_text(record) == oracles.text_of_tree(tree)
 
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
@@ -608,7 +613,7 @@ def reports(draw):
                 for key, kind in ROW_KINDS.items()}
     sections["invariants"] = draw(st.none() | characters(surface))
     bad = st.lists(RECORD_KINDS[0](surface), max_size=3).map(tuple)
-    warnings = st.lists(st.just(WARNING), max_size=2).map(tuple)
+    warnings = st.lists(st.just(WARNING) | TEXTS, max_size=2).map(tuple)
     return Report(draw(TEXTS), draw(characters(surface)), draw(TEXTS), draw(MAYBE_INT),
                   bad_curves=draw(st.none() | bad), warnings=draw(st.none() | warnings),
                   **sections)
@@ -645,8 +650,8 @@ def test_writer_matches_reference_on_trees_with_records(record):
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(records())
 def test_text_of_records_is_the_text_of_their_layouts(record):
-    """``render_text`` writes the lines of ``to_json``, and ``to_json`` is the parsed
-    structured form: the text of a record is the text of its layout."""
+    """``render_text`` walks the layout rows: the text of a record is the text of its
+    layout, as ``oracles.text_of_tree`` writes it."""
     _assert_written_as_laid_out(record)
 
 
@@ -660,6 +665,21 @@ def test_reports_render_as_their_layouts(report):
     sections = [key for key in SECTIONS if getattr(report, key) is not None]
     keys = ["schema_version", "command", *d, "surface", "character", *sections, "verdict"]
     assert list(parse_structured(render_structured(report))) == keys
+
+
+@pytest.mark.parametrize("build", [
+    lambda: run_report(Surface.hirzebruch(2), parse_character("2:3,8:2", Surface.hirzebruch(2))),
+    _f0_report_with_672_bad_curves,
+], ids=["F2-2:3,8:2", "F0-672-bad-curves"])
+def test_text_is_written_without_a_structured_form(monkeypatch, build):
+    """``render_text`` walks the layout rows itself: it makes no ``to_json``,
+    ``parse_structured`` or ``_fill`` call and compiles nothing, where it made one
+    ``to_json`` call per record when it wrote the lines of that layout."""
+    report = build()
+    expected = render_text(report)
+    calls, compiles = _count_layout_calls(monkeypatch, ("to_json", "parse_structured", "_fill"))
+    assert render_text(report) == expected
+    assert calls == compiles == []
 
 
 def test_a_line_break_in_free_text_is_escaped():

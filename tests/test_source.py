@@ -102,16 +102,18 @@ def _imports_of_child(*args: str) -> tuple[subprocess.CompletedProcess, set[str]
 
 
 @pytest.mark.parametrize(
-    "ch, declined",
-    [(["--ch", "2:3,8:2"], False), (["--ch=2:3,8:2"], True)],
-    ids=["canonical", "declined"],
+    "ch, fmt, declined",
+    [(["--ch", "2:3,8:2"], "structured", False), (["--ch=2:3,8:2"], "structured", True),
+     (["--ch", "2:3,8:2"], "text", False)],
+    ids=["canonical", "declined", "text"],
 )
-def test_cli_process_loads_argparse_only_for_a_declined_argv(ch, declined):
+def test_cli_process_loads_argparse_only_for_a_declined_argv(ch, fmt, declined):
     """A request in canonical form is read without ``argparse``; one in any other form, here
-    ``--ch=``, goes through it; both write the golden bytes, and neither loads ``json``."""
-    argv = ["report", "--surface", "F2", *ch, "--format", "structured"]
+    ``--ch=``, goes through it; each writes the golden bytes, a text request included, and
+    none loads ``json``."""
+    argv = ["report", "--surface", "F2", *ch, "--format", fmt]
     done, imported = _imports_of_child("-m", "amplecheck.cli", *argv)
-    golden = ROOT / "tests" / "golden" / "report_surface_F2_ch_2_3_8_2_format_structured.stdout"
+    golden = ROOT / "tests" / "golden" / f"report_surface_F2_ch_2_3_8_2_format_{fmt}.stdout"
     assert (done.returncode, done.stdout) == (0, golden.read_bytes())
     assert ("argparse" in imported, "json" in imported) == (declined, False)
 
@@ -119,8 +121,8 @@ def test_cli_process_loads_argparse_only_for_a_declined_argv(ch, declined):
 @pytest.mark.parametrize(
     "fmt, compiled", [([], False), (["--format", "structured"], True)], ids=["text", "structured"])
 def test_only_a_structured_cli_process_compiles_templates(fmt, compiled):
-    """``render_text`` writes the lines of ``to_json``'s layout, so a text request compiles
-    no filler; a structured one compiles some."""
+    """``render_text`` walks the layout rows of each record itself, so a text request
+    compiles no filler; a structured one compiles some."""
     argv = ["report", "--surface", "F2", "--ch", "2:3,8:2", *fmt]
     probe = ("import sys; from amplecheck import cli, report; "
              f"code = cli.main({argv!r}); "
